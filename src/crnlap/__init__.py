@@ -46,8 +46,6 @@ from .equilibria import (
 )
 from .geometry import (
     ConeDescription,
-    Stratum,
-    build_stratum,
     extreme_rays,
     is_trivial_cone,
     monomial_order,
@@ -57,9 +55,11 @@ from .geometry import (
     stratum_contains,
 )
 from .stability import (
+    BdiReport,
     StabilityCertificate,
     Trajectory,
     bdi_membership,
+    bdi_report,
     decrease_certificate,
     lyapunov_derivative,
     lyapunov_value,

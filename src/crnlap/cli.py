@@ -29,11 +29,6 @@ from .errors import (
     SemanticError,
     StepSizeUnderflowError,
 )
-from .geometry import (
-    admissible_chain_orders,
-    polar_interior_contains,
-    region_constraints,
-)
 from .graph import AuxTree, make_aux_tree, default_chain_aux
 from .io import number_to_json, parse_network
 from .laplacian import (
@@ -42,7 +37,7 @@ from .laplacian import (
     tree_constants,
     verify_core_decomposition,
 )
-from .stability import decrease_certificate, lyapunov_value, simulate
+from .stability import bdi_report, decrease_certificate, lyapunov_value, simulate
 
 logger = logging.getLogger(__name__)
 
@@ -127,7 +122,9 @@ def _mode_name(net) -> str:
 
 
 def _decomposition_report(net, aux, tol) -> dict:
-    dec = core_matrix(net.graph, aux)
+    # off weakly reversible networks core_matrix raises NotStronglyConnectedError
+    consts = net.tree_constants() if net.is_weakly_reversible() else None
+    dec = core_matrix(net.graph, aux, consts=consts)
     checks = verify_core_decomposition(dec, tol=tol)
     return {
         "aux": _aux_report(aux),
@@ -157,7 +154,7 @@ def cmd_analyze(args) -> int:
         "conservation_dim": int(stoichiometric_subspace(net)[1].shape[1]),
     }
     if net.is_weakly_reversible():
-        enum = tree_constants(g, "enumeration")
+        enum = net.tree_constants()
         minors = tree_constants(g, "minors")
         report["tree_constants"] = {
             "enumeration": {v: enum.values[g.index[v]] for v in g.vertex_ids},
@@ -246,42 +243,29 @@ def cmd_certify(args) -> int:
 def cmd_bdi_check(args) -> int:
     doc, net = _load(args)
     x = _parse_state(args.x)
-    x_star = _resolve_x_star(args, net)
+    _resolve_x_star(args, net)  # no CBE: NoConvergenceError, exit 3
     if args.v:
         v = np.asarray([float(t) for t in _parse_state(args.v)], dtype=float)
     else:
         v = np.asarray(mass_action_rhs(net, x), dtype=float)
-    on_manifold = is_cbe(net, x, tol=args.tol).balanced
+    bdi = bdi_report(net, x, v, tol=args.tol)
     report = {
         "command": "bdi-check",
         "mode": _mode_name(net),
         "x": [float(t) for t in x],
         "v": v,
-        "on_manifold": on_manifold,
-    }
-    if on_manifold:
-        member = bool(np.max(np.abs(v), initial=0.0) <= 1e-12)
-        report["member"] = member
-        report["orders"] = []
-        emit(report, args.out)
-        return EXIT_OK
-    orders = admissible_chain_orders(net, x)
-    per_order = []
-    member = True
-    for aux in orders:
-        desc = region_constraints(net, aux, "cone")
-        pol = polar_interior_contains(desc, v)
-        member = member and pol.contains
-        per_order.append(
+        "on_manifold": bdi.on_manifold,
+        "member": bdi.member,
+        "orders": [
             {
                 "aux": _aux_report(aux),
-                "contains": pol.contains,
-                "lineality_products": list(pol.lineality_products),
-                "ray_products": list(pol.ray_products),
+                "contains": polar.contains,
+                "lineality_products": list(polar.lineality_products),
+                "ray_products": list(polar.ray_products),
             }
-        )
-    report["orders"] = per_order
-    report["member"] = member
+            for aux, polar in bdi.orders
+        ],
+    }
     emit(report, args.out)
     return EXIT_OK
 

@@ -49,24 +49,6 @@ def monomial_order(net: ReactionNetwork, x) -> AuxTree:
     return make_aux_tree(g, "chain", orders)
 
 
-@dataclass(frozen=True)
-class Stratum:
-    """Binomial inequalities x^{y(i')}/K_{i'} >= x^{y(i)}/K_i along aux edges."""
-
-    aux: AuxTree
-    constraints: tuple[tuple[str, str, float, float], ...]  # (i, i', 1/K_i, 1/K_i')
-
-
-def build_stratum(net: ReactionNetwork, aux: AuxTree) -> Stratum:
-    consts = net.tree_constants().as_float()
-    g = net.graph
-    cons = tuple(
-        (i, ip, 1.0 / consts[g.index[i]], 1.0 / consts[g.index[ip]])
-        for (i, ip) in aux.edges
-    )
-    return Stratum(aux=aux, constraints=cons)
-
-
 def stratum_contains(net: ReactionNetwork, aux: AuxTree, x) -> bool:
     """True when all binomial inequalities of the stratum hold at x."""
     report = validate_aux_tree(net.graph, aux)

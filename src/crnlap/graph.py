@@ -481,21 +481,6 @@ def validate_aux_tree(g: LabeledDigraph, aux: AuxTree) -> AuxTreeReport:
     return AuxTreeReport(True)
 
 
-def chain_order(g: LabeledDigraph, aux: AuxTree, ci: int) -> list[str]:
-    """Recover the vertex order i1..im encoded by a chain component."""
-    comp = g.scc_partition[ci]
-    comp_edges = [(a, b) for (a, b) in aux.edges if a in comp]
-    if not comp_edges:
-        return g.component_vertices(ci)
-    succ = dict(comp_edges)
-    targets = set(succ.values())
-    start = next(v for v in succ if v not in targets)
-    order = [start]
-    while order[-1] in succ:
-        order.append(succ[order[-1]])
-    return order
-
-
 def default_chain_aux(g: LabeledDigraph) -> AuxTree:
     """Chain aux tree using declaration order within each component."""
     return make_aux_tree(

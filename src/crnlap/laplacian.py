@@ -6,6 +6,15 @@ G_k for an auxiliary tree with incidence matrix I_aux is the unique
 invertible matrix A_core with
 
     A_k diag(K_k) = -I_aux @ A_core @ I_aux.T
+
+One rule computes it for every spanning tree, chain, star or general: row
+(a->b) of the left inverse J is the 0/1 indicator of a's side of the tree
+with that edge removed, so J @ I_aux = -Identity, and A_core =
+-J (A_k diag K_k) J.T.  Any other J' with J' @ I_aux = +-Identity differs
+from +-J by rows that are constant on each component, and A_k diag K_k
+annihilates each component's all-ones vector on both sides (columns of A_k
+sum to zero, and K_k spans its kernel), so the core does not depend on the
+choice of J nor, as J enters twice, on its sign.
 """
 
 from __future__ import annotations
@@ -22,10 +31,8 @@ from .graph import (
     Cycle,
     LabeledDigraph,
     aux_incidence,
-    chain_order,
     enumerate_arborescences,
     enumerate_cycles,
-    incidence_matrices,
     validate_aux_tree,
 )
 
@@ -39,19 +46,18 @@ def _require_scc(g: LabeledDigraph) -> None:
         )
 
 
-def _label_vector(g: LabeledDigraph) -> np.ndarray:
-    if g.exact:
-        return np.array([g.labels[e] for e in g.edges], dtype=object)
-    return np.array([g.labels[e] for e in g.edges], dtype=float)
-
-
 def laplacian_matrix(g: LabeledDigraph) -> np.ndarray:
-    """A_k = incidence @ diag(labels) @ source.T; columns sum to zero."""
-    inc, src = incidence_matrices(g)
-    k = _label_vector(g)
-    if g.exact:
-        return (inc * k[np.newaxis, :]) @ src.T
-    return (exact.to_float(inc) * k[np.newaxis, :]) @ exact.to_float(src).T
+    """A_k from the edge list: A[d, s] = k(s->d), A[s, s] = -sum of k out of s.
+
+    Columns sum to zero; entries are Fractions in exact mode.
+    """
+    n = g.n_vertices
+    a = exact.zeros(n, n) if g.exact else np.zeros((n, n))
+    for e in g.edges:
+        s, d = g.index[e[0]], g.index[e[1]]
+        a[d, s] += g.labels[e]
+        a[s, s] -= g.labels[e]
+    return a
 
 
 @dataclass(frozen=True)
@@ -124,46 +130,24 @@ class CoreDecomposition:
         return exact.is_exact(self.core)
 
 
-def _chain_left_inverse(g: LabeledDigraph, aux: AuxTree) -> np.ndarray:
-    """J with J @ I_aux = -Identity: row (i->i') has ones at vertices <= i."""
-    j = np.zeros((len(aux.edges), g.n_vertices), dtype=object)
-    for ci in range(g.n_components):
-        order = chain_order(g, aux, ci)
-        rank_of = {v: t for t, v in enumerate(order)}
-        for r in aux.component_edge_indices(ci):
-            src = aux.edges[r][0]
-            for v in order:
-                if rank_of[v] <= rank_of[src]:
-                    j[r, g.index[v]] = 1
+def _tree_cut_left_inverse(g: LabeledDigraph, aux: AuxTree, dtype) -> np.ndarray:
+    """J with J @ I_aux = -Identity: row (a->b) has ones on a's side of the
+    aux tree with that edge removed."""
+    neighbours: dict[str, list[tuple[str, int]]] = {v: [] for v in g.vertex_ids}
+    for r, (a, b) in enumerate(aux.edges):
+        neighbours[a].append((b, r))
+        neighbours[b].append((a, r))
+    j = np.zeros((len(aux.edges), g.n_vertices), dtype=dtype)
+    for r, (a, _) in enumerate(aux.edges):
+        side, stack = {a}, [a]
+        while stack:
+            v = stack.pop()
+            j[r, g.index[v]] = 1
+            for w, e in neighbours[v]:
+                if e != r and w not in side:
+                    side.add(w)
+                    stack.append(w)
     return j
-
-
-def _star_left_inverse(g: LabeledDigraph, aux: AuxTree) -> np.ndarray:
-    """J with J @ I_aux = +Identity: row (i->root) has ones except at i."""
-    j = np.zeros((len(aux.edges), g.n_vertices), dtype=object)
-    for ci in range(g.n_components):
-        verts = g.component_vertices(ci)
-        for r in aux.component_edge_indices(ci):
-            src = aux.edges[r][0]
-            for v in verts:
-                if v != src:
-                    j[r, g.index[v]] = 1
-    return j
-
-
-def _general_left_inverse(g: LabeledDigraph, aux: AuxTree) -> np.ndarray:
-    """Exact L with L @ I_aux = -Identity, by Gaussian elimination per column."""
-    inc = aux_incidence(g, aux)
-    m = len(aux.edges)
-    l = np.zeros((m, g.n_vertices), dtype=object)
-    for r in range(m):
-        rhs = np.zeros(m, dtype=object)
-        rhs[r] = Fraction(-1)
-        col = exact.solve(inc.T.astype(object), rhs)
-        if col is None:  # unreachable for a valid tree: I_aux has full column rank
-            raise InvalidAuxTreeError("aux incidence matrix is rank deficient")
-        l[r, :] = col
-    return l
 
 
 def core_matrix(
@@ -171,10 +155,14 @@ def core_matrix(
 ) -> CoreDecomposition:
     """Decompose A_k diag(K_k) = -I_aux @ core @ I_aux.T for the given tree.
 
-    The core is computed as -J (A_k diag K) J.T with the kind-specific
-    generalized left-inverse J; the defining identity is re-verified and its
-    max-abs residual stored (exactly zero in rational mode).  Precomputed
-    tree constants may be passed to avoid re-enumeration.
+    The core is -J (A_k diag K) J.T, where row (a->b) of J is the indicator
+    of a's side of the tree with that edge removed (J @ I_aux = -Identity).
+    The same rule serves chain, star and general trees: every left inverse
+    of I_aux, of either sign, gives the same core, because A_k diag K
+    annihilates each component's all-ones vector on both sides.  The
+    defining identity is re-verified and its max-abs residual stored
+    (exactly zero in rational mode).  Precomputed tree constants may be
+    passed to avoid re-enumeration.
     """
     _require_scc(g)
     report = validate_aux_tree(g, aux)
@@ -183,24 +171,13 @@ def core_matrix(
     a = laplacian_matrix(g)
     if consts is None:
         consts = tree_constants(g, backend="enumeration")
-    if aux.kind == "chain":
-        j = _chain_left_inverse(g, aux)
-    elif aux.kind == "star":
-        j = _star_left_inverse(g, aux)
-    else:
-        j = _general_left_inverse(g, aux)
-    inc = aux_incidence(g, aux)
-    if g.exact:
-        m = a * consts.values[np.newaxis, :]
-        core = -(j @ m @ j.T)
-        res = m + inc @ core @ inc.T
-        residual = float(max((abs(v) for v in res.flat), default=0))
-    else:
-        m = a * consts.as_float()[np.newaxis, :]
-        jf, incf = exact.to_float(j), exact.to_float(inc)
-        core = -(jf @ m @ jf.T)
-        res = m + incf @ core @ incf.T
-        residual = float(np.max(np.abs(res))) if res.size else 0.0
+    dtype = object if g.exact else float
+    m = a * np.asarray(consts.values, dtype=dtype)[np.newaxis, :]
+    j = _tree_cut_left_inverse(g, aux, dtype)
+    inc = aux_incidence(g, aux).astype(dtype)
+    core = -(j @ m @ j.T)
+    res = m + inc @ core @ inc.T
+    residual = float(np.max(np.abs(res))) if res.size else 0.0
     return CoreDecomposition(
         aux=aux, core=core, laplacian=a, tree_constants=consts, residual=residual
     )

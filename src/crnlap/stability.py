@@ -22,6 +22,7 @@ from .crn import ReactionNetwork, check_state, mass_action_rhs, scaled_monomials
 from .equilibria import is_cbe, require_cbe, solve_cbe
 from .errors import StepSizeUnderflowError
 from .geometry import (
+    PolarReport,
     admissible_chain_orders,
     monomial_order,
     polar_interior_contains,
@@ -114,23 +115,43 @@ def decrease_certificate(net: ReactionNetwork, x, x_star) -> StabilityCertificat
     )
 
 
-def bdi_membership(net: ReactionNetwork, x_star, x, v) -> bool:
-    """Membership of v in the binomial differential inclusion at state x.
+@dataclass(frozen=True)
+class BdiReport:
+    """Membership of v in the binomial differential inclusion at a state.
 
-    On the equilibrium manifold the inclusion is {0}; elsewhere v must lie
-    in the polar-cone interior of every stratum cone containing x (ties
-    enumerate all admissible chain orders).
+    `orders` holds one polar-interior check per admissible chain order; it
+    is empty on the equilibrium manifold, where the inclusion is {0}.
     """
-    require_cbe(net, x_star)
-    check_state(x, net.n_species)
+
+    on_manifold: bool
+    member: bool
+    orders: tuple[tuple[AuxTree, PolarReport], ...]
+
+
+def bdi_report(net: ReactionNetwork, x, v, tol: float | None = None) -> BdiReport:
+    """Evaluate the inclusion at x for v, checking every admissible order.
+
+    Off the manifold (is_cbe at tolerance `tol`), v must lie in the
+    polar-cone interior of every stratum cone containing x; ties enumerate
+    all admissible chain orders.
+    """
     vv = np.asarray(v, dtype=float)
-    if is_cbe(net, x).balanced:
-        return bool(np.max(np.abs(vv), initial=0.0) <= MANIFOLD_V_TOL)
-    for aux in admissible_chain_orders(net, x):
-        desc = region_constraints(net, aux, "cone")
-        if not polar_interior_contains(desc, vv).contains:
-            return False
-    return True
+    if is_cbe(net, x, tol=tol).balanced:
+        member = bool(np.max(np.abs(vv), initial=0.0) <= MANIFOLD_V_TOL)
+        return BdiReport(on_manifold=True, member=member, orders=())
+    orders = tuple(
+        (aux, polar_interior_contains(region_constraints(net, aux, "cone"), vv))
+        for aux in admissible_chain_orders(net, x)
+    )
+    member = all(polar.contains for _, polar in orders)
+    return BdiReport(on_manifold=False, member=member, orders=orders)
+
+
+def bdi_membership(net: ReactionNetwork, x_star, x, v) -> bool:
+    """Membership of v in the binomial differential inclusion at state x,
+    for a network with complex-balanced equilibrium x_star."""
+    require_cbe(net, x_star)
+    return bdi_report(net, x, v).member
 
 
 # -- trajectory simulation ---------------------------------------------------

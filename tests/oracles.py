@@ -3,7 +3,7 @@
 Everything here deliberately avoids the library's own algorithmic paths:
 reachability closure instead of Tarjan, subset enumeration instead of
 backtracking, edge sums instead of matrix products, facet-subset search
-instead of double description.
+instead of double description, Gaussian elimination instead of tree cuts.
 """
 
 from __future__ import annotations
@@ -86,6 +86,24 @@ def brute_cycles(g):
     for v in g.vertex_ids:
         walk(v, v, [v])
     return found
+
+
+def elimination_left_inverse(g, aux):
+    """Exact L with L @ I_aux = -Identity, one Gaussian elimination per
+    aux edge; rows are exact.solve's particular solutions, which are in
+    general not the 0/1 tree cuts the library uses."""
+    from crnlap.graph import aux_incidence
+
+    inc = aux_incidence(g, aux)
+    m = len(aux.edges)
+    left = np.zeros((m, g.n_vertices), dtype=object)
+    for r in range(m):
+        rhs = np.zeros(m, dtype=object)
+        rhs[r] = Fraction(-1)
+        row = exact.solve(inc.T.astype(object), rhs)
+        assert row is not None, "aux incidence matrix is rank deficient"
+        left[r, :] = row
+    return left
 
 
 def edge_sum_rhs(net, x, exact_mode: bool):

@@ -20,7 +20,7 @@ from crnlap import (
 )
 from crnlap import exact
 from crnlap.errors import PointNotInStratumError
-from crnlap.geometry import admissible_chain_orders, build_stratum
+from crnlap.geometry import admissible_chain_orders
 from crnlap.graph import aux_incidence, default_chain_aux, make_aux_tree
 
 from generators import (
@@ -78,12 +78,6 @@ class TestStratum:
         for perm in itertools.permutations(["1", "2", "3"]):
             aux = make_aux_tree(triangle_net.graph, "chain", [list(perm)])
             assert stratum_contains(triangle_net, aux, x_star)
-
-    def test_build_stratum_constraints(self, cycle3_net):
-        aux = default_chain_aux(cycle3_net.graph)
-        stratum = build_stratum(cycle3_net, aux)
-        assert len(stratum.constraints) == 2
-        assert stratum.constraints[0][:2] == ("1", "2")
 
 
 class TestRegionConstraints:

@@ -8,6 +8,7 @@ from crnlap import (
     build_digraph,
     core_matrix,
     cycle_decomposition,
+    default_chain_aux,
     laplacian_matrix,
     make_aux_tree,
     tree_constants,
@@ -15,7 +16,7 @@ from crnlap import (
 )
 from crnlap import exact
 from crnlap.errors import NotStronglyConnectedError
-from crnlap.graph import AuxTree, aux_incidence, incidence_matrices
+from crnlap.graph import aux_incidence, incidence_matrices
 from crnlap.laplacian import CoreDecomposition, cycle_reconstruction
 
 from conftest import running_example_graph
@@ -25,6 +26,7 @@ from generators import (
     random_scc_digraph,
     random_star_aux,
 )
+from oracles import elimination_left_inverse
 
 
 def running_example_matrices(k12, k21, k23, k31):
@@ -159,16 +161,24 @@ class TestCoreMatrix:
             assert np.array_equal(dec.core, expected)
 
     def test_uniqueness_independent_of_left_inverse(self):
-        # the same chain computed through the general elimination route
+        # -L M L.T with an elimination left inverse L and M built from the
+        # incidence product equals the tree-cut core exactly, for every kind
         rng = random.Random(9)
         for _ in range(10):
             g = random_scc_digraph(rng, n_max=5)
-            orders = [g.component_vertices(ci) for ci in range(g.n_components)]
-            chain = make_aux_tree(g, "chain", orders)
-            via_chain = core_matrix(g, chain)
-            as_general = AuxTree(chain.edges, "general", chain.component_map)
-            via_general = core_matrix(g, as_general)
-            assert np.array_equal(via_chain.core, via_general.core)
+            inc_e, src = incidence_matrices(g)
+            k = np.array([g.labels[e] for e in g.edges], dtype=object)
+            consts = tree_constants(g)
+            m = ((inc_e * k[np.newaxis, :]) @ src.T) * consts.values[np.newaxis, :]
+            for aux in (
+                default_chain_aux(g),
+                random_star_aux(rng, g),
+                random_general_aux(rng, g),
+            ):
+                left = elimination_left_inverse(g, aux)
+                dec = core_matrix(g, aux, consts=consts)
+                assert np.array_equal(dec.core, -(left @ m @ left.T))
+                assert all(isinstance(v, Fraction) for v in dec.core.flat)
 
     def test_decomposition_identity_random_aux(self):
         rng = random.Random(10)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from crnlap import bdi_membership, mass_action_rhs
 from crnlap.cli import run_command
 from crnlap.errors import SchemaError, SemanticError
 from crnlap.io import (
@@ -202,6 +203,35 @@ class TestCli:
         report = json.loads(out)
         assert report["member"] is True
         assert len(report["orders"]) == 1
+
+    def test_bdi_check_tie_lists_both_orders(self, capsys):
+        # at (2, 1/2) the scaled monomials of vertices 1 and 3 tie (both 2)
+        code, out, _ = self.run(["bdi-check", str(CYCLE3), "--x", "2,0.5"], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert report["on_manifold"] is False
+        assert [o["aux"]["edges"] for o in report["orders"]] == [
+            [["2", "1"], ["1", "3"]],
+            [["2", "3"], ["3", "1"]],
+        ]
+        _, net = parse_network(CYCLE3.read_text())
+        f = mass_action_rhs(net, [2.0, 0.5])
+        assert report["member"] is bdi_membership(net, [1, 1], [2.0, 0.5], f)
+
+    def test_decompose_not_weakly_reversible_exit_2(self, tmp_path, capsys):
+        doc = {
+            "species": ["A"],
+            "vertices": [
+                {"id": "1", "complex": {"A": 1}},
+                {"id": "2", "complex": {"A": 2}},
+            ],
+            "edges": [{"from": "1", "to": "2", "k": 1}],
+        }
+        p = tmp_path / "one_way.json"
+        p.write_text(json.dumps(doc))
+        code, _, err = self.run(["decompose", str(p)], capsys)
+        assert code == 2
+        assert json.loads(err)["error"]["type"] == "NotStronglyConnectedError"
 
     def test_decompose_star(self, capsys):
         code, out, _ = self.run(
