@@ -5,13 +5,11 @@ cones, and Lyapunov stability certificates."""
 __version__ = "0.1.0"
 
 from .graph import (
-    Arborescence,
     AuxTree,
     Cycle,
     LabeledDigraph,
     build_digraph,
     default_chain_aux,
-    enumerate_arborescences,
     enumerate_cycles,
     general_aux_tree,
     incidence_matrices,

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .crn import mass_action_rhs, stoichiometric_subspace
-from .equilibria import cbe_manifold_sample, is_cbe, solve_cbe
+from .equilibria import cbe_manifold_sample, is_cbe, require_cbe, solve_cbe
 from .errors import (
     CrnlapError,
     IndeterminateOrderError,
@@ -31,12 +31,7 @@ from .errors import (
 )
 from .graph import AuxTree, make_aux_tree, default_chain_aux
 from .io import number_to_json, parse_network
-from .laplacian import (
-    core_matrix,
-    laplacian_matrix,
-    tree_constants,
-    verify_core_decomposition,
-)
+from .laplacian import core_matrix, laplacian_matrix, verify_core_decomposition
 from .stability import bdi_report, decrease_certificate, lyapunov_value, simulate
 
 logger = logging.getLogger(__name__)
@@ -143,6 +138,7 @@ def _decomposition_report(net, aux, tol) -> dict:
 def cmd_analyze(args) -> int:
     doc, net = _load(args)
     g = net.graph
+    s_basis, sperp_basis = stoichiometric_subspace(net)
     report = {
         "command": "analyze",
         "mode": _mode_name(net),
@@ -150,16 +146,14 @@ def cmd_analyze(args) -> int:
         "components": [sorted(c) for c in g.scc_partition],
         "weakly_reversible": net.is_weakly_reversible(),
         "laplacian": laplacian_matrix(g),
-        "stoichiometric_dim": int(stoichiometric_subspace(net)[0].shape[1]),
-        "conservation_dim": int(stoichiometric_subspace(net)[1].shape[1]),
+        "stoichiometric_dim": int(s_basis.shape[1]),
+        "conservation_dim": int(sperp_basis.shape[1]),
     }
     if net.is_weakly_reversible():
-        enum = net.tree_constants()
-        minors = tree_constants(g, "minors")
-        report["tree_constants"] = {
-            "enumeration": {v: enum.values[g.index[v]] for v in g.vertex_ids},
-            "minors": {v: minors.values[g.index[v]] for v in g.vertex_ids},
-        }
+        consts = net.tree_constants().values
+        by_vertex = {v: consts[g.index[v]] for v in g.vertex_ids}
+        # both keys of the report format hold the one computed result
+        report["tree_constants"] = {"enumeration": by_vertex, "minors": by_vertex}
         report["decomposition"] = _decomposition_report(
             net, default_chain_aux(g), args.tol
         )
@@ -243,7 +237,8 @@ def cmd_certify(args) -> int:
 def cmd_bdi_check(args) -> int:
     doc, net = _load(args)
     x = _parse_state(args.x)
-    _resolve_x_star(args, net)  # no CBE: NoConvergenceError, exit 3
+    # no CBE: NoConvergenceError, exit 3; a given x* that is not one: exit 2
+    require_cbe(net, _resolve_x_star(args, net))
     if args.v:
         v = np.asarray([float(t) for t in _parse_state(args.v)], dtype=float)
     else:

@@ -107,7 +107,7 @@ class ReactionNetwork:
         if self._consts is None:
             with self._consts_lock:
                 if self._consts is None:
-                    self._consts = tree_constants(self.graph, backend="enumeration")
+                    self._consts = tree_constants(self.graph)
         return self._consts
 
     def __repr__(self) -> str:  # pragma: no cover

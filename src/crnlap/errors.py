@@ -27,10 +27,6 @@ class NonPositiveLabelError(CrnlapError):
     pass
 
 
-class RootNotInGraphError(CrnlapError):
-    pass
-
-
 class BadOrderError(CrnlapError):
     pass
 
@@ -82,7 +78,7 @@ class NoConvergenceError(CrnlapError):
 # -- geometry -----------------------------------------------------------------
 
 class DimensionTooLargeError(CrnlapError):
-    """Ray enumeration refused above the supported ambient dimension."""
+    """An enumeration (rays, cycles) refused above its supported size."""
 
 
 class PointNotInStratumError(CrnlapError):

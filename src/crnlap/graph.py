@@ -1,4 +1,4 @@
-"""Labeled digraphs, strong connectivity, arborescences, cycles, auxiliary trees.
+"""Labeled digraphs, strong connectivity, cycles, auxiliary trees.
 
 Vertex ids are opaque strings mapped to dense indices in declaration order;
 all matrices produced here and downstream use that dense order.  Strongly
@@ -17,17 +17,19 @@ import numpy as np
 
 from .errors import (
     BadOrderError,
+    DimensionTooLargeError,
     DuplicateEdgeError,
     DuplicateVertexError,
     InvalidAuxTreeError,
     NonPositiveLabelError,
-    RootNotInGraphError,
     RootOutsideComponentError,
     SelfLoopError,
     UnknownEndpointError,
 )
 
 Edge = tuple[str, str]
+
+MAX_CYCLES = 20_000
 
 
 def _coerce_label(value) -> Fraction | float:
@@ -181,56 +183,7 @@ def scc_partition(g: LabeledDigraph) -> list[set[str]]:
     return [set(c) for c in g.scc_partition]
 
 
-# -- arborescences and cycles --------------------------------------------
-
-
-@dataclass(frozen=True)
-class Arborescence:
-    """Spanning in-tree of one component: every non-root vertex has exactly
-    one outgoing edge and all paths lead to the root."""
-
-    root: str
-    edges: frozenset[Edge]
-
-
-def enumerate_arborescences(g: LabeledDigraph, root) -> list[Arborescence]:
-    """All spanning trees of root's component, directed towards the root.
-
-    Exhaustive backtracking over out-edge choices; intended for component
-    sizes up to ~10.
-    """
-    root = str(root)
-    if root not in g.index:
-        raise RootNotInGraphError(f"root {root!r} is not a vertex")
-    comp = g.scc_partition[g.component_index[root]]
-    others = [v for v in g.vertex_ids if v in comp and v != root]
-    choices = {
-        v: [(v, d) for (s, d) in g.edges if s == v and d in comp] for v in others
-    }
-    result: list[Arborescence] = []
-
-    def extend(i: int, succ: dict[str, str], chosen: list[Edge]) -> None:
-        if i == len(others):
-            result.append(Arborescence(root, frozenset(chosen)))
-            return
-        v = others[i]
-        for (s, d) in choices[v]:
-            # following successors from d must not loop back to v
-            w, ok = d, True
-            while w in succ:
-                w = succ[w]
-                if w == v:
-                    ok = False
-                    break
-            if ok:
-                succ[v] = d
-                chosen.append((s, d))
-                extend(i + 1, succ, chosen)
-                chosen.pop()
-                del succ[v]
-
-    extend(0, {}, [])
-    return result
+# -- cycles ----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -258,7 +211,10 @@ def enumerate_cycles(g: LabeledDigraph) -> list[Cycle]:
     """All directed simple cycles, sorted lexicographically by vertex sequence.
 
     Each cycle is found once by only exploring vertices >= the start vertex,
-    so the start is the cycle's minimum.
+    so the start is the cycle's minimum.  The number of cycles grows
+    exponentially with density (a complete 8-vertex graph has 16 064, a
+    complete 9-vertex graph 125 664), so the walk stops with
+    DimensionTooLargeError as soon as it has found more than MAX_CYCLES.
     """
     order = sorted(g.vertex_ids)
     pos = {v: i for i, v in enumerate(order)}
@@ -269,6 +225,10 @@ def enumerate_cycles(g: LabeledDigraph) -> list[Cycle]:
         for d in out[v]:
             if d == start:
                 cycles.append(Cycle.from_vertex_seq(path))
+                if len(cycles) > MAX_CYCLES:
+                    raise DimensionTooLargeError(
+                        f"more than MAX_CYCLES={MAX_CYCLES} simple cycles"
+                    )
             elif pos[d] > pos[start] and d not in visited:
                 visited.add(d)
                 path.append(d)

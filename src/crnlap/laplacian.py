@@ -15,12 +15,21 @@ from +-J by rows that are constant on each component, and A_k diag K_k
 annihilates each component's all-ones vector on both sides (columns of A_k
 sum to zero, and K_k spans its kernel), so the core does not depend on the
 choice of J nor, as J enters twice, on its sign.
+
+Tree constants and cycle coefficients both come from one routine,
+Grassmann-Taksar-Heyman state reduction on a component's rate matrix: the
+tree constants directly (matrix-tree theorem), and each cycle coefficient
+as a principal minor of -A_k on the vertices off the cycle (all-minors
+matrix-tree theorem).  The reduction only adds, multiplies and divides
+positive numbers, so it is exact on Fractions and, with no cancellation to
+lose digits to, accurate entry by entry on floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 
@@ -31,7 +40,6 @@ from .graph import (
     Cycle,
     LabeledDigraph,
     aux_incidence,
-    enumerate_arborescences,
     enumerate_cycles,
     validate_aux_tree,
 )
@@ -68,48 +76,63 @@ class TreeConstants:
     """
 
     values: np.ndarray  # dense vertex order; Fractions in exact mode
-    backend: str
 
     def as_float(self) -> np.ndarray:
         return np.asarray(self.values, dtype=float)
 
 
-def tree_constants(g: LabeledDigraph, backend: str = "enumeration") -> TreeConstants:
-    """Tree constants via arborescence enumeration or matrix minors."""
+def _kirchhoff(w: list[list]) -> list:
+    """Tree constants of one block by Grassmann-Taksar-Heyman state reduction.
+
+    w[i][j] is the rate i->j (zero for no edge; the diagonal is never read)
+    and every vertex must reach vertex 0.  Vertices are censored from last
+    to first: the pivot s_k is k's remaining out-rate, and each path
+    i->k->j adds w[i][k] w[k][j] / s_k to w[i][j] (w is overwritten).  The
+    product of the pivots is the principal minor of -A_k without vertex 0,
+    i.e. K of vertex 0; back substitution K_k = sum_{i<k} K_i w[i][k] / s_k
+    gives the others.  Only sums, products and quotients of positive
+    numbers occur, so the result is exact on Fractions, and on floats each
+    entry's relative error grows with n but not with the spread of rates.
+    """
+    n = len(w)
+    pivots = [Fraction(1)] * n  # pivots[0] stays the unit
+    for k in range(n - 1, 0, -1):
+        s = sum(w[k][:k])
+        pivots[k] = s
+        for i in range(k):
+            if w[i][k]:
+                f = w[i][k] / s
+                for j in range(k):
+                    w[i][j] += f * w[k][j]
+    consts = [prod(pivots)]
+    for k in range(1, n):
+        consts.append(sum(consts[i] * w[i][k] for i in range(k)) / pivots[k])
+    return consts
+
+
+def tree_constants(g: LabeledDigraph) -> TreeConstants:
+    """Tree constants by GTH state reduction, one pass per component.
+
+    The reduction (Grassmann, Taksar and Heyman 1985) is Gaussian
+    elimination on the component's Laplacian with each pivot taken as the
+    sum of the remaining off-diagonal rates instead of the diagonal entry,
+    so it never subtracts.  On Fractions it is exact; on floats every
+    tree constant keeps a small relative error however widely the labels
+    spread (O'Cinneide 1993), where cofactor determinants lose digits to
+    cancellation.  The cost is cubic in the component size, where the
+    number of spanning trees is exponential.
+    """
     _require_scc(g)
-    if backend not in ("enumeration", "minors"):
-        raise ValueError(f"unknown backend {backend!r}")
-    n = g.n_vertices
-    values = np.empty(n, dtype=object)
-    if backend == "enumeration":
-        for v in g.vertex_ids:
-            total = Fraction(0) if g.exact else 0.0
-            for arb in enumerate_arborescences(g, v):
-                prod = Fraction(1) if g.exact else 1.0
-                for e in arb.edges:
-                    prod *= g.labels[e]
-                total += prod
-            values[g.index[v]] = total
-    else:
-        a = laplacian_matrix(g)
-        for ci in range(g.n_components):
-            verts = g.component_vertices(ci)
-            idx = [g.index[v] for v in verts]
-            neg_a = -(a[np.ix_(idx, idx)])
-            for pos, v in enumerate(verts):
-                keep = [p for p in range(len(verts)) if p != pos]
-                minor = neg_a[np.ix_(keep, keep)]
-                if g.exact:
-                    values[g.index[v]] = exact.det(minor)
-                else:
-                    values[g.index[v]] = (
-                        float(np.linalg.det(np.asarray(minor, dtype=float)))
-                        if minor.size
-                        else 1.0
-                    )
-    if not g.exact:
-        values = np.asarray(values, dtype=float)
-    return TreeConstants(values=values, backend=backend)
+    values = np.empty(g.n_vertices, dtype=object)
+    for ci in range(g.n_components):
+        verts = g.component_vertices(ci)
+        pos = {v: i for i, v in enumerate(verts)}
+        w = [[0] * len(verts) for _ in verts]
+        for (s, d) in g.component_edges(ci):
+            w[pos[s]][pos[d]] = g.labels[(s, d)]
+        for v, k in zip(verts, _kirchhoff(w)):
+            values[g.index[v]] = k
+    return TreeConstants(values=values.astype(object if g.exact else float))
 
 
 # -- core matrix -----------------------------------------------------------
@@ -162,7 +185,7 @@ def core_matrix(
     annihilates each component's all-ones vector on both sides.  The
     defining identity is re-verified and its max-abs residual stored
     (exactly zero in rational mode).  Precomputed tree constants may be
-    passed to avoid re-enumeration.
+    passed to avoid computing them again.
     """
     _require_scc(g)
     report = validate_aux_tree(g, aux)
@@ -170,7 +193,7 @@ def core_matrix(
         raise InvalidAuxTreeError(report.violation)
     a = laplacian_matrix(g)
     if consts is None:
-        consts = tree_constants(g, backend="enumeration")
+        consts = tree_constants(g)
     dtype = object if g.exact else float
     m = a * np.asarray(consts.values, dtype=dtype)[np.newaxis, :]
     j = _tree_cut_left_inverse(g, aux, dtype)
@@ -275,48 +298,38 @@ def cycle_laplacian(g: LabeledDigraph, cycle: Cycle) -> np.ndarray:
 
 
 def _cycle_coefficient(g: LabeledDigraph, cycle: Cycle) -> Fraction | float:
-    """Sum over subgraphs where the cycle is the only cycle and every vertex
-    of its component has out-degree one, of edge-label products."""
+    """prod_{e in C} k_e times the tree constant of C contracted to a vertex.
+
+    By the all-minors matrix-tree theorem (Chaiken 1982) the coefficient is
+    prod_{e in C} k_e times the principal minor of -A_k on the component's
+    vertices off C, which sums the label products of the forests in which
+    every such vertex has one out-edge and a path into C.  That minor is K
+    of index 0 in the block where index 0 stands for all of C, free vertex
+    i sits at index i and keeps its out-edges (those into C summed into
+    w[i][0]), and index 0 has none.
+    """
     ci = g.component_index[next(iter(cycle.vertices))]
-    comp = g.scc_partition[ci]
     free = [v for v in g.component_vertices(ci) if v not in cycle.vertices]
-    choices = {
-        v: [(v, d) for (s, d) in g.edges if s == v and d in comp] for v in free
-    }
-    base = Fraction(1) if g.exact else 1.0
+    pos = {v: i for i, v in enumerate(free, start=1)}
+    w = [[0] * (len(free) + 1) for _ in range(len(free) + 1)]
+    for (s, d) in g.edges:
+        if s in pos:
+            w[pos[s]][pos.get(d, 0)] += g.labels[(s, d)]
+    coeff = _kirchhoff(w)[0]
     for e in cycle.edges:
-        base *= g.labels[e]
-    total = Fraction(0) if g.exact else 0.0
-
-    def reaches_cycle(succ: dict[str, str], start: str) -> bool:
-        seen = set()
-        v = start
-        while v in succ:
-            if v in seen:
-                return False
-            seen.add(v)
-            v = succ[v]
-        return v in cycle.vertices
-
-    def extend(i: int, succ: dict[str, str], prod) -> None:
-        nonlocal total
-        if i == len(free):
-            if all(reaches_cycle(succ, v) for v in free):
-                total += prod
-            return
-        v = free[i]
-        for (s, d) in choices[v]:
-            succ[v] = d
-            extend(i + 1, succ, prod * g.labels[(s, d)])
-            del succ[v]
-
-    extend(0, {}, base)
-    return total
+        coeff *= g.labels[e]
+    return coeff
 
 
 def cycle_decomposition(g: LabeledDigraph) -> CycleDecomposition:
     """One positive coefficient per simple cycle; the weighted unit-label
-    cycle Laplacians sum exactly to A_k diag(K_k)."""
+    cycle Laplacians sum exactly to A_k diag(K_k).
+
+    Each coefficient comes from the same GTH state reduction as the tree
+    constants, on the component with the cycle contracted, so it is exact
+    on Fractions and accurate to a few ulps on floats.  The cycles
+    themselves are enumerated, so `enumerate_cycles`'s size limit applies.
+    """
     _require_scc(g)
     terms = tuple(
         (cycle, _cycle_coefficient(g, cycle)) for cycle in enumerate_cycles(g)

@@ -79,16 +79,13 @@ def decrease_certificate(net: ReactionNetwork, x, x_star) -> StabilityCertificat
     inc = exact.to_float(aux_incidence(net.graph, aux))
     yf = np.asarray(net.complexes, dtype=float)
     z = np.log(xv / xs)
+    scaled = np.asarray(scaled_monomials(net, x), dtype=float)
     a = (yf @ inc).T @ z
-    b = inc.T @ (np.asarray(scaled_monomials(net, x), dtype=float))
+    b = inc.T @ scaled
     value = float(-(a @ core @ b)) if a.size else 0.0
 
     scale_a = float(np.max(np.abs(yf.T @ z))) if a.size else 0.0
-    scale_b = (
-        float(np.max(np.asarray(scaled_monomials(net, x), dtype=float)))
-        if b.size
-        else 0.0
-    )
+    scale_b = float(np.max(scaled)) if b.size else 0.0
     signs_ok = bool(np.all(a >= -SIGN_RTOL * max(scale_a, 1e-300))) and bool(
         np.all(b >= -SIGN_RTOL * max(scale_b, 1e-300))
     )

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the library's own algorithmic paths:
 reachability closure instead of Tarjan, subset enumeration instead of
-backtracking, edge sums instead of matrix products, facet-subset search
+backtracking, cofactor determinants and forest backtracking instead of
+state reduction, edge sums instead of matrix products, facet-subset search
 instead of double description, Gaussian elimination instead of tree cuts.
 """
 
@@ -69,6 +70,62 @@ def brute_arborescences(g, root):
         if ok:
             found.add(frozenset(subset))
     return found
+
+
+def kirchhoff_minors(g):
+    """Exact tree constants as principal minors of -A_k, one cofactor
+    determinant per vertex (matrix-tree theorem)."""
+    from crnlap.laplacian import laplacian_matrix
+
+    neg_a = -laplacian_matrix(g)
+    values = np.empty(g.n_vertices, dtype=object)
+    for ci in range(g.n_components):
+        idx = [g.index[v] for v in g.component_vertices(ci)]
+        for i in idx:
+            keep = [j for j in idx if j != i]
+            values[i] = exact.det(neg_a[np.ix_(keep, keep)])
+    return values
+
+
+def forest_cycle_coefficient(g, cycle):
+    """Cycle coefficient by backtracking: the sum, over the subgraphs in
+    which the cycle is the only cycle and every vertex of its component has
+    out-degree one, of edge-label products."""
+    ci = g.component_index[next(iter(cycle.vertices))]
+    comp = g.scc_partition[ci]
+    free = [v for v in g.component_vertices(ci) if v not in cycle.vertices]
+    choices = {
+        v: [(v, d) for (s, d) in g.edges if s == v and d in comp] for v in free
+    }
+    base = Fraction(1)
+    for e in cycle.edges:
+        base *= g.labels[e]
+    total = Fraction(0)
+
+    def reaches_cycle(succ, start):
+        seen = set()
+        v = start
+        while v in succ:
+            if v in seen:
+                return False
+            seen.add(v)
+            v = succ[v]
+        return v in cycle.vertices
+
+    def extend(i, succ, prod):
+        nonlocal total
+        if i == len(free):
+            if all(reaches_cycle(succ, v) for v in free):
+                total += prod
+            return
+        v = free[i]
+        for (s, d) in choices[v]:
+            succ[v] = d
+            extend(i + 1, succ, prod * g.labels[(s, d)])
+            del succ[v]
+
+    extend(0, {}, base)
+    return total
 
 
 def brute_cycles(g):

@@ -50,7 +50,7 @@ from generators import (
     random_wr_network,
     to_float_graph,
 )
-from oracles import edge_sum_rhs
+from oracles import edge_sum_rhs, forest_cycle_coefficient, kirchhoff_minors
 
 CORPUS_SIZE = 500
 
@@ -69,7 +69,7 @@ def corpus():
 
 @pytest.fixture(scope="module")
 def corpus_constants(corpus):
-    return [tree_constants(g, "enumeration") for g in corpus]
+    return [tree_constants(g) for g in corpus]
 
 
 def test_criterion_1_exact_decomposition_suite(corpus, corpus_constants):
@@ -113,21 +113,21 @@ def test_criterion_1_exact_decomposition_suite(corpus, corpus_constants):
 
 def test_criterion_2_tree_constant_backends(corpus, corpus_constants):
     failures = []
-    for gi, (g, enum) in enumerate(zip(corpus, corpus_constants)):
-        minors = tree_constants(g, "minors")
-        if not np.array_equal(enum.values, minors.values):
-            failures.append((gi, "backend-mismatch"))
+    for gi, (g, consts) in enumerate(zip(corpus, corpus_constants)):
+        if consts.values.tolist() != kirchhoff_minors(g).tolist():
+            failures.append((gi, "minors-mismatch"))
+        if not all(isinstance(v, Fraction) for v in consts.values):
+            failures.append((gi, "not-exact"))
         a = laplacian_matrix(g)
-        if any(v != 0 for v in a @ enum.values):
+        if any(v != 0 for v in a @ consts.values):
             failures.append((gi, "kernel"))
     rng = random.Random(2)
     for _ in range(20):
         k12, k21, k23, k31 = (rand_fraction(rng) for _ in range(4))
         g = running_example_graph(k12, k21, k23, k31)
         expected = [k23 * k31 + k21 * k31, k31 * k12, k12 * k23]
-        for backend in ("enumeration", "minors"):
-            if tree_constants(g, backend).values.tolist() != expected:
-                failures.append(("closed-form", backend))
+        if tree_constants(g).values.tolist() != expected:
+            failures.append(("closed-form",))
     _conclude("2 tree-constant oracle equivalence", failures)
 
 
@@ -137,6 +137,8 @@ def test_criterion_3_cycle_decomposition(corpus, corpus_constants):
         dec = cycle_decomposition(g)
         if any(lam <= 0 for _, lam in dec.terms):
             failures.append((gi, "nonpositive-coefficient"))
+        if any(lam != forest_cycle_coefficient(g, c) for c, lam in dec.terms):
+            failures.append((gi, "forest-oracle"))
         m = laplacian_matrix(g) * consts.values[np.newaxis, :]
         if not np.array_equal(cycle_reconstruction(g, dec), m):
             failures.append((gi, "reconstruction"))

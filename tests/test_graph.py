@@ -5,7 +5,6 @@ import pytest
 
 from crnlap import (
     build_digraph,
-    enumerate_arborescences,
     enumerate_cycles,
     incidence_matrices,
     make_aux_tree,
@@ -15,16 +14,16 @@ from crnlap import (
 from crnlap import exact
 from crnlap.errors import (
     BadOrderError,
+    DimensionTooLargeError,
     DuplicateVertexError,
     NonPositiveLabelError,
-    RootNotInGraphError,
     SelfLoopError,
     UnknownEndpointError,
 )
 from crnlap.graph import aux_incidence, general_aux_tree
 
 from generators import random_general_aux, random_scc_digraph, random_star_aux
-from oracles import brute_arborescences, brute_cycles, brute_sccs
+from oracles import brute_cycles, brute_sccs
 
 
 class TestBuildDigraph:
@@ -87,50 +86,6 @@ class TestSccPartition:
             assert scc_partition(g) == brute_sccs(g.vertex_ids, g.edges)
 
 
-class TestArborescences:
-    def test_running_example_root1(self, running_graph):
-        arbs = enumerate_arborescences(running_graph, "1")
-        got = {a.edges for a in arbs}
-        assert got == brute_arborescences(running_graph, "1")
-        assert got == {
-            frozenset({("2", "1"), ("3", "1")}),
-            frozenset({("2", "3"), ("3", "1")}),
-        }
-
-    def test_running_example_root2(self, running_graph):
-        arbs = enumerate_arborescences(running_graph, "2")
-        assert {a.edges for a in arbs} == {frozenset({("1", "2"), ("3", "1")})}
-
-    def test_two_cycle(self):
-        g = build_digraph([1, 2], [(1, 2, 1), (2, 1, 1)])
-        arbs = enumerate_arborescences(g, 1)
-        assert [a.edges for a in arbs] == [frozenset({("2", "1")})]
-
-    def test_unknown_root(self, running_graph):
-        with pytest.raises(RootNotInGraphError):
-            enumerate_arborescences(running_graph, "9")
-
-    def test_matches_bruteforce(self):
-        rng = random.Random(4)
-        for _ in range(25):
-            g = random_scc_digraph(rng, n_max=6)
-            for v in g.vertex_ids:
-                got = {a.edges for a in enumerate_arborescences(g, v)}
-                assert got == brute_arborescences(g, v)
-                for a in got:
-                    # independent verifier: out-degree one off the root, acyclic
-                    sources = sorted(s for (s, _) in a)
-                    comp = g.scc_partition[g.component_index[v]]
-                    assert sources == sorted(u for u in comp if u != v)
-                    succ = dict(a)
-                    for u in succ:
-                        seen, w = set(), u
-                        while w in succ:
-                            assert w not in seen
-                            seen.add(w)
-                            w = succ[w]
-
-
 class TestCycles:
     def test_running_example(self, running_graph):
         cycles = enumerate_cycles(running_graph)
@@ -154,6 +109,12 @@ class TestCycles:
             g = random_scc_digraph(rng, n_max=6)
             got = {frozenset(c.edges) for c in enumerate_cycles(g)}
             assert got == brute_cycles(g)
+
+    def test_complete_nine_exceeds_max_cycles(self):
+        ids = [str(i) for i in range(9)]
+        g = build_digraph(ids, [(a, b, 1) for a in ids for b in ids if a != b])
+        with pytest.raises(DimensionTooLargeError, match="MAX_CYCLES"):
+            enumerate_cycles(g)
 
 
 class TestIncidence:

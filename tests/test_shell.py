@@ -218,6 +218,13 @@ class TestCli:
         f = mass_action_rhs(net, [2.0, 0.5])
         assert report["member"] is bdi_membership(net, [1, 1], [2.0, 0.5], f)
 
+    def test_bdi_check_rejects_non_equilibrium_x_star(self, capsys):
+        argv = ["--x", "0.5,0.5", "--x-star", "5,7"]
+        for cmd in ("certify", "bdi-check"):
+            code, out, err = self.run([cmd, str(CYCLE3), *argv], capsys)
+            assert code == 2 and out == ""
+            assert json.loads(err)["error"]["type"] == "NotACbeError"
+
     def test_decompose_not_weakly_reversible_exit_2(self, tmp_path, capsys):
         doc = {
             "species": ["A"],
