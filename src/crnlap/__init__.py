@@ -44,8 +44,6 @@ from .equilibria import (
 )
 from .geometry import (
     ConeDescription,
-    extreme_rays,
-    is_trivial_cone,
     monomial_order,
     polar_interior_contains,
     recession_polar_check,

@@ -256,7 +256,8 @@ def cmd_bdi_check(args) -> int:
                 "aux": _aux_report(aux),
                 "contains": polar.contains,
                 "lineality_products": list(polar.lineality_products),
-                "ray_products": list(polar.ray_products),
+                "multipliers": list(polar.multipliers),
+                "margin": polar.margin,
             }
             for aux, polar in bdi.orders
         ],

@@ -8,6 +8,7 @@ is also a sum of binomials through the core-matrix decomposition.
 
 from __future__ import annotations
 
+import math
 import threading
 from fractions import Fraction
 from typing import Sequence
@@ -140,7 +141,7 @@ def build_network(species, complexes, graph: LabeledDigraph) -> ReactionNetwork:
 
 
 def check_state(x, n: int) -> np.ndarray:
-    """Validate a strictly positive state; keeps rationals when given."""
+    """Validate a strictly positive, finite state; keeps rationals when given."""
     vals = list(x)
     if len(vals) != n:
         raise NonPositiveStateError(f"state has {len(vals)} entries, expected {n}")
@@ -150,6 +151,8 @@ def check_state(x, n: int) -> np.ndarray:
         if isinstance(v, (int, Fraction)) and not isinstance(v, bool):
             coerced.append(Fraction(v))
         elif isinstance(v, float):
+            if not math.isfinite(v):
+                raise NonPositiveStateError(f"state entry {v!r} is not finite")
             coerced.append(v)
             rational = False
         else:

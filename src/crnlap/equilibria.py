@@ -88,8 +88,10 @@ def solve_cbe(net: ReactionNetwork) -> CbeResult:
     rhs = inc.T @ ln_k
     z, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
     log_residual = float(np.linalg.norm(lhs @ z - rhs))
-    rhs_norm = float(np.linalg.norm(rhs))
-    if log_residual > CONSISTENCY_RTOL * rhs_norm:
+    # relative to the size of the terms: rhs is exactly 0 when the tree
+    # constants are equal, and rounding alone must not flip the verdict
+    term_norm = float(np.linalg.norm(np.abs(lhs) @ np.abs(z) + np.abs(inc.T) @ np.abs(ln_k)))
+    if log_residual > CONSISTENCY_RTOL * term_norm:
         logger.debug("CBE system inconsistent: residual %.3e", log_residual)
         return CbeResult(status="infeasible", witness=None, log_residual=log_residual)
     return CbeResult(status="found", witness=np.exp(z), log_residual=log_residual)

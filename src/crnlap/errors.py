@@ -78,7 +78,7 @@ class NoConvergenceError(CrnlapError):
 # -- geometry -----------------------------------------------------------------
 
 class DimensionTooLargeError(CrnlapError):
-    """An enumeration (rays, cycles) refused above its supported size."""
+    """Cycle enumeration refused above its supported number of cycles."""
 
 
 class PointNotInStratumError(CrnlapError):

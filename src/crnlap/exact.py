@@ -147,31 +147,3 @@ def det(m: np.ndarray) -> Fraction:
             if a[i, col] != 0:
                 a[i, col:] = a[i, col:] - (a[i, col] / p) * a[col, col:]
     return sign * result
-
-
-def inverse(m: np.ndarray) -> np.ndarray:
-    n = m.shape[0]
-    aug = zeros(n, 2 * n)
-    aug[:, :n] = m
-    aug[:, n:] = identity(n)
-    r, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return r[:, n:]
-
-
-def primitive(vec: np.ndarray) -> np.ndarray:
-    """Scale a rational vector to coprime integers, preserving direction."""
-    fracs = [Fraction(v) for v in vec]
-    from math import gcd, lcm
-
-    denom = 1
-    for f in fracs:
-        denom = lcm(denom, f.denominator)
-    ints = [int(f * denom) for f in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return np.array([Fraction(v) for v in ints], dtype=object)

@@ -1,36 +1,32 @@
-"""Monomial evaluation orders, strata, cones, extreme rays, polar membership.
+"""Monomial evaluation orders, strata, cones, polar membership.
 
 For a weakly reversible network, a chain auxiliary tree encodes an order on
 the scaled monomials x^{y(i)}/K_i within each component.  The positive
 states realizing that order form a stratum; in log coordinates the stratum
-is a polyhedron, and a cone when a complex-balanced equilibrium exists.
-Polar-cone interior membership is decided by sign checks against the
-lineality space and the extreme rays.
+is a polyhedron, and a cone C = {z : N.T z >= 0} (N = Y I_aux) when a
+complex-balanced equilibrium exists.  By Farkas' lemma the polar cone of C
+is {-N lambda : lambda >= 0}, so polar-interior membership is a sign check
+against the lineality space plus one exact linear program.
 """
 
 from __future__ import annotations
 
 import itertools
-import logging
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import exact
+from .exact import ONE, ZERO
 from .crn import ReactionNetwork, mass_action_rhs, scaled_monomials
 from .errors import (
-    DimensionTooLargeError,
     IndeterminateOrderError,
     InvalidAuxTreeError,
     PointNotInStratumError,
 )
 from .graph import AuxTree, aux_incidence, make_aux_tree, validate_aux_tree
 
-logger = logging.getLogger(__name__)
-
-MAX_RAY_DIMENSION = 10
 STRATUM_RTOL = 1e-12
 TIE_RTOL = 1e-12
 POLAR_LINEALITY_RTOL = 1e-10
@@ -71,8 +67,7 @@ class ConeDescription:
 
     `facet_normals` holds the columns of Y I_aux (inequalities
     normals.T z >= offset); the lineality space equals the orthogonal
-    complement of the stoichiometric subspace.  Extreme rays are enumerated
-    on demand and cached.
+    complement of the stoichiometric subspace.
     """
 
     aux: AuxTree
@@ -80,12 +75,6 @@ class ConeDescription:
     facet_normals: np.ndarray  # n x |aux.edges|
     offset: np.ndarray
     lineality_basis: np.ndarray
-    _rays: list[np.ndarray] | None = field(default=None, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.facet_normals.shape[0]
 
 
 def region_constraints(
@@ -124,142 +113,30 @@ def region_constraints(
     )
 
 
-# -- extreme rays by double description -------------------------------------
-
-
-def _exact_normals(desc: ConeDescription) -> np.ndarray:
-    m = desc.facet_normals
-    if exact.is_exact(m):
-        return m
-    return np.array([[Fraction(v) for v in row] for row in m], dtype=object)
-
-
-def _dd_pointed(a: np.ndarray) -> list[np.ndarray]:
-    """Extreme rays of the pointed cone {c : a c >= 0}, rank(a) = dim.
-
-    Classic double description: start from an invertible row subset (a
-    simplicial superset) and clip with the remaining inequalities; adjacency
-    is tested algebraically via the rank of the common tight set.
-    """
-    n_rows, dim = a.shape
-    base: list[int] = []
-    for i in range(n_rows):
-        if len(base) == dim:
-            break
-        trial = base + [i]
-        if exact.rank(a[trial, :]) == len(trial):
-            base.append(i)
-    rays = [exact.primitive(col) for col in exact.inverse(a[base, :]).T]
-    processed = list(base)
-
-    def tight_rows(ray: np.ndarray) -> list[int]:
-        return [i for i in processed if (a[i, :] @ ray) == 0]
-
-    for t in range(n_rows):
-        if t in base:
-            continue
-        s = [a[t, :] @ r for r in rays]
-        plus = [j for j, v in enumerate(s) if v > 0]
-        zero = [j for j, v in enumerate(s) if v == 0]
-        minus = [j for j, v in enumerate(s) if v < 0]
-        new_rays = [rays[j] for j in plus + zero]
-        for p in plus:
-            zp = set(tight_rows(rays[p]))
-            for m in minus:
-                common = sorted(zp & set(tight_rows(rays[m])))
-                if len(common) < dim - 2:
-                    continue
-                if common and exact.rank(a[common, :]) != dim - 2:
-                    continue
-                if not common and dim != 2:
-                    continue
-                w = s[p] * rays[m] - s[m] * rays[p]
-                new_rays.append(exact.primitive(w))
-        processed.append(t)
-        # dedupe: primitive vectors are canonical representatives
-        seen: set[tuple] = set()
-        rays = []
-        for r in new_rays:
-            key = tuple(r)
-            if key not in seen:
-                seen.add(key)
-                rays.append(r)
-    return rays
-
-
-def extreme_rays(desc: ConeDescription) -> list[np.ndarray]:
-    """Extreme rays modulo lineality, validated, in deterministic order."""
-    if desc.mode != "cone":
-        raise ValueError("extreme rays are defined for cone mode")
-    if desc.ambient_dim > MAX_RAY_DIMENSION:
-        raise DimensionTooLargeError(
-            f"ray enumeration supports dimension <= {MAX_RAY_DIMENSION}"
-        )
-    if desc._rays is not None:
-        return desc._rays
-    with desc._lock:
-        if desc._rays is not None:
-            return desc._rays
-        rays = _compute_rays(desc)
-        desc._rays = rays
-    return desc._rays
-
-
-def _compute_rays(desc: ConeDescription) -> list[np.ndarray]:
-    normals = _exact_normals(desc)
-    n, m = normals.shape
-    if m == 0:
-        return []
-    r = exact.rank(normals)
-    if r == 0:
-        return []
-    basis = exact.column_space(normals)  # n x r
-    a = normals.T @ basis  # m x r, pointed system
-    rays_c = _dd_pointed(a)
-    rays = []
-    for c in rays_c:
-        z = exact.primitive(basis @ c)
-        rays.append(z)
-    # validate against the original inequality system
-    kept = []
-    seen: set[tuple] = set()
-    for z in rays:
-        prods = normals.T @ z
-        if any(v < 0 for v in prods):
-            raise AssertionError("enumerated ray violates the inequality system")
-        if all(v == 0 for v in prods):
-            raise AssertionError("enumerated ray lies in the lineality space")
-        tight = [i for i in range(m) if prods[i] == 0]
-        if r > 1 and exact.rank(normals[:, tight].T) != r - 1:
-            raise AssertionError("enumerated ray is not extreme")
-        key = tuple(z)
-        if key not in seen:
-            seen.add(key)
-            kept.append(z)
-    kept.sort(key=lambda v: tuple(v))
-    logger.debug("enumerated %d extreme rays", len(kept))
-    return [np.asarray(z, dtype=float) for z in kept]
-
-
-def is_trivial_cone(desc: ConeDescription) -> bool:
-    """True when the cone equals its lineality space (no strict direction)."""
-    if desc.mode != "cone":
-        raise ValueError("triviality is defined for cone mode")
-    return len(extreme_rays(desc)) == 0
-
-
 @dataclass(frozen=True)
 class PolarReport:
+    """Polar-interior verdict with its Farkas certificate.
+
+    `margin` is the largest min(lambda) over lambda with -N lambda = f
+    (N the facet normals), for f scaled to max-norm 1 and capped at 1;
+    `multipliers` is a lambda attaining it, scaled back to f, in
+    `aux.edges` order.
+    """
+
     contains: bool
     lineality_products: tuple[float, ...]
-    ray_products: tuple[float, ...]
+    multipliers: tuple[float, ...]
+    margin: float
 
 
 def polar_interior_contains(desc: ConeDescription, f) -> PolarReport:
-    """Interior of the polar cone: f . w = 0 on the lineality space and
-    f . r < 0 (strictly, relative tolerance) on every extreme ray."""
+    """Interior of the polar cone {-N lambda : lambda >= 0}.
+
+    f . w = 0 on the lineality space (relative tolerance), and f = -N lambda
+    for some lambda > 0: with v = f / |f|_inf, the exact LP
+    max s s.t. N lambda = -v, lambda >= s 1, s <= 1 has s* > POLAR_STRICT_RTOL.
+    """
     fv = np.asarray(f, dtype=float)
-    rays = extreme_rays(desc)
     lin = np.asarray(desc.lineality_basis, dtype=float)
     f_scale = float(np.max(np.abs(fv))) if fv.size else 0.0
     lin_products = []
@@ -271,18 +148,100 @@ def polar_interior_contains(desc: ConeDescription, f) -> PolarReport:
         pair_scale = f_scale * float(np.max(np.abs(w)))
         if abs(prod) > POLAR_LINEALITY_RTOL * pair_scale:
             ok = False
-    ray_products = []
-    for rvec in rays:
-        prod = float(fv @ rvec)
-        ray_products.append(prod)
-        pair_scale = f_scale * float(np.max(np.abs(rvec)))
-        if not prod < -POLAR_STRICT_RTOL * pair_scale:
-            ok = False
+    scale = f_scale if f_scale > 0 else 1.0
+    lam, margin = _max_margin(desc.facet_normals, fv / scale)
     return PolarReport(
-        contains=ok,
+        contains=ok and margin > POLAR_STRICT_RTOL,
         lineality_products=tuple(lin_products),
-        ray_products=tuple(ray_products),
+        multipliers=tuple(float(v) * scale for v in lam),
+        margin=float(margin),
     )
+
+
+def _max_margin(normals: np.ndarray, v: np.ndarray) -> tuple[list[Fraction], Fraction]:
+    """(lambda, s*) for max s s.t. N lambda = -v, lambda >= s 1, s <= 1.
+
+    The equations are posed on a maximal independent set of rows of N, so a
+    float v that lies in im N only up to rounding keeps the LP feasible.
+    With lambda = mu + (1 - t) 1 and mu, t >= 0 it is min t in standard form.
+    """
+    n = np.frompyfunc(Fraction, 1, 1)(normals)
+    m = n.shape[1]
+    _, rows = exact.rref(n.T)
+    a, b = [], []
+    for r in rows:
+        row_sum = sum(n[r], ZERO)
+        a.append(list(n[r]) + [-row_sum])
+        b.append(-Fraction(float(v[r])) - row_sum)
+    x = _simplex(a, b, [ZERO] * m + [ONE])
+    s = ONE - x[m]
+    return [mu + s for mu in x[:m]], s
+
+
+def _simplex(a: list[list], b: list, c: list) -> list[Fraction]:
+    """A minimiser of c.x subject to a x = b, x >= 0.
+
+    The rows of a must be independent and the LP feasible and bounded.
+    Two-phase tableau method on Fractions with Bland's rule (lowest index
+    enters, ratio ties leave by lowest basic index), which cannot cycle.
+    """
+    n_rows, n_cols = len(a), len(c)
+    tab = []
+    for i, (row, bi) in enumerate(zip(a, b)):
+        sign = -1 if bi < 0 else 1
+        unit = [ONE if k == i else ZERO for k in range(n_rows)]
+        tab.append([sign * v for v in row] + unit + [sign * bi])
+    basis = list(range(n_cols, n_cols + n_rows))
+    _optimise(tab, basis, [ZERO] * n_cols + [ONE] * n_rows)
+    for i, j in enumerate(basis):
+        if j < n_cols:
+            continue
+        if tab[i][-1] != 0:
+            raise AssertionError("phase 1 found no feasible point")
+        # an artificial basic at zero leaves by a degenerate pivot; the
+        # row has a nonzero original entry because the rows are independent
+        basis[i] = next(k for k in range(n_cols) if tab[i][k] != 0)
+        _pivot(tab, i, basis[i])
+    for row in tab:
+        del row[n_cols:n_cols + n_rows]
+    _optimise(tab, basis, list(c))
+    x = [ZERO] * n_cols
+    for i, j in enumerate(basis):
+        x[j] = tab[i][-1]
+    return x
+
+
+def _optimise(tab: list[list], basis: list[int], cost: list) -> None:
+    """Pivot a feasible tableau to a minimum of cost.x by Bland's rule."""
+    reduced = cost + [ZERO]
+    for i, j in enumerate(basis):
+        if reduced[j] != 0:
+            f = reduced[j]
+            reduced = [r - f * t for r, t in zip(reduced, tab[i])]
+    rows = tab + [reduced]
+    while True:
+        k = next((k for k in range(len(cost)) if reduced[k] < 0), None)
+        if k is None:
+            return
+        ratios = [
+            (row[-1] / row[k], basis[i], i) for i, row in enumerate(tab) if row[k] > 0
+        ]
+        if not ratios:
+            raise AssertionError("LP is unbounded")
+        i = min(ratios)[2]
+        basis[i] = k
+        _pivot(rows, i, k)
+
+
+def _pivot(rows: list[list], i: int, k: int) -> None:
+    """Scale row i to a unit entry in column k and clear column k elsewhere."""
+    pivot_row = rows[i]
+    p = pivot_row[k]
+    pivot_row[:] = [v / p for v in pivot_row]
+    for row in rows:
+        if row is not pivot_row and row[k] != 0:
+            f = row[k]
+            row[:] = [v - f * u for v, u in zip(row, pivot_row)]
 
 
 def recession_polar_check(net: ReactionNetwork, aux: AuxTree, x) -> bool:

@@ -20,7 +20,7 @@ import numpy as np
 from . import exact
 from .crn import ReactionNetwork, check_state, mass_action_rhs, scaled_monomials
 from .equilibria import is_cbe, require_cbe, solve_cbe
-from .errors import StepSizeUnderflowError
+from .errors import ShapeMismatchError, StepSizeUnderflowError
 from .geometry import (
     PolarReport,
     admissible_chain_orders,
@@ -133,6 +133,8 @@ def bdi_report(net: ReactionNetwork, x, v, tol: float | None = None) -> BdiRepor
     all admissible chain orders.
     """
     vv = np.asarray(v, dtype=float)
+    if vv.shape != (net.n_species,) or not np.all(np.isfinite(vv)):
+        raise ShapeMismatchError(f"v must have {net.n_species} finite entries")
     if is_cbe(net, x, tol=tol).balanced:
         member = bool(np.max(np.abs(vv), initial=0.0) <= MANIFOLD_V_TOL)
         return BdiReport(on_manifold=True, member=member, orders=())

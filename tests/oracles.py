@@ -3,18 +3,21 @@
 Everything here deliberately avoids the library's own algorithmic paths:
 reachability closure instead of Tarjan, subset enumeration instead of
 backtracking, cofactor determinants and forest backtracking instead of
-state reduction, edge sums instead of matrix products, facet-subset search
-instead of double description, Gaussian elimination instead of tree cuts.
+state reduction, edge sums instead of matrix products, facet-subset ray
+search instead of a Farkas linear program, Gaussian elimination instead of
+tree cuts.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 
 from crnlap import exact
+from crnlap.geometry import POLAR_LINEALITY_RTOL, POLAR_STRICT_RTOL
 
 
 def brute_sccs(vertex_ids, edges):
@@ -192,6 +195,21 @@ def edge_sum_rhs(net, x, exact_mode: bool):
     return total
 
 
+def primitive(vec: np.ndarray) -> np.ndarray:
+    """Scale a rational vector to coprime integers, preserving direction."""
+    fracs = [Fraction(v) for v in vec]
+    denom = 1
+    for f in fracs:
+        denom = lcm(denom, f.denominator)
+    ints = [int(f * denom) for f in fracs]
+    g = 0
+    for v in ints:
+        g = gcd(g, abs(v))
+    if g > 1:
+        ints = [v // g for v in ints]
+    return np.array([Fraction(v) for v in ints], dtype=object)
+
+
 def rays_by_facet_subsets(normals):
     """Extreme rays of {z : normals.T z >= 0} modulo lineality.
 
@@ -221,9 +239,28 @@ def rays_by_facet_subsets(normals):
                 tight = [i for i in range(m) if prods[i] == 0]
                 sub_t = a[tight, :] if tight else np.zeros((0, r), dtype=object)
                 if exact.rank(sub_t) == r - 1:
-                    z = exact.primitive(basis @ c)
+                    z = primitive(basis @ c)
                     rays.add(tuple(z))
     return rays
+
+
+def polar_interior_by_rays(desc, f) -> bool:
+    """Polar-cone interior by sign checks: f . w = 0 on the lineality space
+    and f . r < 0 on every extreme ray, both at the library's relative
+    tolerances, with the rays from `rays_by_facet_subsets`."""
+    fv = np.asarray(f, dtype=float)
+    f_scale = float(np.max(np.abs(fv))) if fv.size else 0.0
+    lin = np.asarray(desc.lineality_basis, dtype=float)
+    for j in range(lin.shape[1]):
+        w = lin[:, j]
+        if abs(float(fv @ w)) > POLAR_LINEALITY_RTOL * f_scale * float(np.max(np.abs(w))):
+            return False
+    normals = np.frompyfunc(Fraction, 1, 1)(desc.facet_normals)
+    for ray in rays_by_facet_subsets(normals):
+        r = np.asarray(ray, dtype=float)
+        if not float(fv @ r) < -POLAR_STRICT_RTOL * f_scale * float(np.max(np.abs(r))):
+            return False
+    return True
 
 
 def cbe_feasible_multistart(net, tries: int = 24, seed: int = 0) -> bool:

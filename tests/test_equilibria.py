@@ -21,6 +21,7 @@ from conftest import PLANAR_Y, running_example_graph
 from generators import (
     rand_fraction,
     random_general_aux,
+    random_integer_complexes,
     random_planted_network,
     random_positive_floats,
 )
@@ -58,6 +59,23 @@ class TestSolveCbe:
         assert res.status == "found"
         assert np.allclose(res.witness, [1.0, 1.0])
         assert res.log_residual <= 1e-12
+
+    def test_uniform_float_rates_on_complete_graphs_found(self):
+        # equal tree constants make the log right-hand side exactly zero,
+        # so only rounding is left in the residual; x = 1 is balanced
+        rng = random.Random(40)
+        for _ in range(40):
+            n = rng.randint(3, 6)
+            rate = rng.choice([0.1, 0.3, 0.7, 1 / 3])
+            ids = [str(i) for i in range(n)]
+            g = build_digraph(ids, [(a, b, rate) for a in ids for b in ids if a != b])
+            n_species = rng.randint(1, 3)
+            y = random_integer_complexes(rng, n_species, n)
+            net = build_network([f"S{i}" for i in range(n_species)], y, g)
+            assert is_cbe(net, [1.0] * n_species).balanced
+            res = solve_cbe(net)
+            assert res.status == "found"
+            assert is_cbe(net, list(res.witness)).balanced
 
     def test_deficiency_zero_always_found_matches_oracle(self):
         rng = random.Random(31)

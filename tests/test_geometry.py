@@ -1,15 +1,16 @@
 import itertools
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crnlap import (
+    bdi_report,
     build_digraph,
     build_network,
-    extreme_rays,
-    is_trivial_cone,
+    is_cbe,
     mass_action_rhs,
     monomial_order,
     polar_interior_contains,
@@ -29,7 +30,7 @@ from generators import (
     random_wr_network,
     rand_fraction,
 )
-from oracles import rays_by_facet_subsets
+from oracles import polar_interior_by_rays, rays_by_facet_subsets
 
 
 class TestMonomialOrder:
@@ -138,99 +139,30 @@ class TestRegionConstraints:
                 assert inside == in_poly == in_cone
 
 
+def _is_trivial_cone(desc) -> bool:
+    # C equals its lineality space iff 0 lies in the polar interior
+    return polar_interior_contains(desc, np.zeros(desc.facet_normals.shape[0])).contains
+
+
 class TestTrivialCone:
     def test_single_component_stratum_is_full(self, cycle3_net):
         aux = default_chain_aux(cycle3_net.graph)
-        assert not is_trivial_cone(region_constraints(cycle3_net, aux, "cone"))
+        assert not _is_trivial_cone(region_constraints(cycle3_net, aux, "cone"))
 
     def test_two_component_joint_stratum_trivial(self, two_component_net):
         aux = make_aux_tree(
             two_component_net.graph, "chain", [["1", "2", "3"], ["4", "5"]]
         )
         desc = region_constraints(two_component_net, aux, "cone")
-        assert is_trivial_cone(desc)
-        assert extreme_rays(desc) == []
+        assert _is_trivial_cone(desc)
+        assert rays_by_facet_subsets(desc.facet_normals) == set()
 
     def test_isolated_vertices_trivial(self):
         g = build_digraph(["1", "2"], [])
         net = build_network(["A", "B"], [[1, 0], [0, 1]], g)
         aux = make_aux_tree(g, "chain", [["1"], ["2"]])
         desc = region_constraints(net, aux, "cone")
-        assert is_trivial_cone(desc)
-
-
-class TestExtremeRays:
-    def test_planar_cone_rays(self, cycle3_net):
-        aux = default_chain_aux(cycle3_net.graph)
-        rays = extreme_rays(region_constraints(cycle3_net, aux, "cone"))
-        as_tuples = {tuple(int(v) for v in r) for r in rays}
-        assert as_tuples == {(-1, -2), (-2, -1)}
-
-    def test_half_space_single_ray_off_lineality(self, xy_net):
-        aux = default_chain_aux(xy_net.graph)
-        desc = region_constraints(xy_net, aux, "cone")
-        rays = extreme_rays(desc)
-        assert len(rays) == 1
-        # the single normal is y(2)-y(1) = (-1, 1); its boundary line is lineality
-        assert np.allclose(rays[0] / np.max(np.abs(rays[0])), [-1.0, 1.0])
-        assert desc.lineality_basis.shape[1] == 1
-
-    def test_rays_match_facet_subset_oracle(self):
-        rng = random.Random(45)
-        for _ in range(25):
-            net = random_wr_network(rng)
-            aux = default_chain_aux(net.graph)
-            desc = region_constraints(net, aux, "cone")
-            got = {
-                tuple(exact.primitive([Fraction(v).limit_denominator() for v in r]))
-                for r in extreme_rays(desc)
-            }
-            expected = rays_by_facet_subsets(desc.facet_normals)
-            assert got == expected
-
-    def test_double_description_against_oracle_general_cones(self):
-        from crnlap.geometry import _dd_pointed
-
-        rng = random.Random(450)
-        for _ in range(80):
-            n = rng.randint(2, 5)
-            m = rng.randint(1, 7)
-            normals = np.array(
-                [
-                    [Fraction(rng.randint(-3, 3)) for _ in range(m)]
-                    for _ in range(n)
-                ],
-                dtype=object,
-            )
-            cols = [j for j in range(m) if any(normals[i, j] != 0 for i in range(n))]
-            if not cols:
-                continue
-            normals = normals[:, cols]
-            if exact.rank(normals) == 0:
-                continue
-            basis = exact.column_space(normals)
-            got = {
-                tuple(exact.primitive(basis @ c))
-                for c in _dd_pointed(normals.T @ basis)
-            }
-            assert got == rays_by_facet_subsets(normals)
-
-    def test_rays_satisfy_all_inequalities(self):
-        rng = random.Random(46)
-        for _ in range(15):
-            net = random_wr_network(rng)
-            aux = monomial_order(net, random_positive_floats(rng, net.n_species))
-            desc = region_constraints(net, aux, "cone")
-            normals = np.asarray(desc.facet_normals, dtype=float)
-            lin = np.asarray(desc.lineality_basis, dtype=float)
-            for r in extreme_rays(desc):
-                prods = normals.T @ r
-                assert np.all(prods >= -1e-12)
-                assert np.max(np.abs(prods)) > 0
-                if lin.shape[1]:
-                    # not inside the lineality space
-                    resid = r - lin @ np.linalg.lstsq(lin, r, rcond=None)[0]
-                    assert np.max(np.abs(resid)) > 1e-9
+        assert _is_trivial_cone(desc)
 
 
 class TestPolarInterior:
@@ -239,7 +171,10 @@ class TestPolarInterior:
         desc = region_constraints(cycle3_net, aux, "cone")
         report = polar_interior_contains(desc, [0.5, 0.125])
         assert report.contains
-        assert sorted(report.ray_products) == pytest.approx([-1.125, -0.75])
+        # N = [[-2, 1], [1, -2]]: N lambda = -f at lambda = (3/8, 1/4); for
+        # f / |f|_inf the smallest multiplier is 1/2
+        assert report.multipliers == pytest.approx((0.375, 0.25))
+        assert report.margin == pytest.approx(0.5)
 
     def test_zero_vector_not_interior(self, cycle3_net):
         aux = default_chain_aux(cycle3_net.graph)
@@ -249,8 +184,8 @@ class TestPolarInterior:
     def test_ray_itself_not_interior(self, cycle3_net):
         aux = default_chain_aux(cycle3_net.graph)
         desc = region_constraints(cycle3_net, aux, "cone")
-        ray = extreme_rays(desc)[0]
-        assert not polar_interior_contains(desc, ray).contains
+        for ray in rays_by_facet_subsets(desc.facet_normals):
+            assert not polar_interior_contains(desc, np.asarray(ray, dtype=float)).contains
 
 
 class TestRecessionCheck:
@@ -322,16 +257,70 @@ class TestAdmissibleOrders:
 
 
 class TestDimensionGuard:
-    def test_ray_enumeration_refuses_high_dimension(self):
-        from crnlap.errors import DimensionTooLargeError
+    def test_high_dimension_matches_oracle(self):
+        # ray enumeration used to refuse above ambient dimension 10
+        two = build_digraph(["1", "2"], [("1", "2", 1), ("2", "1", 1)])
+        three = build_digraph(
+            ["1", "2", "3"], [("1", "2", 1), ("2", "3", 2), ("3", "1", 1), ("2", "1", 1)]
+        )
+        nets = [
+            # complexes 0 and the all-ones vector
+            build_network([f"S{i}" for i in range(11)], [[0, 1]] * 11, two),
+            build_network([f"S{i}" for i in range(14)], [[0, 1, i % 3] for i in range(14)], three),
+        ]
+        for net in nets:
+            x = random_positive_floats(random.Random(net.n_species), net.n_species)
+            f = np.asarray(mass_action_rhs(net, x), dtype=float)
+            for aux in admissible_chain_orders(net, x):
+                desc = region_constraints(net, aux, "cone")
+                for v in (f, -f):
+                    got = polar_interior_contains(desc, v).contains
+                    assert got == polar_interior_by_rays(desc, v)
+            assert bdi_report(net, x, f).member
+            assert not bdi_report(net, x, -f).member
 
-        n = 11
-        species = [f"S{i}" for i in range(n)]
-        # two complexes: zero and the all-ones vector
-        y = [[0, 1] for _ in range(n)]
-        g = build_digraph(["1", "2"], [("1", "2", 1), ("2", "1", 1)])
-        net = build_network(species, y, g)
-        aux = default_chain_aux(g)
-        desc = region_constraints(net, aux, "cone")
-        with pytest.raises(DimensionTooLargeError):
-            extreme_rays(desc)
+
+def _tie_state(rng, net, x_star):
+    """x = x* exp(z) with z orthogonal to y(i) - y(j) for two complexes of
+    one component, so their scaled monomials tie."""
+    z = np.asarray(random_positive_floats(rng, net.n_species)) - 1.0
+    g = net.graph
+    comps = [g.component_vertices(ci) for ci in range(g.n_components)]
+    comps = [c for c in comps if len(c) > 1]
+    if comps:
+        i, j = rng.sample(rng.choice(comps), 2)
+        yf = np.asarray(net.complexes, dtype=float)
+        d = yf[:, g.index[i]] - yf[:, g.index[j]]
+        z = z - d * (d @ z) / (d @ d)
+    return list(np.asarray([float(v) for v in x_star]) * np.exp(z))
+
+
+class TestFarkasAgainstRays:
+    """The exact LP gives the ray oracle's verdict, and its multipliers are
+    a certificate: f = -N lambda."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_lp_verdict_equals_ray_oracle(self, seed, tie):
+        rng = random.Random(seed)
+        net, x_star = random_planted_network(rng)
+        if tie:
+            x = _tie_state(rng, net, x_star)
+        else:
+            x = random_positive_floats(rng, net.n_species)
+        if is_cbe(net, x).balanced:
+            return
+        f = np.asarray(mass_action_rhs(net, x), dtype=float)
+        for aux in admissible_chain_orders(net, x):
+            desc = region_constraints(net, aux, "cone")
+            normals = np.asarray(desc.facet_normals, dtype=float)
+            rays = [np.asarray(r, dtype=float) for r in rays_by_facet_subsets(desc.facet_normals)]
+            in_s = normals @ np.asarray([rng.uniform(-1, 1) for _ in range(normals.shape[1])])
+            for v in [f, -f, np.zeros_like(f), in_s, f * 1e9, f * 1e-9] + rays:
+                report = polar_interior_contains(desc, v)
+                assert report.contains == polar_interior_by_rays(desc, v)
+            report = polar_interior_contains(desc, f)
+            if report.contains:
+                lam = np.asarray(report.multipliers)
+                assert np.all(lam > 0)
+                assert np.max(np.abs(-normals @ lam - f)) <= 1e-9 * np.max(np.abs(f))

@@ -203,6 +203,9 @@ class TestCli:
         report = json.loads(out)
         assert report["member"] is True
         assert len(report["orders"]) == 1
+        order = report["orders"][0]
+        assert order["margin"] > 0
+        assert len(order["multipliers"]) == 2 and min(order["multipliers"]) > 0
 
     def test_bdi_check_tie_lists_both_orders(self, capsys):
         # at (2, 1/2) the scaled monomials of vertices 1 and 3 tie (both 2)
@@ -224,6 +227,29 @@ class TestCli:
             code, out, err = self.run([cmd, str(CYCLE3), *argv], capsys)
             assert code == 2 and out == ""
             assert json.loads(err)["error"]["type"] == "NotACbeError"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "--x", "nan,0.5"],
+            ["bdi-check", "--x", "nan,0.5"],
+            ["simulate", "--x0", "inf,0.5", "--t", "1"],
+            ["certify", "--x", "0.5,0.5", "--x-star", "nan,1"],
+            ["bdi-check", "--x", "0.5,0.5", "--x-star", "nan,1"],
+            ["simulate", "--x0", "1,0.5", "--x-star", "nan,1", "--t", "1"],
+        ],
+    )
+    def test_non_finite_state_exit_2(self, argv, capsys):
+        code, out, err = self.run([argv[0], str(CYCLE3), *argv[1:]], capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "NonPositiveStateError"
+
+    @pytest.mark.parametrize("v", ["1,2,3", "nan,1"])
+    def test_bdi_check_rejects_bad_v(self, v, capsys):
+        argv = ["bdi-check", str(CYCLE3), "--x", "0.5,0.5", "--v", v]
+        code, out, err = self.run(argv, capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "ShapeMismatchError"
 
     def test_decompose_not_weakly_reversible_exit_2(self, tmp_path, capsys):
         doc = {
