@@ -87,7 +87,10 @@ def _parse_state(text: str) -> list:
         try:
             values.append(Fraction(tok))
         except (ValueError, ZeroDivisionError):
-            values.append(float(tok))
+            try:
+                values.append(float(tok))
+            except ValueError:
+                raise SemanticError(f"malformed number {tok!r} in {text!r}") from None
     return values
 
 

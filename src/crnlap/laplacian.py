@@ -14,7 +14,11 @@ with that edge removed, so J @ I_aux = -Identity, and A_core =
 from +-J by rows that are constant on each component, and A_k diag K_k
 annihilates each component's all-ones vector on both sides (columns of A_k
 sum to zero, and K_k spans its kernel), so the core does not depend on the
-choice of J nor, as J enters twice, on its sign.
+choice of J nor, as J enters twice, on its sign.  The product is never
+formed: the cut-flow J A_k is sparse, since a graph edge v->d moves flux
+across exactly the tree edges on the tree path from v to d, so the core is
+assembled edge by edge, and the identity is re-checked by scattering each
+core entry onto the four entries of I_aux core I_aux.T it touches.
 
 Tree constants and cycle coefficients both come from one routine,
 Grassmann-Taksar-Heyman state reduction on a component's rate matrix: the
@@ -39,7 +43,6 @@ from .graph import (
     AuxTree,
     Cycle,
     LabeledDigraph,
-    aux_incidence,
     enumerate_cycles,
     validate_aux_tree,
 )
@@ -153,24 +156,24 @@ class CoreDecomposition:
         return exact.is_exact(self.core)
 
 
-def _tree_cut_left_inverse(g: LabeledDigraph, aux: AuxTree, dtype) -> np.ndarray:
-    """J with J @ I_aux = -Identity: row (a->b) has ones on a's side of the
-    aux tree with that edge removed."""
+def _tree_cuts(g: LabeledDigraph, aux: AuxTree) -> dict[str, set[int]]:
+    """cuts[v]: the aux edges r = (a->b) with v on side_r, a's side of the
+    tree once r is removed."""
     neighbours: dict[str, list[tuple[str, int]]] = {v: [] for v in g.vertex_ids}
     for r, (a, b) in enumerate(aux.edges):
         neighbours[a].append((b, r))
         neighbours[b].append((a, r))
-    j = np.zeros((len(aux.edges), g.n_vertices), dtype=dtype)
+    cuts: dict[str, set[int]] = {v: set() for v in g.vertex_ids}
     for r, (a, _) in enumerate(aux.edges):
         side, stack = {a}, [a]
         while stack:
             v = stack.pop()
-            j[r, g.index[v]] = 1
+            cuts[v].add(r)
             for w, e in neighbours[v]:
                 if e != r and w not in side:
                     side.add(w)
                     stack.append(w)
-    return j
+    return cuts
 
 
 def core_matrix(
@@ -178,14 +181,21 @@ def core_matrix(
 ) -> CoreDecomposition:
     """Decompose A_k diag(K_k) = -I_aux @ core @ I_aux.T for the given tree.
 
-    The core is -J (A_k diag K) J.T, where row (a->b) of J is the indicator
-    of a's side of the tree with that edge removed (J @ I_aux = -Identity).
-    The same rule serves chain, star and general trees: every left inverse
-    of I_aux, of either sign, gives the same core, because A_k diag K
-    annihilates each component's all-ones vector on both sides.  The
-    defining identity is re-verified and its max-abs residual stored
-    (exactly zero in rational mode).  Precomputed tree constants may be
-    passed to avoid computing them again.
+    The core is -J (A_k diag K) J.T, where row r = (a->b) of J is the
+    indicator of side_r, a's side of the tree with r removed (J @ I_aux =
+    -Identity); the same rule serves chain, star and general trees.  It is
+    assembled from edge cut-flows without forming J: F = J A_k has
+    F[r, v] = sum over graph edges e = (v->d) whose tree path crosses r of
+    +k_e when d is on side_r and -k_e when v is, so each edge touches only
+    the rows on its tree path, and core[r, t] = -sum over v in side_t of
+    F[r, v] K_v.  Labels are summed per vertex before the one product with
+    K_v and every sum starts from the graph's own zero, so exact cores are
+    Fractions and float star cores (single-leaf sides) are -A_k[i, j] K_j
+    to the bit.  The identity is re-verified by scattering each core entry
+    onto the four entries of I_aux core I_aux.T it touches, on top of the
+    edge fluxes k_e K_v, and its max-abs residual stored (exactly zero in
+    rational mode).  Precomputed tree constants may be passed to avoid
+    computing them again.
     """
     _require_scc(g)
     report = validate_aux_tree(g, aux)
@@ -194,13 +204,47 @@ def core_matrix(
     a = laplacian_matrix(g)
     if consts is None:
         consts = tree_constants(g)
-    dtype = object if g.exact else float
-    m = a * np.asarray(consts.values, dtype=dtype)[np.newaxis, :]
-    j = _tree_cut_left_inverse(g, aux, dtype)
-    inc = aux_incidence(g, aux).astype(dtype)
-    core = -(j @ m @ j.T)
-    res = m + inc @ core @ inc.T
-    residual = float(np.max(np.abs(res))) if res.size else 0.0
+    zero = exact.ZERO if g.exact else 0.0
+    k_vals = consts.values.tolist()
+    cuts = _tree_cuts(g, aux)
+    m = len(aux.edges)
+
+    # F = J A_k, one dict per row: the edges r separating v from d are
+    # those with exactly one of them on side_r
+    flow: list[dict[str, Fraction | float]] = [{} for _ in range(m)]
+    for (v, d) in g.edges:
+        k = g.labels[(v, d)]
+        into = cuts[d]
+        for r in cuts[v] ^ into:
+            row = flow[r]
+            row[v] = row.get(v, zero) + (k if r in into else -k)
+    # S = J (A_k diag K) J.T = -core
+    s = [[zero] * m for _ in range(m)]
+    for srow, row in zip(s, flow):
+        for v, f in row.items():
+            f *= k_vals[g.index[v]]
+            for t in cuts[v]:
+                srow[t] += f
+
+    # residual of A_k diag K = I_aux S I_aux.T: the edge fluxes k_e K_v less
+    # I_aux S I_aux.T, where S[r, t] reaches only the four entries (tail or
+    # head of r, tail or head of t), with sign + when both ends match
+    res = [[zero] * g.n_vertices for _ in range(g.n_vertices)]
+    for (v, d) in g.edges:
+        i, j = g.index[v], g.index[d]
+        f = g.labels[(v, d)] * k_vals[i]
+        res[j][i] += f
+        res[i][i] -= f
+    ends = [(g.index[p], g.index[q]) for p, q in aux.edges]
+    for (ar, br), srow in zip(ends, s):
+        for (at, bt), c in zip(ends, srow):
+            if c:
+                res[ar][at] -= c
+                res[ar][bt] += c
+                res[br][at] += c
+                res[br][bt] -= c
+    residual = float(max((max(map(abs, line)) for line in res), default=0.0))
+    core = -np.array(s, dtype=object if g.exact else float).reshape(m, m)
     return CoreDecomposition(
         aux=aux, core=core, laplacian=a, tree_constants=consts, residual=residual
     )

@@ -20,7 +20,7 @@ import numpy as np
 from . import exact
 from .crn import ReactionNetwork, check_state, mass_action_rhs, scaled_monomials
 from .equilibria import is_cbe, require_cbe, solve_cbe
-from .errors import ShapeMismatchError, StepSizeUnderflowError
+from .errors import SemanticError, ShapeMismatchError, StepSizeUnderflowError
 from .geometry import (
     PolarReport,
     admissible_chain_orders,
@@ -202,8 +202,8 @@ def simulate(
     accepted step against a supplied or solved equilibrium (omitted when no
     complex-balanced equilibrium exists).
     """
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
+    if not 0 < t_end < np.inf:
+        raise SemanticError(f"t_end must be finite and positive, got {t_end!r}")
     x = np.asarray(check_state(x0, net.n_species), dtype=float)
     yf = np.asarray(net.complexes, dtype=float)
     af = np.asarray(laplacian_matrix(net.graph), dtype=float)

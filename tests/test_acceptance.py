@@ -50,7 +50,12 @@ from generators import (
     random_wr_network,
     to_float_graph,
 )
-from oracles import edge_sum_rhs, forest_cycle_coefficient, kirchhoff_minors
+from oracles import (
+    edge_sum_rhs,
+    forest_cycle_coefficient,
+    kirchhoff_minors,
+    tree_cut_core,
+)
 
 CORPUS_SIZE = 500
 
@@ -72,6 +77,12 @@ def corpus_constants(corpus):
     return [tree_constants(g) for g in corpus]
 
 
+def _same_exact_core(core, expected) -> bool:
+    return np.array_equal(core, expected) and all(
+        isinstance(v, Fraction) for v in core.flat
+    )
+
+
 def test_criterion_1_exact_decomposition_suite(corpus, corpus_constants):
     t0 = time.perf_counter()
     rng = random.Random(1)
@@ -81,6 +92,8 @@ def test_criterion_1_exact_decomposition_suite(corpus, corpus_constants):
         auxes += [random_general_aux(rng, g) for _ in range(5)]
         for aux in auxes:
             dec = core_matrix(g, aux, consts=consts)
+            if not _same_exact_core(dec.core, tree_cut_core(g, aux, consts)):
+                failures.append((gi, aux.kind, "oracle"))
             if dec.residual != 0.0:
                 failures.append((gi, aux.kind, "residual"))
                 continue
@@ -91,6 +104,8 @@ def test_criterion_1_exact_decomposition_suite(corpus, corpus_constants):
                 failures.append((gi, "chain", "signs"))
         star = random_star_aux(rng, g)
         dec = core_matrix(g, star, consts=consts)
+        if not _same_exact_core(dec.core, tree_cut_core(g, star, consts)):
+            failures.append((gi, "star", "oracle"))
         if dec.residual != 0.0 or not verify_core_decomposition(dec).invertible:
             failures.append((gi, "star", "identity"))
         a = dec.laplacian

@@ -338,6 +338,31 @@ class TestFloatAccuracy:
             assert isinstance(e, Fraction) and f > 0
             assert abs(Fraction(f) - e) <= Fraction(1e-13) * e
 
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(wide_spread_float_graphs(), st.integers(0, 2**32))
+    def test_wide_spread_cores(self, gf, seed):
+        # stars: the one product -A[i, j] K_j, to the bit; chain and general
+        # trees: within 1e-14 of the largest entry of the exact copy's core
+        rng = random.Random(seed)
+        ge = build_digraph(
+            gf.vertex_ids, [(s, d, Fraction(gf.labels[(s, d)])) for (s, d) in gf.edges]
+        )
+        star = random_star_aux(rng, gf)
+        a = laplacian_matrix(gf)
+        k = tree_constants(gf).values
+        rows = [gf.index[i] for i, _ in star.edges]
+        expected = -(a[np.ix_(rows, rows)] * k[rows][np.newaxis, :])
+        assert core_matrix(gf, star).core.tobytes() == expected.tobytes()
+        for aux in (default_chain_aux(gf), random_general_aux(rng, gf)):
+            got = core_matrix(gf, aux).core
+            want = core_matrix(ge, aux).core
+            scale = max(abs(v) for v in want.flat)
+            assert all(isinstance(v, Fraction) for v in want.flat)
+            assert all(
+                abs(Fraction(f) - e) <= Fraction(1e-14) * scale
+                for f, e in zip(got.flat, want.flat)
+            )
+
 
 class TestImageEqualities:
     def test_column_spaces_agree(self):

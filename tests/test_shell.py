@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +22,7 @@ from conftest import SAMPLE_DIR
 TRIANGLE = SAMPLE_DIR / "triangle.json"
 CYCLE3 = SAMPLE_DIR / "cycle3.json"
 TWO_COMPONENT = SAMPLE_DIR / "two_component.json"
+SRC = SAMPLE_DIR.parent / "src"
 
 
 class TestParseNetwork:
@@ -243,6 +247,34 @@ class TestCli:
         code, out, err = self.run([argv[0], str(CYCLE3), *argv[1:]], capsys)
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["type"] == "NonPositiveStateError"
+
+    @pytest.mark.parametrize("t_end", ["nan", "inf", "0"])
+    def test_simulate_rejects_bad_end_time(self, t_end):
+        # a separate process, so a hang fails the test instead of the suite
+        path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "crnlap.cli", "simulate", str(CYCLE3),
+             "--x0", "1,0.5", "--t", t_end],
+            capture_output=True, text=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert json.loads(proc.stderr)["error"]["type"] == "SemanticError"
+
+    @pytest.mark.parametrize(
+        "argv, token",
+        [
+            (["certify", "--x", "abc,1"], "abc"),
+            (["simulate", "--x0", "1,1/0", "--t", "1"], "1/0"),
+            (["certify", "--x", "0.5,0.5", "--x-star", "1,x"], "x"),
+            (["bdi-check", "--x", "0.5,0.5", "--v", "x,1"], "x"),
+        ],
+    )
+    def test_malformed_number_exit_2(self, argv, token, capsys):
+        code, out, err = self.run([argv[0], str(CYCLE3), *argv[1:]], capsys)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "SemanticError" and repr(token) in error["message"]
 
     @pytest.mark.parametrize("v", ["1,2,3", "nan,1"])
     def test_bdi_check_rejects_bad_v(self, v, capsys):
