@@ -26,6 +26,8 @@ from .errors import (
 from .graph import AuxTree, LabeledDigraph, aux_incidence, incidence_matrices
 from .laplacian import TreeConstants, core_matrix, laplacian_matrix, tree_constants
 
+SVD_RANK_RTOL = 1e-12  # singular values below this share of the largest count as 0
+
 
 def _coerce_complex_entry(v) -> Fraction | float:
     if isinstance(v, (int, Fraction)):
@@ -61,11 +63,10 @@ class ReactionNetwork:
                     f"complex of vertex {graph.vertex_ids[j]!r} has a negative entry"
                 )
         self.complexes = y
-        self.exact_y = exact.is_exact(y)
-        self.integer_y = self.exact_y and all(
+        self.exact = exact.is_exact(y) and graph.exact
+        self.integer_y = exact.is_exact(y) and all(
             Fraction(v).denominator == 1 for v in y.flat
         )
-        self.exact = self.exact_y and graph.exact
         self.s_basis, self.sperp_basis = self._subspace_bases()
         self._consts: TreeConstants | None = None
         self._consts_lock = threading.Lock()
@@ -86,11 +87,10 @@ class ReactionNetwork:
         return len(self.species)
 
     def _subspace_bases(self) -> tuple[np.ndarray, np.ndarray]:
-        inc, _ = incidence_matrices(self.graph)
-        if self.exact_y:
-            m = self.complexes @ inc
+        y, inc = exact.common(self.complexes, incidence_matrices(self.graph)[0])
+        m = y @ inc
+        if exact.is_exact(m):
             return exact.column_space(m), exact.nullspace(m.T)
-        m = np.asarray(self.complexes, dtype=float) @ exact.to_float(inc)
         return _float_column_space(m), _float_nullspace(m.T)
 
     def is_weakly_reversible(self) -> bool:
@@ -118,20 +118,20 @@ class ReactionNetwork:
         )
 
 
-def _float_nullspace(m: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
+def _float_nullspace(m: np.ndarray) -> np.ndarray:
     if m.size == 0:
         return np.eye(m.shape[1])
     u, s, vt = np.linalg.svd(m)
-    cutoff = rtol * (s[0] if s.size else 0.0)
+    cutoff = SVD_RANK_RTOL * (s[0] if s.size else 0.0)
     r = int(np.sum(s > cutoff))
     return vt[r:].T.copy()
 
 
-def _float_column_space(m: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
+def _float_column_space(m: np.ndarray) -> np.ndarray:
     if m.size == 0:
         return np.zeros((m.shape[0], 0))
     u, s, vt = np.linalg.svd(m)
-    cutoff = rtol * (s[0] if s.size else 0.0)
+    cutoff = SVD_RANK_RTOL * (s[0] if s.size else 0.0)
     r = int(np.sum(s > cutoff))
     return u[:, :r].copy()
 
@@ -184,13 +184,10 @@ def monomial_vector(net: ReactionNetwork, x) -> np.ndarray:
 
 def mass_action_rhs(net: ReactionNetwork, x) -> np.ndarray:
     """f_k(x) = Y A_k x^Y, in species coordinates."""
-    mono = monomial_vector(net, x)
-    a = laplacian_matrix(net.graph)
-    if exact.is_exact(mono) and net.exact:
-        return net.complexes @ (a @ mono)
-    yf = np.asarray(net.complexes, dtype=float)
-    af = np.asarray(a, dtype=float)
-    return yf @ (af @ np.asarray(mono, dtype=float))
+    y, a, mono = exact.common(
+        net.complexes, laplacian_matrix(net.graph), monomial_vector(net, x)
+    )
+    return y @ (a @ mono)
 
 
 def binomial_rhs(net: ReactionNetwork, aux: AuxTree, x) -> tuple[np.ndarray, np.ndarray]:
@@ -201,25 +198,13 @@ def binomial_rhs(net: ReactionNetwork, aux: AuxTree, x) -> tuple[np.ndarray, np.
     the vector of scaled monomial differences along the aux edges.
     """
     net.require_weakly_reversible()
-    consts = net.tree_constants()
-    mono = monomial_vector(net, x)
-    dec = core_matrix(net.graph, aux, consts=consts)
-    inc = aux_incidence(net.graph, aux)
-    if exact.is_exact(mono) and net.exact:
-        scaled = np.array(
-            [Fraction(m) / Fraction(k) for m, k in zip(mono, consts.values)],
-            dtype=object,
-        )
-        binomials = inc.T @ scaled
-        value = -(net.complexes @ (inc @ (dec.core @ binomials)))
-        return value, binomials
-    scaled = np.asarray(mono, dtype=float) / consts.as_float()
-    incf = exact.to_float(inc)
-    binomials = incf.T @ scaled
-    core = np.asarray(dec.core, dtype=float)
-    yf = np.asarray(net.complexes, dtype=float)
-    value = -(yf @ (incf @ (core @ binomials)))
-    return value, binomials
+    scaled = scaled_monomials(net, x)
+    dec = core_matrix(net.graph, aux, consts=net.tree_constants())
+    y, inc, core, scaled = exact.common(
+        net.complexes, aux_incidence(net.graph, aux), dec.core, scaled
+    )
+    binomials = inc.T @ scaled
+    return -(y @ (inc @ (core @ binomials))), binomials
 
 
 def stoichiometric_subspace(net: ReactionNetwork) -> tuple[np.ndarray, np.ndarray]:
@@ -230,10 +215,5 @@ def stoichiometric_subspace(net: ReactionNetwork) -> tuple[np.ndarray, np.ndarra
 def scaled_monomials(net: ReactionNetwork, x) -> np.ndarray:
     """Per-vertex values x^{y(i)} / K_i used by evaluation orders."""
     consts = net.tree_constants()
-    mono = monomial_vector(net, x)
-    if exact.is_exact(mono) and net.graph.exact:
-        return np.array(
-            [Fraction(m) / Fraction(k) for m, k in zip(mono, consts.values)],
-            dtype=object,
-        )
-    return np.asarray(mono, dtype=float) / consts.as_float()
+    mono, k = exact.common(monomial_vector(net, x), consts.values)
+    return mono / k

@@ -24,6 +24,7 @@ logger = logging.getLogger(__name__)
 
 CBE_RTOL = 1e-10
 CONSISTENCY_RTOL = 1e-9
+BIRCH_MAX_ITER = 200
 
 
 class CbeCheck(NamedTuple):
@@ -34,25 +35,15 @@ class CbeCheck(NamedTuple):
 
 def is_cbe(net: ReactionNetwork, x, tol: float | None = None) -> CbeCheck:
     """Test A_k x^Y = 0, relative to the largest single edge flow."""
-    mono = monomial_vector(net, x)
-    a = laplacian_matrix(net.graph)
-    rtol = CBE_RTOL if tol is None else tol
-    if exact.is_exact(mono) and net.exact:
-        res = a @ mono
-        flows = [net.graph.labels[e] * mono[net.graph.index[e[0]]] for e in net.graph.edges]
-        residual = float(max((abs(v) for v in res), default=0))
-        scale = float(max((abs(v) for v in flows), default=0))
-        balanced = all(v == 0 for v in res)
-        return CbeCheck(balanced, residual, scale)
-    monof = np.asarray(mono, dtype=float)
-    af = np.asarray(a, dtype=float)
-    res = af @ monof
-    flows = np.array(
-        [float(net.graph.labels[e]) * monof[net.graph.index[e[0]]] for e in net.graph.edges]
-    )
-    residual = float(np.max(np.abs(res))) if res.size else 0.0
-    scale = float(np.max(np.abs(flows))) if flows.size else 0.0
-    return CbeCheck(residual <= rtol * scale, residual, scale)
+    g = net.graph
+    a, mono = exact.common(laplacian_matrix(g), monomial_vector(net, x))
+    src = [g.index[s] for s, _ in g.edges]
+    dst = [g.index[d] for _, d in g.edges]
+    # A[d, s] is the label of s->d, so the edge flows are A[d, s] x^y(s)
+    residual = np.max(np.abs(a @ mono), initial=0)
+    scale = np.max(np.abs(a[dst, src] * mono[src]), initial=0)
+    balanced = residual <= exact.tolerance(mono, CBE_RTOL, lambda: scale, tol)
+    return CbeCheck(bool(balanced), float(residual), float(scale))
 
 
 def require_cbe(net: ReactionNetwork, x_star) -> np.ndarray:
@@ -78,7 +69,7 @@ def solve_cbe(net: ReactionNetwork) -> CbeResult:
     """
     net.require_weakly_reversible()
     aux = default_chain_aux(net.graph)
-    inc = exact.to_float(aux_incidence(net.graph, aux))
+    inc = np.asarray(aux_incidence(net.graph, aux), dtype=float)
     if inc.shape[1] == 0:
         witness = np.ones(net.n_species)
         return CbeResult(status="found", witness=witness, log_residual=0.0)
@@ -117,7 +108,6 @@ def birch_intersect(
     x_star,
     x_prime,
     c0=None,
-    max_iter: int = 200,
 ) -> np.ndarray:
     """The unique point of (x_star o e^{S-perp}) with x - x_prime in S.
 
@@ -138,7 +128,7 @@ def birch_intersect(
         return float(np.sum(xs * np.exp(w @ cv)) - cv @ target)
 
     h_c = h(c)
-    for it in range(max_iter):
+    for it in range(BIRCH_MAX_ITER):
         x = xs * np.exp(w @ c)
         grad = w.T @ x - target
         gnorm = float(np.max(np.abs(grad)))
@@ -169,4 +159,4 @@ def birch_intersect(
                 c, h_c = trial, h(trial)
             else:
                 raise NoConvergenceError("line search failed to decrease")
-    raise NoConvergenceError(f"no convergence after {max_iter} damped iterations")
+    raise NoConvergenceError(f"no convergence after {BIRCH_MAX_ITER} damped iterations")

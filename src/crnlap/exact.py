@@ -1,16 +1,28 @@
-"""Exact rational linear algebra on small dense matrices.
+"""Exact rational linear algebra on small dense matrices, and the two rules
+that decide between exact and float arithmetic.
 
 Matrices are numpy arrays with ``dtype=object`` holding ``fractions.Fraction``
 (or plain ``int``) entries.  Everything here is meant for the desk scale of
 this package (dimensions ~10), where exact Gaussian elimination is cheap and
 the identities being verified are exact.
+
+A result is exact iff all its inputs are: `common` passes a call's operands
+on unchanged when every one is an object array, and otherwise converts all
+of them to float64, so one expression serves both modes.  Comparisons take
+their tolerance from `tolerance`: 0 on exact values, so exact checks test
+equality, and otherwise the caller's `tol` or the site's named float
+constant, relative to a scale.  A `tol` that is not finite and >= 0 is
+refused.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
+
+from .errors import SemanticError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -43,8 +55,23 @@ def identity(n: int) -> np.ndarray:
     return m
 
 
-def to_float(m: np.ndarray) -> np.ndarray:
-    return np.asarray(m, dtype=float)
+def common(*operands: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The operands unchanged when all are exact, otherwise all as float64."""
+    if all(is_exact(m) for m in operands):
+        return operands
+    return tuple(np.asarray(m, dtype=float) for m in operands)
+
+
+def tolerance(values: np.ndarray, default: float, scale, tol: float | None = None):
+    """Absolute tolerance for comparing `values`: 0 when they are exact,
+    otherwise the relative tolerance `tol` (the site's `default` when None)
+    times `scale()`.  The scale is computed only for float values, so an
+    exact check never pays for one."""
+    if tol is not None and not (math.isfinite(tol) and tol >= 0):
+        raise SemanticError(f"tol must be finite and >= 0, got {tol!r}")
+    if is_exact(values):
+        return 0
+    return (default if tol is None else tol) * scale()
 
 
 def rref(m: np.ndarray) -> tuple[np.ndarray, list[int]]:

@@ -31,6 +31,7 @@ STRATUM_RTOL = 1e-12
 TIE_RTOL = 1e-12
 POLAR_LINEALITY_RTOL = 1e-10
 POLAR_STRICT_RTOL = 1e-12
+MAX_CHAIN_ORDERS = 64
 
 
 def monomial_order(net: ReactionNetwork, x) -> AuxTree:
@@ -52,12 +53,9 @@ def stratum_contains(net: ReactionNetwork, aux: AuxTree, x) -> bool:
         raise InvalidAuxTreeError(report.violation)
     values = scaled_monomials(net, x)
     g = net.graph
-    if exact.is_exact(values):
-        return all(values[g.index[ip]] - values[g.index[i]] >= 0 for (i, ip) in aux.edges)
-    scale = float(np.max(values)) if values.size else 0.0
-    tol = STRATUM_RTOL * scale
+    floor = -exact.tolerance(values, STRATUM_RTOL, lambda: np.max(values, initial=0))
     return all(
-        values[g.index[ip]] - values[g.index[i]] >= -tol for (i, ip) in aux.edges
+        values[g.index[ip]] - values[g.index[i]] >= floor for (i, ip) in aux.edges
     )
 
 
@@ -94,16 +92,13 @@ def region_constraints(
     report = validate_aux_tree(net.graph, aux)
     if not report.ok:
         raise InvalidAuxTreeError(report.violation)
-    inc = aux_incidence(net.graph, aux)
-    if net.exact_y:
-        normals = net.complexes @ inc
-    else:
-        normals = np.asarray(net.complexes, dtype=float) @ exact.to_float(inc)
+    y, inc = exact.common(net.complexes, aux_incidence(net.graph, aux))
+    normals = y @ inc
     if mode == "cone":
         offset = np.zeros(len(aux.edges))
     else:
         ln_k = np.log(net.tree_constants().as_float())
-        offset = exact.to_float(inc).T @ ln_k
+        offset = np.asarray(inc, dtype=float).T @ ln_k
     return ConeDescription(
         aux=aux,
         mode=mode,
@@ -257,13 +252,11 @@ def recession_polar_check(net: ReactionNetwork, aux: AuxTree, x) -> bool:
     return polar_interior_contains(desc, f).contains
 
 
-def admissible_chain_orders(
-    net: ReactionNetwork, x, cap: int = 64
-) -> list[AuxTree]:
+def admissible_chain_orders(net: ReactionNetwork, x) -> list[AuxTree]:
     """All chain trees whose stratum contains x (ties expanded), capped.
 
     Raises IndeterminateOrderError when the tie structure yields more than
-    `cap` orders.
+    MAX_CHAIN_ORDERS orders.
     """
     net.require_weakly_reversible()
     values = scaled_monomials(net, x)
@@ -275,7 +268,7 @@ def admissible_chain_orders(
         verts = sorted(verts, key=lambda v: (values[g.index[v]], v))
         groups: list[list[str]] = []
         for v in verts:
-            if groups and _tied(values[g.index[groups[-1][-1]]], values[g.index[v]]):
+            if groups and _tied(values, g.index[groups[-1][-1]], g.index[v]):
                 groups[-1].append(v)
             else:
                 groups.append([v])
@@ -286,9 +279,9 @@ def admissible_chain_orders(
             )
         ]
         total *= len(orders)
-        if total > cap:
+        if total > MAX_CHAIN_ORDERS:
             raise IndeterminateOrderError(
-                f"more than {cap} admissible monomial orders at this state"
+                f"more than {MAX_CHAIN_ORDERS} admissible monomial orders at this state"
             )
         per_component.append(orders)
     auxes = []
@@ -297,8 +290,6 @@ def admissible_chain_orders(
     return auxes
 
 
-def _tied(a, b) -> bool:
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a == b
-    fa, fb = float(a), float(b)
-    return abs(fb - fa) <= TIE_RTOL * max(abs(fa), abs(fb))
+def _tied(values: np.ndarray, i: int, j: int) -> bool:
+    a, b = values[i], values[j]
+    return abs(b - a) <= exact.tolerance(values, TIE_RTOL, lambda: max(abs(a), abs(b)))

@@ -312,6 +312,8 @@ def make_aux_tree(g: LabeledDigraph, kind: str, spec) -> AuxTree:
     if kind == "chain":
         for order in spec:
             order = [str(v) for v in order]
+            if not order:
+                raise BadOrderError("empty chain order")
             for v in order:
                 if v not in g.index:
                     raise BadOrderError(f"unknown vertex {v!r} in chain order")

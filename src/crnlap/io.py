@@ -199,22 +199,3 @@ def parse_network(text: str, mode: str = "auto") -> tuple[NetworkDocument, React
     """One-call parse + validate + build."""
     doc = parse_document(text, mode)
     return doc, document_to_network(doc)
-
-
-def network_to_document(net: ReactionNetwork, metadata: dict | None = None) -> NetworkDocument:
-    g = net.graph
-    vertices = []
-    for j, vid in enumerate(g.vertex_ids):
-        comp = {}
-        for i, s in enumerate(net.species):
-            c = net.complexes[i, j]
-            if c != 0:
-                comp[s] = c if isinstance(c, Fraction) else float(c)
-        vertices.append((vid, comp))
-    edges = [(s, d, g.labels[(s, d)]) for (s, d) in g.edges]
-    return NetworkDocument(
-        species=list(net.species),
-        vertices=vertices,
-        edges=edges,
-        metadata=metadata or {},
-    )

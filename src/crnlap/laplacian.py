@@ -48,6 +48,7 @@ from .graph import (
 )
 
 FLOAT_RESIDUAL_RTOL = 1e-12
+CHAIN_SIGN_RTOL = 1e-12
 
 
 def _require_scc(g: LabeledDigraph) -> None:
@@ -270,15 +271,19 @@ class DecompositionReport:
 def verify_core_decomposition(
     d: CoreDecomposition, tol: float | None = None
 ) -> DecompositionReport:
-    """Check residual, invertibility, and kind-specific sign structure."""
+    """Check residual, invertibility, and kind-specific sign structure.
+
+    The residual is compared with `tol` (default FLOAT_RESIDUAL_RTOL) times
+    max |A_k diag K|, and exactly with 0 in rational mode.  That maximum is
+    max_v |A_k[v, v]| K_v: each diagonal entry is minus the sum of the
+    positive labels in its column, so it dominates the column, in floats too.
+    """
     core = d.core
-    if d.exact:
-        scale_tol = 0.0
-    else:
-        m = d.laplacian * d.tree_constants.as_float()[np.newaxis, :]
-        scale = float(np.max(np.abs(m))) if m.size else 0.0
-        scale_tol = (tol if tol is not None else FLOAT_RESIDUAL_RTOL) * scale
-    residual_ok = d.residual <= scale_tol
+
+    def scale():  # max |A_k diag K|
+        return np.max(np.abs(np.diagonal(d.laplacian)) * d.tree_constants.values, initial=0)
+
+    residual_ok = d.residual <= exact.tolerance(core, FLOAT_RESIDUAL_RTOL, scale, tol)
 
     invertible = True
     n_comp = max(d.aux.component_map, default=-1) + 1
@@ -296,12 +301,10 @@ def verify_core_decomposition(
     star_ok: bool | None = None
     m_e = len(d.aux.edges)
     if d.aux.kind == "chain":
-        if d.exact:
-            chain_ok = all(core[i, j] >= 0 for i in range(m_e) for j in range(m_e))
-        else:
-            entry_scale = float(np.max(np.abs(core))) if core.size else 0.0
-            chain_ok = bool(np.all(np.asarray(core, dtype=float) >= -1e-12 * entry_scale))
-        chain_ok = chain_ok and all(core[i, i] > 0 for i in range(m_e))
+        floor = -exact.tolerance(
+            core, CHAIN_SIGN_RTOL, lambda: np.max(np.abs(core), initial=0)
+        )
+        chain_ok = bool(np.all(core >= floor)) and all(core[i, i] > 0 for i in range(m_e))
     elif d.aux.kind == "star":
         star_ok = all(core[i, i] > 0 for i in range(m_e)) and all(
             core[i, j] <= 0 for i in range(m_e) for j in range(m_e) if i != j

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import exact
 from .crn import ReactionNetwork, check_state, mass_action_rhs, scaled_monomials
 from .equilibria import is_cbe, require_cbe, solve_cbe
 from .errors import SemanticError, ShapeMismatchError, StepSizeUnderflowError
@@ -76,7 +75,7 @@ def decrease_certificate(net: ReactionNetwork, x, x_star) -> StabilityCertificat
     aux = monomial_order(net, x)
     dec = core_matrix(net.graph, aux, consts=net.tree_constants())
     core = np.asarray(dec.core, dtype=float)
-    inc = exact.to_float(aux_incidence(net.graph, aux))
+    inc = np.asarray(aux_incidence(net.graph, aux), dtype=float)
     yf = np.asarray(net.complexes, dtype=float)
     z = np.log(xv / xs)
     scaled = np.asarray(scaled_monomials(net, x), dtype=float)

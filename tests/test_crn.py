@@ -1,3 +1,4 @@
+import itertools
 import random
 import threading
 from fractions import Fraction
@@ -22,12 +23,14 @@ from crnlap.errors import (
     ShapeMismatchError,
 )
 from crnlap.graph import default_chain_aux
+from crnlap.laplacian import laplacian_matrix
 
 from generators import (
     random_general_aux,
     random_positive_floats,
     random_positive_fractions,
     random_wr_network,
+    to_float_graph,
 )
 from oracles import edge_sum_rhs
 
@@ -154,14 +157,39 @@ class TestBinomialRhs:
             assert np.max(np.abs(value - f)) <= 1e-12 * scale
 
     def test_exact_agreement_random_aux(self):
+        # every mix of rational/float labels, complexes and state: results
+        # are Fractions exactly when all inputs are rational (Y integer)
         rng = random.Random(24)
         for _ in range(20):
             net = random_wr_network(rng)
             aux = random_general_aux(rng, net.graph)
-            x = random_positive_fractions(rng, net.n_species)
-            value, _ = binomial_rhs(net, aux, x)
-            f = mass_action_rhs(net, x)
-            assert np.array_equal(value, f)
+            q = random_positive_fractions(rng, net.n_species)
+            for float_labels, float_y, x in itertools.product(
+                (False, True), (False, True), (q, [float(v) for v in q])
+            ):
+                g = to_float_graph(net.graph) if float_labels else net.graph
+                y = net.complexes.tolist()
+                if float_y:
+                    y = [[float(v) for v in row] for row in y]
+                mixed = build_network(net.species, y, g)
+                value, binomials = binomial_rhs(mixed, aux, x)
+                f = mass_action_rhs(mixed, x)
+                # an edgeless graph has no float label, so it stays rational
+                labels_q = all(isinstance(k, Fraction) for k in g.labels.values())
+                rational = labels_q and not float_y and x is q
+                for r in (value, binomials, f):
+                    assert (r.dtype == object) == rational
+                    if r.size:
+                        assert all(isinstance(v, Fraction) for v in r) == rational
+                if rational:
+                    assert np.array_equal(value, f)
+                    continue
+                # relative to the size of the terms of Y A_k x^Y
+                yf = np.asarray(net.complexes, dtype=float)
+                af = np.asarray(laplacian_matrix(g), dtype=float)
+                monos = monomial_vector(mixed, [float(v) for v in q])
+                terms = np.abs(yf) @ (np.abs(af) @ monos)
+                assert np.all(np.abs(value - f) <= 1e-12 * np.max(terms))
 
     def test_requires_weak_reversibility(self):
         g = build_digraph([1, 2], [(1, 2, 1)])

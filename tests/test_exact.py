@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from crnlap import exact
+from crnlap.errors import SemanticError
 
 from oracles import primitive
 
@@ -100,3 +102,29 @@ class TestColumnSpace:
             if basis.size and m.size:
                 stacked = np.hstack([basis, m])
                 assert exact.rank(stacked) == basis.shape[1]
+
+
+class TestNumberRules:
+    def test_common_keeps_exact_and_floats_mixed(self):
+        q, f = exact.vector([1, Fraction(1, 3)]), np.array([0.5, 2.0])
+        assert exact.common(q, q)[1] is q
+        out = exact.common(q, f)
+        assert all(m.dtype == float for m in out)
+        assert out[0].tolist() == [1.0, 1 / 3]
+
+    def test_tolerance_is_zero_on_exact_values(self):
+        q, f = exact.vector([1]), np.array([1.0])
+
+        def unused():
+            raise AssertionError("exact checks need no scale")
+
+        assert exact.tolerance(q, 1e-12, unused, tol=1e-3) == 0
+        assert exact.tolerance(f, 1e-12, lambda: 4.0) == 4e-12
+        assert exact.tolerance(f, 1e-12, lambda: 4.0, tol=0.5) == 2.0
+        assert exact.tolerance(f, 1e-12, lambda: 4.0, tol=0.0) == 0.0
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-3])
+    def test_tolerance_rejects_bad_tol(self, tol):
+        for values in (exact.vector([1]), np.array([1.0])):
+            with pytest.raises(SemanticError):
+                exact.tolerance(values, 1e-12, lambda: 1.0, tol=tol)

@@ -165,6 +165,9 @@ class TestAuxTrees:
             make_aux_tree(running_graph, "chain", [["1", "2"]])
         with pytest.raises(BadOrderError):
             make_aux_tree(running_graph, "chain", [["1", "2", "2"]])
+        for spec in ([[]], [["1", "2", "3"], []]):
+            with pytest.raises(BadOrderError):
+                make_aux_tree(running_graph, "chain", spec)
 
     def test_validate_ok_chain(self, running_graph):
         aux = make_aux_tree(running_graph, "chain", [["1", "2", "3"]])

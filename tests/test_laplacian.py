@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from crnlap import (
 from crnlap import exact
 from crnlap.errors import NotStronglyConnectedError
 from crnlap.graph import aux_incidence, incidence_matrices
-from crnlap.laplacian import CoreDecomposition, cycle_reconstruction
+from crnlap.laplacian import FLOAT_RESIDUAL_RTOL, CoreDecomposition, cycle_reconstruction
 
 from conftest import running_example_graph
 from generators import (
@@ -362,6 +363,20 @@ class TestFloatAccuracy:
                 abs(Fraction(f) - e) <= Fraction(1e-14) * scale
                 for f, e in zip(got.flat, want.flat)
             )
+
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(wide_spread_float_graphs())
+    def test_residual_limit_is_dense_max(self, gf):
+        # the float residual limit is FLOAT_RESIDUAL_RTOL max |A_k diag K|,
+        # read off the diagonal: the limit itself passes, the next float fails
+        dec = core_matrix(gf, default_chain_aux(gf))
+        m = dec.laplacian * dec.tree_constants.values[np.newaxis, :]
+        limit = FLOAT_RESIDUAL_RTOL * float(np.max(np.abs(m)))
+        at = dataclasses.replace(dec, residual=limit)
+        over = dataclasses.replace(dec, residual=float(np.nextafter(limit, np.inf)))
+        assert verify_core_decomposition(at).residual_ok
+        assert not verify_core_decomposition(over).residual_ok
 
 
 class TestImageEqualities:

@@ -283,6 +283,24 @@ class TestCli:
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["type"] == "ShapeMismatchError"
 
+    @pytest.mark.parametrize("spec", ["chain:1,2,3;", "chain:"])
+    def test_decompose_empty_chain_group_exit_2(self, spec, capsys):
+        code, out, err = self.run(["decompose", str(CYCLE3), "--aux", spec], capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "BadOrderError"
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["analyze"], ["decompose"], ["bdi-check", "--x", "0.7,1.3"]],
+        ids=["analyze", "decompose", "bdi-check"],
+    )
+    def test_bad_tol_exit_2(self, argv, tol, capsys):
+        cmd = [argv[0], str(CYCLE3), *argv[1:], "--mode", "float", f"--tol={tol}"]
+        code, out, err = self.run(cmd, capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "SemanticError"
+
     def test_decompose_not_weakly_reversible_exit_2(self, tmp_path, capsys):
         doc = {
             "species": ["A"],
