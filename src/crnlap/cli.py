@@ -2,9 +2,10 @@
 
 Subcommands: analyze, decompose, equilibria, certify, bdi-check, simulate.
 Reports go to stdout as deterministic JSON (sorted keys); errors go to
-stderr as structured JSON.  Exit codes: 0 success, 2 validation error,
-3 infeasible or indeterminate analysis.  Set CRNLAP_LOG=debug|info|warning
-for log verbosity.
+stderr as structured JSON.  Exit codes: 0 success, 2 validation error
+(values outside the float64 range included), 3 infeasible analysis.
+Only the commands whose checks read it take `--tol`.  Set
+CRNLAP_LOG=debug|info|warning for log verbosity.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +25,6 @@ from .crn import mass_action_rhs, stoichiometric_subspace
 from .equilibria import cbe_manifold_sample, is_cbe, require_cbe, solve_cbe
 from .errors import (
     CrnlapError,
-    IndeterminateOrderError,
     NoConvergenceError,
     SchemaError,
     SemanticError,
@@ -254,16 +255,7 @@ def cmd_bdi_check(args) -> int:
         "v": v,
         "on_manifold": bdi.on_manifold,
         "member": bdi.member,
-        "orders": [
-            {
-                "aux": _aux_report(aux),
-                "contains": polar.contains,
-                "lineality_products": list(polar.lineality_products),
-                "multipliers": list(polar.multipliers),
-                "margin": polar.margin,
-            }
-            for aux, polar in bdi.orders
-        ],
+        "cone": None if bdi.cone is None else {"edges": bdi.cone[0], **asdict(bdi.cone[1])},
     }
     emit(report, args.out)
     return EXIT_OK
@@ -321,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
             default="auto",
             help="numeric mode for parsing document numbers",
         )
-        p.add_argument("--tol", type=float, default=None, help="override check tolerance")
         p.add_argument("--seed", type=int, default=0, help="seed for sampling")
         if needs_out:
             p.add_argument("--out", default=None, help="write the report to a file")
@@ -365,6 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rtol", type=float, default=1e-8)
     p.add_argument("--atol", type=float, default=1e-10)
     p.set_defaults(func=cmd_simulate)
+    for name in ("analyze", "decompose", "equilibria", "bdi-check"):
+        sub.choices[name].add_argument("--tol", type=float, help="override check tolerance")
     return parser
 
 
@@ -377,7 +370,7 @@ def run_command(argv) -> int:
     except (SchemaError, SemanticError) as e:
         emit_error(type(e).__name__, str(e), getattr(e, "path", ""))
         return EXIT_VALIDATION
-    except (IndeterminateOrderError, NoConvergenceError, StepSizeUnderflowError) as e:
+    except (NoConvergenceError, StepSizeUnderflowError) as e:
         emit_error(type(e).__name__, str(e))
         return EXIT_INFEASIBLE
     except FileNotFoundError as e:

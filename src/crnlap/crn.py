@@ -9,6 +9,7 @@ is also a sum of binomials through the core-matrix decomposition.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from fractions import Fraction
 from typing import Sequence
@@ -18,6 +19,7 @@ import numpy as np
 from . import exact
 from .errors import (
     DuplicateComplexError,
+    FloatRangeError,
     NegativeComplexEntryError,
     NonPositiveStateError,
     NotWeaklyReversibleError,
@@ -141,7 +143,8 @@ def build_network(species, complexes, graph: LabeledDigraph) -> ReactionNetwork:
 
 
 def check_state(x, n: int) -> np.ndarray:
-    """Validate a strictly positive, finite state; keeps rationals when given."""
+    """Validate a strictly positive state within the float64 range; keeps
+    rationals when given."""
     vals = list(x)
     if len(vals) != n:
         raise NonPositiveStateError(f"state has {len(vals)} entries, expected {n}")
@@ -159,13 +162,19 @@ def check_state(x, n: int) -> np.ndarray:
             raise NonPositiveStateError(f"state entry {v!r} is not a number")
         if coerced[-1] <= 0:
             raise NonPositiveStateError("state entries must be strictly positive")
+        # an exact entry must stay positive and finite as a float64
+        if not isinstance(v, float) and not math.ulp(0.0) <= v <= sys.float_info.max:
+            raise FloatRangeError("state entry lies outside the float64 range")
     if rational:
         return np.array(coerced, dtype=object)
     return np.array([float(v) for v in coerced], dtype=float)
 
 
 def monomial_vector(net: ReactionNetwork, x) -> np.ndarray:
-    """(x^Y)_i = prod_j x_j^{Y_ji}; exact for rational x and integer Y."""
+    """(x^Y)_i = prod_j x_j^{Y_ji}; exact for rational x and integer Y.
+
+    Exact monomials that float64 cannot hold are refused (FloatRangeError),
+    since the certificate and the vector field are reported as floats."""
     xv = check_state(x, net.n_species)
     if exact.is_exact(xv) and net.integer_y:
         out = np.empty(net.graph.n_vertices, dtype=object)
@@ -176,6 +185,8 @@ def monomial_vector(net: ReactionNetwork, x) -> np.ndarray:
                 if e:
                     p *= Fraction(xv[j]) ** e
             out[i] = p
+        if max(out, default=0) > sys.float_info.max:
+            raise FloatRangeError("an exact monomial exceeds the float64 range")
         return out
     xf = np.asarray(xv, dtype=float)
     yf = np.asarray(net.complexes, dtype=float)

@@ -65,6 +65,10 @@ class NonPositiveStateError(CrnlapError):
     pass
 
 
+class FloatRangeError(CrnlapError):
+    """A value that float64 arithmetic needs lies outside the float64 range."""
+
+
 # -- equilibria ---------------------------------------------------------------
 
 class NotACbeError(CrnlapError):
@@ -83,10 +87,6 @@ class DimensionTooLargeError(CrnlapError):
 
 class PointNotInStratumError(CrnlapError):
     pass
-
-
-class IndeterminateOrderError(CrnlapError):
-    """Too many tied monomial orders to enumerate; result is indeterminate."""
 
 
 # -- simulation ---------------------------------------------------------------

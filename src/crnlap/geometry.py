@@ -3,15 +3,19 @@
 For a weakly reversible network, a chain auxiliary tree encodes an order on
 the scaled monomials x^{y(i)}/K_i within each component.  The positive
 states realizing that order form a stratum; in log coordinates the stratum
-is a polyhedron, and a cone C = {z : N.T z >= 0} (N = Y I_aux) when a
-complex-balanced equilibrium exists.  By Farkas' lemma the polar cone of C
-is {-N lambda : lambda >= 0}, so polar-interior membership is a sign check
-against the lineality space plus one exact linear program.
+is a polyhedron, and a cone C = {z : N.T z >= 0} (N = Y I_E for the tree's
+edges E) when a complex-balanced equilibrium exists.  By Farkas' lemma the
+polar cone of C is {-N lambda : lambda >= 0}, so polar-interior membership
+is a sign check against the lineality space, a rank check and one exact
+linear program.
+
+A state whose scaled monomials tie lies in every stratum that breaks the
+ties.  Their cones' union is one cone (`evaluation_cone`), whose polar is
+the intersection of theirs, so one linear program decides for all of them.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,30 +24,40 @@ import numpy as np
 from . import exact
 from .exact import ONE, ZERO
 from .crn import ReactionNetwork, mass_action_rhs, scaled_monomials
-from .errors import (
-    IndeterminateOrderError,
-    InvalidAuxTreeError,
-    PointNotInStratumError,
-)
-from .graph import AuxTree, aux_incidence, make_aux_tree, validate_aux_tree
+from .errors import InvalidAuxTreeError, PointNotInStratumError
+from .graph import AuxTree, Edge, make_aux_tree, validate_aux_tree
 
 STRATUM_RTOL = 1e-12
 TIE_RTOL = 1e-12
 POLAR_LINEALITY_RTOL = 1e-10
 POLAR_STRICT_RTOL = 1e-12
-MAX_CHAIN_ORDERS = 64
 
 
-def monomial_order(net: ReactionNetwork, x) -> AuxTree:
-    """Chain tree sorting each component by x^{y(i)}/K_i, ties by vertex id."""
+def evaluation_order(net: ReactionNetwork, x) -> list[list[list[str]]]:
+    """Per component, the tie groups of x^{y(i)}/K_i in ascending order.
+
+    Vertices are sorted by value, ties by vertex id; a vertex joins the
+    previous group when its value ties with that group's last one.
+    """
     net.require_weakly_reversible()
     values = scaled_monomials(net, x)
     g = net.graph
     orders = []
     for ci in range(g.n_components):
-        verts = g.component_vertices(ci)
-        orders.append(sorted(verts, key=lambda v: (values[g.index[v]], v)))
-    return make_aux_tree(g, "chain", orders)
+        groups: list[list[str]] = []
+        for v in sorted(g.component_vertices(ci), key=lambda v: (values[g.index[v]], v)):
+            if groups and _tied(values, g.index[groups[-1][-1]], g.index[v]):
+                groups[-1].append(v)
+            else:
+                groups.append([v])
+        orders.append(groups)
+    return orders
+
+
+def monomial_order(net: ReactionNetwork, x) -> AuxTree:
+    """Chain tree sorting each component by x^{y(i)}/K_i, ties by vertex id."""
+    chains = [[v for grp in groups for v in grp] for groups in evaluation_order(net, x)]
+    return make_aux_tree(net.graph, "chain", chains)
 
 
 def stratum_contains(net: ReactionNetwork, aux: AuxTree, x) -> bool:
@@ -63,49 +77,58 @@ def stratum_contains(net: ReactionNetwork, aux: AuxTree, x) -> bool:
 class ConeDescription:
     """H-description of a stratum's cone (or polyhedron) in log coordinates.
 
-    `facet_normals` holds the columns of Y I_aux (inequalities
-    normals.T z >= offset); the lineality space equals the orthogonal
-    complement of the stoichiometric subspace.
+    `facet_normals` holds the columns of Y I_E for the edges (a, b) in
+    `edges` (inequalities normals.T z >= offset); the lineality space
+    contains the orthogonal complement of the stoichiometric subspace, and
+    equals it when the normals span that subspace.
     """
 
-    aux: AuxTree
+    edges: tuple[Edge, ...]
     mode: str  # "cone" | "polyhedron"
-    facet_normals: np.ndarray  # n x |aux.edges|
+    facet_normals: np.ndarray  # n x |edges|
     offset: np.ndarray
     lineality_basis: np.ndarray
 
 
-def region_constraints(
-    net: ReactionNetwork, aux: AuxTree, mode: str, x_star=None
-) -> ConeDescription:
+def region_constraints(net: ReactionNetwork, aux: AuxTree, mode: str) -> ConeDescription:
     """Cone (homogeneous) or polyhedron (offset by ln K) for an aux tree.
 
-    Cones are rate-constant free and must not be given an x_star; the
-    equivalence x in stratum <=> ln(x/x_star) in cone holds whenever x_star
-    is a complex-balanced equilibrium.
+    Cones are rate-constant free: x is in the stratum iff ln(x/x_star) is
+    in the cone, for any complex-balanced equilibrium x_star.
     """
     if mode not in ("cone", "polyhedron"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "cone" and x_star is not None:
-        raise ValueError("cone mode takes no x_star (cones do not depend on k)")
     net.require_weakly_reversible()
     report = validate_aux_tree(net.graph, aux)
     if not report.ok:
         raise InvalidAuxTreeError(report.violation)
-    y, inc = exact.common(net.complexes, aux_incidence(net.graph, aux))
-    normals = y @ inc
-    if mode == "cone":
-        offset = np.zeros(len(aux.edges))
-    else:
+    desc = _edge_cone(net, aux.edges)
+    if mode == "polyhedron":
         ln_k = np.log(net.tree_constants().as_float())
-        offset = np.asarray(inc, dtype=float).T @ ln_k
-    return ConeDescription(
-        aux=aux,
-        mode=mode,
-        facet_normals=normals,
-        offset=offset,
-        lineality_basis=net.sperp_basis,
+        idx = net.graph.index
+        desc.mode = mode
+        desc.offset = np.array([ln_k[idx[b]] - ln_k[idx[a]] for a, b in aux.edges])
+    return desc
+
+
+def evaluation_cone(net: ReactionNetwork, x) -> ConeDescription:
+    """The union of the cones of every chain order that breaks x's ties: an
+    edge from each vertex of a tie group (`evaluation_order`) to each vertex
+    of the next.  With no ties it is the cone of `monomial_order(net, x)`."""
+    edges = tuple(
+        (i, j) for groups in evaluation_order(net, x)
+        for lower, upper in zip(groups, groups[1:]) for i in lower for j in upper
     )
+    return _edge_cone(net, edges)
+
+
+def _edge_cone(net: ReactionNetwork, edges: tuple[Edge, ...]) -> ConeDescription:
+    """The cone N.T z >= 0 with N = Y I_E: column (a, b) is y(b) - y(a)."""
+    y, idx = net.complexes, net.graph.index
+    normals = np.empty((net.n_species, len(edges)), dtype=y.dtype)
+    for j, (a, b) in enumerate(edges):
+        normals[:, j] = y[:, idx[b]] - y[:, idx[a]]
+    return ConeDescription(edges, "cone", normals, np.zeros(len(edges)), net.sperp_basis)
 
 
 @dataclass(frozen=True)
@@ -114,8 +137,8 @@ class PolarReport:
 
     `margin` is the largest min(lambda) over lambda with -N lambda = f
     (N the facet normals), for f scaled to max-norm 1 and capped at 1;
-    `multipliers` is a lambda attaining it, scaled back to f, in
-    `aux.edges` order.
+    `multipliers` is a lambda attaining it, scaled back to f, in `edges`
+    order.
     """
 
     contains: bool
@@ -125,11 +148,13 @@ class PolarReport:
 
 
 def polar_interior_contains(desc: ConeDescription, f) -> PolarReport:
-    """Interior of the polar cone {-N lambda : lambda >= 0}.
+    """Interior, relative to the stoichiometric subspace S, of the polar
+    cone {-N lambda : lambda >= 0}.
 
-    f . w = 0 on the lineality space (relative tolerance), and f = -N lambda
-    for some lambda > 0: with v = f / |f|_inf, the exact LP
-    max s s.t. N lambda = -v, lambda >= s 1, s <= 1 has s* > POLAR_STRICT_RTOL.
+    f . w = 0 on S-perp (relative tolerance); N spans S, without which the
+    interior is empty; and f = -N lambda for some lambda > 0: with
+    v = f / |f|_inf, the exact LP max s s.t. N lambda = -v, lambda >= s 1,
+    s <= 1 has s* > POLAR_STRICT_RTOL.
     """
     fv = np.asarray(f, dtype=float)
     lin = np.asarray(desc.lineality_basis, dtype=float)
@@ -144,17 +169,20 @@ def polar_interior_contains(desc: ConeDescription, f) -> PolarReport:
         if abs(prod) > POLAR_LINEALITY_RTOL * pair_scale:
             ok = False
     scale = f_scale if f_scale > 0 else 1.0
-    lam, margin = _max_margin(desc.facet_normals, fv / scale)
+    lam, margin, rank = _max_margin(desc.facet_normals, fv / scale)
+    # in exact arithmetic rank N <= dim S; ">=" keeps a float Y whose
+    # rounded differences are exactly independent from failing the check
+    spans_s = rank >= desc.facet_normals.shape[0] - lin.shape[1]
     return PolarReport(
-        contains=ok and margin > POLAR_STRICT_RTOL,
+        contains=ok and spans_s and margin > POLAR_STRICT_RTOL,
         lineality_products=tuple(lin_products),
         multipliers=tuple(float(v) * scale for v in lam),
         margin=float(margin),
     )
 
 
-def _max_margin(normals: np.ndarray, v: np.ndarray) -> tuple[list[Fraction], Fraction]:
-    """(lambda, s*) for max s s.t. N lambda = -v, lambda >= s 1, s <= 1.
+def _max_margin(normals: np.ndarray, v: np.ndarray) -> tuple[list[Fraction], Fraction, int]:
+    """(lambda, s*, rank N) for max s s.t. N lambda = -v, lambda >= s 1, s <= 1.
 
     The equations are posed on a maximal independent set of rows of N, so a
     float v that lies in im N only up to rounding keeps the LP feasible.
@@ -170,7 +198,7 @@ def _max_margin(normals: np.ndarray, v: np.ndarray) -> tuple[list[Fraction], Fra
         b.append(-Fraction(float(v[r])) - row_sum)
     x = _simplex(a, b, [ZERO] * m + [ONE])
     s = ONE - x[m]
-    return [mu + s for mu in x[:m]], s
+    return [mu + s for mu in x[:m]], s, len(rows)
 
 
 def _simplex(a: list[list], b: list, c: list) -> list[Fraction]:
@@ -250,44 +278,6 @@ def recession_polar_check(net: ReactionNetwork, aux: AuxTree, x) -> bool:
     desc = region_constraints(net, aux, "cone")
     f = np.asarray(mass_action_rhs(net, x), dtype=float)
     return polar_interior_contains(desc, f).contains
-
-
-def admissible_chain_orders(net: ReactionNetwork, x) -> list[AuxTree]:
-    """All chain trees whose stratum contains x (ties expanded), capped.
-
-    Raises IndeterminateOrderError when the tie structure yields more than
-    MAX_CHAIN_ORDERS orders.
-    """
-    net.require_weakly_reversible()
-    values = scaled_monomials(net, x)
-    g = net.graph
-    per_component: list[list[list[str]]] = []
-    total = 1
-    for ci in range(g.n_components):
-        verts = g.component_vertices(ci)
-        verts = sorted(verts, key=lambda v: (values[g.index[v]], v))
-        groups: list[list[str]] = []
-        for v in verts:
-            if groups and _tied(values, g.index[groups[-1][-1]], g.index[v]):
-                groups[-1].append(v)
-            else:
-                groups.append([v])
-        orders = [
-            list(itertools.chain.from_iterable(combo))
-            for combo in itertools.product(
-                *[list(map(list, itertools.permutations(grp))) for grp in groups]
-            )
-        ]
-        total *= len(orders)
-        if total > MAX_CHAIN_ORDERS:
-            raise IndeterminateOrderError(
-                f"more than {MAX_CHAIN_ORDERS} admissible monomial orders at this state"
-            )
-        per_component.append(orders)
-    auxes = []
-    for combo in itertools.product(*per_component):
-        auxes.append(make_aux_tree(g, "chain", list(combo)))
-    return auxes
 
 
 def _tied(values: np.ndarray, i: int, j: int) -> bool:

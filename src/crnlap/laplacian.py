@@ -38,7 +38,7 @@ from math import prod
 import numpy as np
 
 from . import exact
-from .errors import InvalidAuxTreeError, NotStronglyConnectedError
+from .errors import FloatRangeError, InvalidAuxTreeError, NotStronglyConnectedError
 from .graph import (
     AuxTree,
     Cycle,
@@ -136,7 +136,10 @@ def tree_constants(g: LabeledDigraph) -> TreeConstants:
             w[pos[s]][pos[d]] = g.labels[(s, d)]
         for v, k in zip(verts, _kirchhoff(w)):
             values[g.index[v]] = k
-    return TreeConstants(values=values.astype(object if g.exact else float))
+    values = values.astype(object if g.exact else float)
+    if not g.exact and not np.all(np.isfinite(values) & (values > 0)):
+        raise FloatRangeError("float tree constants leave the float64 range")
+    return TreeConstants(values=values)
 
 
 # -- core matrix -----------------------------------------------------------
@@ -246,6 +249,8 @@ def core_matrix(
                 res[br][bt] -= c
     residual = float(max((max(map(abs, line)) for line in res), default=0.0))
     core = -np.array(s, dtype=object if g.exact else float).reshape(m, m)
+    if not g.exact and not (np.all(np.isfinite(core)) and np.isfinite(residual)):
+        raise FloatRangeError("float core matrix or residual leaves the float64 range")
     return CoreDecomposition(
         aux=aux, core=core, laplacian=a, tree_constants=consts, residual=residual
     )

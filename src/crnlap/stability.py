@@ -20,14 +20,8 @@ import numpy as np
 from .crn import ReactionNetwork, check_state, mass_action_rhs, scaled_monomials
 from .equilibria import is_cbe, require_cbe, solve_cbe
 from .errors import SemanticError, ShapeMismatchError, StepSizeUnderflowError
-from .geometry import (
-    PolarReport,
-    admissible_chain_orders,
-    monomial_order,
-    polar_interior_contains,
-    region_constraints,
-)
-from .graph import AuxTree, aux_incidence
+from .geometry import PolarReport, evaluation_cone, monomial_order, polar_interior_contains
+from .graph import AuxTree, Edge, aux_incidence
 from .laplacian import core_matrix, laplacian_matrix
 
 logger = logging.getLogger(__name__)
@@ -115,34 +109,33 @@ def decrease_certificate(net: ReactionNetwork, x, x_star) -> StabilityCertificat
 class BdiReport:
     """Membership of v in the binomial differential inclusion at a state.
 
-    `orders` holds one polar-interior check per admissible chain order; it
-    is empty on the equilibrium manifold, where the inclusion is {0}.
+    `cone` pairs the edges of the evaluation cone at x with its
+    polar-interior check; it is None on the equilibrium manifold, where the
+    inclusion is {0}.
     """
 
     on_manifold: bool
     member: bool
-    orders: tuple[tuple[AuxTree, PolarReport], ...]
+    cone: tuple[tuple[Edge, ...], PolarReport] | None
 
 
 def bdi_report(net: ReactionNetwork, x, v, tol: float | None = None) -> BdiReport:
-    """Evaluate the inclusion at x for v, checking every admissible order.
+    """Evaluate the inclusion at x for v.
 
     Off the manifold (is_cbe at tolerance `tol`), v must lie in the
-    polar-cone interior of every stratum cone containing x; ties enumerate
-    all admissible chain orders.
+    polar-cone interior of every stratum cone containing x.  Those cones
+    are the chain orders that break x's ties, and their union is the one
+    evaluation cone, so one polar check decides.
     """
     vv = np.asarray(v, dtype=float)
     if vv.shape != (net.n_species,) or not np.all(np.isfinite(vv)):
         raise ShapeMismatchError(f"v must have {net.n_species} finite entries")
     if is_cbe(net, x, tol=tol).balanced:
         member = bool(np.max(np.abs(vv), initial=0.0) <= MANIFOLD_V_TOL)
-        return BdiReport(on_manifold=True, member=member, orders=())
-    orders = tuple(
-        (aux, polar_interior_contains(region_constraints(net, aux, "cone"), vv))
-        for aux in admissible_chain_orders(net, x)
-    )
-    member = all(polar.contains for _, polar in orders)
-    return BdiReport(on_manifold=False, member=member, orders=orders)
+        return BdiReport(on_manifold=True, member=member, cone=None)
+    desc = evaluation_cone(net, x)
+    polar = polar_interior_contains(desc, vv)
+    return BdiReport(on_manifold=False, member=polar.contains, cone=(desc.edges, polar))
 
 
 def bdi_membership(net: ReactionNetwork, x_star, x, v) -> bool:

@@ -5,7 +5,8 @@ reachability closure instead of Tarjan, subset enumeration instead of
 backtracking, cofactor determinants and forest backtracking instead of
 state reduction, edge sums instead of matrix products, facet-subset ray
 search instead of a Farkas linear program, Gaussian elimination instead of
-tree cuts, a dense triple product instead of edge cut-flows.
+tree cuts, a dense triple product instead of edge cut-flows, one polar check
+per tie-breaking chain order instead of one on the union of their cones.
 """
 
 from __future__ import annotations
@@ -17,7 +18,14 @@ from math import gcd, lcm
 import numpy as np
 
 from crnlap import exact
-from crnlap.geometry import POLAR_LINEALITY_RTOL, POLAR_STRICT_RTOL
+from crnlap.geometry import (
+    POLAR_LINEALITY_RTOL,
+    POLAR_STRICT_RTOL,
+    evaluation_order,
+    polar_interior_contains,
+    region_constraints,
+)
+from crnlap.graph import make_aux_tree
 
 
 def brute_sccs(vertex_ids, edges):
@@ -286,6 +294,32 @@ def polar_interior_by_rays(desc, f) -> bool:
         if not float(fv @ r) < -POLAR_STRICT_RTOL * f_scale * float(np.max(np.abs(r))):
             return False
     return True
+
+
+def tie_chain_orders(net, x) -> list:
+    """Every chain tree whose stratum contains x: all permutations of each
+    tie group of `evaluation_order`, in every component, with no cap."""
+    per_component = [
+        [
+            list(itertools.chain.from_iterable(perms))
+            for perms in itertools.product(*(itertools.permutations(grp) for grp in groups))
+        ]
+        for groups in evaluation_order(net, x)
+    ]
+    return [
+        make_aux_tree(net.graph, "chain", list(combo))
+        for combo in itertools.product(*per_component)
+    ]
+
+
+def bdi_member_by_orders(net, x, v) -> bool:
+    """Inclusion membership off the equilibrium manifold, order by order:
+    v lies in the polar-cone interior of every chain order at x."""
+    vv = np.asarray(v, dtype=float)
+    return all(
+        polar_interior_contains(region_constraints(net, aux, "cone"), vv).contains
+        for aux in tie_chain_orders(net, x)
+    )
 
 
 def cbe_feasible_multistart(net, tries: int = 24, seed: int = 0) -> bool:

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,16 +23,22 @@ from crnlap import (
 )
 from crnlap import exact
 from crnlap.errors import PointNotInStratumError
-from crnlap.geometry import admissible_chain_orders
+from crnlap.geometry import evaluation_cone, evaluation_order
 from crnlap.graph import aux_incidence, default_chain_aux, make_aux_tree
 
 from generators import (
     random_planted_network,
     random_positive_floats,
+    random_positive_fractions,
     random_wr_network,
     rand_fraction,
 )
-from oracles import polar_interior_by_rays, rays_by_facet_subsets
+from oracles import (
+    bdi_member_by_orders,
+    polar_interior_by_rays,
+    rays_by_facet_subsets,
+    tie_chain_orders,
+)
 
 
 class TestMonomialOrder:
@@ -100,11 +108,6 @@ class TestRegionConstraints:
         ln_k = np.log(net.tree_constants().as_float())
         inc = np.asarray(aux_incidence(net.graph, aux), dtype=float)
         assert np.allclose(desc.offset, inc.T @ ln_k)
-
-    def test_cone_mode_rejects_x_star(self, cycle3_net):
-        aux = default_chain_aux(cycle3_net.graph)
-        with pytest.raises(ValueError):
-            region_constraints(cycle3_net, aux, "cone", x_star=[1, 1])
 
     def test_lineality_spans_sperp_exactly(self):
         rng = random.Random(43)
@@ -187,6 +190,22 @@ class TestPolarInterior:
         for ray in rays_by_facet_subsets(desc.facet_normals):
             assert not polar_interior_contains(desc, np.asarray(ray, dtype=float)).contains
 
+    def test_cone_not_spanning_s_has_empty_interior(self):
+        # X1 <-> 0 and X2 <-> 2 X2 with unit rates: at x = (1, 2) the first
+        # component ties, so the cone keeps one normal (0, 1) while S = R^2;
+        # the LP alone would accept any v with v2 < 0
+        g = build_digraph(
+            ["1", "2", "3", "4"],
+            [("1", "2", 1), ("2", "1", 1), ("3", "4", 1), ("4", "3", 1)],
+        )
+        net = build_network(["X1", "X2"], [[1, 0, 0, 0], [0, 0, 1, 2]], g)
+        desc = evaluation_cone(net, [1, 2])
+        assert desc.edges == (("3", "4"),)
+        report = polar_interior_contains(desc, [0.5, -1.0])
+        assert report.margin > 0
+        assert not report.contains
+        assert not bdi_member_by_orders(net, [1, 2], [0.5, -1.0])
+
 
 class TestRecessionCheck:
     def test_planar_positive_case(self, cycle3_net):
@@ -236,24 +255,28 @@ class TestCoverage:
 
 class TestAdmissibleOrders:
     def test_generic_point_single_order(self, cycle3_net):
-        orders = admissible_chain_orders(cycle3_net, [0.5, 0.5])
-        assert len(orders) == 1
+        assert evaluation_order(cycle3_net, [0.5, 0.5]) == [[["1"], ["2"], ["3"]]]
+        assert len(tie_chain_orders(cycle3_net, [0.5, 0.5])) == 1
 
     def test_full_tie_enumerates_all(self, cycle3_net):
-        orders = admissible_chain_orders(cycle3_net, [1.0, 1.0])
-        assert len(orders) == 6  # all 3! chain orders at the equilibrium
+        assert evaluation_order(cycle3_net, [1.0, 1.0]) == [[["1", "2", "3"]]]
+        assert len(tie_chain_orders(cycle3_net, [1.0, 1.0])) == 6  # all 3! orders
 
-    def test_tie_explosion_reports_indeterminate(self):
-        from crnlap.errors import IndeterminateOrderError
+    def test_untied_cone_is_the_monomial_order_cone(self):
+        rng = random.Random(49)
+        for _ in range(20):
+            net = random_wr_network(rng)
+            x = random_positive_floats(rng, net.n_species)
+            desc = evaluation_cone(net, x)
+            chain = region_constraints(net, monomial_order(net, x), "cone")
+            assert desc.edges == chain.edges
+            assert np.array_equal(desc.facet_normals, chain.facet_normals)
 
-        # five-way tie: 5! = 120 admissible orders, beyond the cap of 64
-        ids = [str(i + 1) for i in range(5)]
-        edges = [(a, b, 1) for a in ids for b in ids if a != b]
-        g = build_digraph(ids, edges)
-        y = [[0, 1, 2, 3, 4], [4, 3, 2, 1, 0]]
-        net = build_network(["A", "B"], y, g)
-        with pytest.raises(IndeterminateOrderError):
-            admissible_chain_orders(net, [1.0, 1.0])
+    def test_tie_cone_joins_consecutive_groups(self, cycle3_net):
+        # at (2, 1/2) the scaled monomials are 2, 1/4, 2: groups [2], [1, 3]
+        assert evaluation_order(cycle3_net, [2, Fraction(1, 2)]) == [[["2"], ["1", "3"]]]
+        desc = evaluation_cone(cycle3_net, [2, Fraction(1, 2)])
+        assert desc.edges == (("2", "1"), ("2", "3"))
 
 
 class TestDimensionGuard:
@@ -271,7 +294,7 @@ class TestDimensionGuard:
         for net in nets:
             x = random_positive_floats(random.Random(net.n_species), net.n_species)
             f = np.asarray(mass_action_rhs(net, x), dtype=float)
-            for aux in admissible_chain_orders(net, x):
+            for aux in tie_chain_orders(net, x):
                 desc = region_constraints(net, aux, "cone")
                 for v in (f, -f):
                     got = polar_interior_contains(desc, v).contains
@@ -311,7 +334,7 @@ class TestFarkasAgainstRays:
         if is_cbe(net, x).balanced:
             return
         f = np.asarray(mass_action_rhs(net, x), dtype=float)
-        for aux in admissible_chain_orders(net, x):
+        for aux in tie_chain_orders(net, x):
             desc = region_constraints(net, aux, "cone")
             normals = np.asarray(desc.facet_normals, dtype=float)
             rays = [np.asarray(r, dtype=float) for r in rays_by_facet_subsets(desc.facet_normals)]
@@ -324,3 +347,59 @@ class TestFarkasAgainstRays:
                 lam = np.asarray(report.multipliers)
                 assert np.all(lam > 0)
                 assert np.max(np.abs(-normals @ lam - f)) <= 1e-9 * np.max(np.abs(f))
+
+
+def _exact_tie_state(rng, net, x_star, tie):
+    """x = x* t^w for an integer w orthogonal to y(i) - y(j) over a chosen
+    set of complexes of one component (two of them, a random subset or all
+    of it), so their scaled monomials tie exactly; None when only w = 0 is."""
+    g = net.graph
+    comps = [g.component_vertices(ci) for ci in range(g.n_components)]
+    comps = [c for c in comps if len(c) > 1]
+    if not comps:
+        return None
+    comp = rng.choice(comps)
+    size = {"pair": 2, "group": rng.randint(2, len(comp)), "component": len(comp)}[tie]
+    tied = rng.sample(comp, size)
+    y = net.complexes
+    cols = [g.index[v] for v in tied]
+    diffs = exact.matrix(
+        [[y[s, c] - y[s, cols[0]] for s in range(net.n_species)] for c in cols[1:]]
+    )
+    basis = exact.nullspace(diffs)
+    if basis.shape[1] == 0:
+        return None
+    w = basis @ exact.vector([rng.choice([-2, -1, 1, 2]) for _ in range(basis.shape[1])])
+    scale = math.lcm(*(v.denominator for v in w))
+    t = Fraction(rng.choice([2, 3]), rng.choice([1, 2]))
+    return [xs * t ** int(v * scale) for xs, v in zip(x_star, w)]
+
+
+class TestOneConeAgainstOrders:
+    """One polar check on the evaluation cone gives the verdict of the
+    per-order loop over every tie-breaking chain order, with no cap."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["generic", "pair", "group", "component"]),
+        st.booleans(),
+    )
+    def test_member_equals_per_order_oracle(self, seed, tie, as_float):
+        rng = random.Random(seed)
+        net, x_star = random_planted_network(rng, n_species_max=4, n_vertices_max=6)
+        if tie == "generic":
+            x = random_positive_fractions(rng, net.n_species)
+        else:
+            x = _exact_tie_state(rng, net, x_star, tie)
+            if x is None:
+                return
+        if as_float:
+            x = [float(v) for v in x]
+        if is_cbe(net, x).balanced:
+            return
+        f = np.asarray(mass_action_rhs(net, x), dtype=float)
+        s_basis = np.asarray(net.s_basis, dtype=float)
+        in_s = s_basis @ np.asarray([rng.uniform(-1, 1) for _ in range(s_basis.shape[1])])
+        for v in (f, -f, np.zeros_like(f), in_s, f * 1e9, f * 1e-9):
+            assert bdi_report(net, x, v).member == bdi_member_by_orders(net, x, v)

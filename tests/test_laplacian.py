@@ -18,9 +18,14 @@ from crnlap import (
     verify_core_decomposition,
 )
 from crnlap import exact
-from crnlap.errors import NotStronglyConnectedError
+from crnlap.errors import FloatRangeError, NotStronglyConnectedError
 from crnlap.graph import aux_incidence, incidence_matrices
-from crnlap.laplacian import FLOAT_RESIDUAL_RTOL, CoreDecomposition, cycle_reconstruction
+from crnlap.laplacian import (
+    FLOAT_RESIDUAL_RTOL,
+    CoreDecomposition,
+    TreeConstants,
+    cycle_reconstruction,
+)
 
 from conftest import running_example_graph
 from generators import (
@@ -227,6 +232,16 @@ class TestCoreMatrix:
             dec = core_matrix(gf, aux)
             assert not dec.exact
             assert verify_core_decomposition(dec).passed
+
+    def test_float_overflow_refused(self):
+        # 1 <-> 2 with labels 1e300 and 1e10: the flux 1e310 overflows
+        g = build_digraph(["1", "2"], [("1", "2", 1e300), ("2", "1", 1e10)])
+        aux = default_chain_aux(g)
+        with pytest.raises(FloatRangeError):
+            tree_constants(g)
+        consts = TreeConstants(values=np.array([1e10, 1e300]))
+        with pytest.raises(FloatRangeError):
+            core_matrix(g, aux, consts=consts)
 
 
 class TestVerify:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from crnlap import bdi_membership, mass_action_rhs
+from crnlap import bdi_membership, bdi_report, mass_action_rhs
 from crnlap.cli import run_command
 from crnlap.errors import SchemaError, SemanticError
 from crnlap.io import (
@@ -18,6 +18,7 @@ from crnlap.io import (
 )
 
 from conftest import SAMPLE_DIR
+from oracles import bdi_member_by_orders, tie_chain_orders
 
 TRIANGLE = SAMPLE_DIR / "triangle.json"
 CYCLE3 = SAMPLE_DIR / "cycle3.json"
@@ -206,24 +207,56 @@ class TestCli:
         assert code == 0
         report = json.loads(out)
         assert report["member"] is True
-        assert len(report["orders"]) == 1
-        order = report["orders"][0]
-        assert order["margin"] > 0
-        assert len(order["multipliers"]) == 2 and min(order["multipliers"]) > 0
+        cone = report["cone"]
+        assert cone["contains"] is True
+        assert cone["edges"] == [["1", "2"], ["2", "3"]]
+        assert cone["margin"] > 0
+        assert len(cone["multipliers"]) == 2 and min(cone["multipliers"]) > 0
 
-    def test_bdi_check_tie_lists_both_orders(self, capsys):
-        # at (2, 1/2) the scaled monomials of vertices 1 and 3 tie (both 2)
+    def test_bdi_check_on_manifold_has_no_cone(self, capsys):
+        code, out, _ = self.run(["bdi-check", str(CYCLE3), "--x", "1,1"], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert report["on_manifold"] is True and report["cone"] is None
+
+    def test_bdi_check_tie_one_cone(self, capsys):
+        # at (2, 1/2) the scaled monomials of vertices 1 and 3 tie (both 2),
+        # above vertex 2 (1/4): the cone's edges run from 2 to each of them
         code, out, _ = self.run(["bdi-check", str(CYCLE3), "--x", "2,0.5"], capsys)
         assert code == 0
         report = json.loads(out)
         assert report["on_manifold"] is False
-        assert [o["aux"]["edges"] for o in report["orders"]] == [
-            [["2", "1"], ["1", "3"]],
-            [["2", "3"], ["3", "1"]],
-        ]
+        assert report["cone"]["edges"] == [["2", "1"], ["2", "3"]]
         _, net = parse_network(CYCLE3.read_text())
         f = mass_action_rhs(net, [2.0, 0.5])
         assert report["member"] is bdi_membership(net, [1, 1], [2.0, 0.5], f)
+        assert report["member"] is bdi_member_by_orders(net, [2.0, 0.5], f)
+
+    def test_bdi_check_tie_past_64_orders(self, tmp_path, capsys):
+        # K5 with complexes (i, 4 - i) and X1 <-> 0, unit rates: at (2, 2)
+        # the five K5 monomials tie, 5! = 120 chain orders, all decided by
+        # one cone that keeps only the edge 7 -> 6
+        vertices = [{"id": str(i + 1), "complex": {"A": i, "B": 4 - i}} for i in range(5)]
+        vertices += [{"id": "6", "complex": {"A": 1}}, {"id": "7", "complex": {}}]
+        edges = [
+            {"from": str(a), "to": str(b), "k": 1}
+            for a in range(1, 6) for b in range(1, 6) if a != b
+        ]
+        edges += [{"from": "6", "to": "7", "k": 1}, {"from": "7", "to": "6", "k": 1}]
+        p = tmp_path / "k5.json"
+        p.write_text(json.dumps({"species": ["A", "B"], "vertices": vertices, "edges": edges}))
+        argv = ["bdi-check", str(p), "--x", "2,2", "--x-star", "1,1"]
+        code, out, _ = self.run(argv, capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert report["member"] is False
+        assert report["cone"]["edges"] == [["7", "6"]]
+        _, net = parse_network(p.read_text())
+        assert len(tie_chain_orders(net, [2, 2])) == 120
+        f = np.asarray(report["v"])
+        assert not bdi_member_by_orders(net, [2, 2], f)
+        for v in (-f, np.array([1.0, -1.0])):
+            assert bdi_report(net, [2, 2], v).member == bdi_member_by_orders(net, [2, 2], v)
 
     def test_bdi_check_rejects_non_equilibrium_x_star(self, capsys):
         argv = ["--x", "0.5,0.5", "--x-star", "5,7"]
@@ -300,6 +333,42 @@ class TestCli:
         code, out, err = self.run(cmd, capsys)
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["type"] == "SemanticError"
+
+    @pytest.mark.parametrize(
+        "argv", [["certify", "--x", "0.5,0.5"], ["simulate", "--x0", "0.5,0.5", "--t", "1"]]
+    )
+    def test_tol_only_where_read(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            run_command([argv[0], str(CYCLE3), *argv[1:], "--tol=-5"])
+        assert exit_.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "--x", "1e200,1"],
+            ["bdi-check", "--x", "1e200,1"],
+            ["certify", "--x", "1e400,1"],
+            ["bdi-check", "--x", "1e400,1"],
+            ["simulate", "--x0", "1e400,1", "--t", "1"],
+            ["certify", "--x", "1e-400,1"],
+        ],
+    )
+    def test_exact_state_out_of_float_range_exit_2(self, argv, capsys):
+        code, out, err = self.run([argv[0], str(CYCLE3), *argv[1:]], capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "FloatRangeError"
+
+    @pytest.mark.parametrize("cmd", ["analyze", "decompose", "equilibria"])
+    def test_float_tree_constants_out_of_range_exit_2(self, cmd, tmp_path, capsys):
+        doc = json.loads(CYCLE3.read_text())
+        for edge in doc["edges"]:
+            edge["k"] = 1e200
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps(doc))
+        code, out, err = self.run([cmd, str(p)], capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "FloatRangeError"
 
     def test_decompose_not_weakly_reversible_exit_2(self, tmp_path, capsys):
         doc = {

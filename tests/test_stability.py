@@ -18,13 +18,12 @@ from crnlap import (
     stoichiometric_subspace,
 )
 from crnlap.errors import NotACbeError
-from crnlap.geometry import admissible_chain_orders
 
 from generators import (
     random_planted_network,
     random_positive_floats,
 )
-from oracles import fd_gradient
+from oracles import bdi_member_by_orders, fd_gradient, tie_chain_orders
 
 
 class TestLyapunovValue:
@@ -133,16 +132,16 @@ class TestBdiMembership:
 
     def test_boundary_state_enumerates_orders(self, cycle3_net):
         # x = (t, t^2) ties the scaled monomials of vertices 1 and 2, landing
-        # on the shared boundary of two strata; both orders get enumerated
+        # on the shared boundary of two strata
         t = 0.8
         x = [t, t * t]
-        orders = admissible_chain_orders(cycle3_net, x)
-        assert len(orders) == 2
+        assert len(tie_chain_orders(cycle3_net, x)) == 2
         # on the sparse cycle the field lies on the boundary of the polar
         # intersection (a ray dual to the tie pairs to exactly zero), so
-        # strict membership fails there
+        # strict membership fails there, as it does order by order
         f = mass_action_rhs(cycle3_net, x)
         assert not bdi_membership(cycle3_net, [1, 1], x, f)
+        assert not bdi_member_by_orders(cycle3_net, x, f)
 
     def test_boundary_state_member_on_complete_component(self):
         # with every cross edge present the core matrix is entrywise positive
@@ -155,9 +154,10 @@ class TestBdiMembership:
         assert is_cbe(net, [1, 1]).balanced
         t = 0.8
         x = [t, t * t]
-        assert len(admissible_chain_orders(net, x)) == 2
+        assert len(tie_chain_orders(net, x)) == 2
         f = mass_action_rhs(net, x)
         assert bdi_membership(net, [1, 1], x, f)
+        assert bdi_member_by_orders(net, x, f)
 
     def test_embedding_random_sweep(self):
         rng = random.Random(55)
