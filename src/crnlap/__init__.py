@@ -12,7 +12,6 @@ from .graph import (
     default_chain_aux,
     enumerate_cycles,
     general_aux_tree,
-    incidence_matrices,
     make_aux_tree,
     scc_partition,
     validate_aux_tree,

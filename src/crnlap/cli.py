@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import __version__
+from . import __version__, exact
 from .crn import mass_action_rhs, stoichiometric_subspace
 from .equilibria import cbe_manifold_sample, is_cbe, require_cbe, solve_cbe
 from .errors import (
@@ -366,6 +366,7 @@ def run_command(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        exact.check_tol(getattr(args, "tol", None))
         return args.func(args)
     except (SchemaError, SemanticError) as e:
         emit_error(type(e).__name__, str(e), getattr(e, "path", ""))

@@ -3,7 +3,8 @@
 A network couples a labeled digraph (vertices = complexes, edges = reactions)
 with a complex matrix Y (one exponent column per vertex).  The right-hand
 side of the mass-action ODE is Y A_k x^Y; for weakly reversible networks it
-is also a sum of binomials through the core-matrix decomposition.
+is also a sum of binomials through the core-matrix decomposition.  Y I_E
+and I_aux.T (x^Y / K) are gathers on `graph.edge_ends`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import (
     NotWeaklyReversibleError,
     ShapeMismatchError,
 )
-from .graph import AuxTree, LabeledDigraph, aux_incidence, incidence_matrices
+from .graph import AuxTree, LabeledDigraph, edge_ends
 from .laplacian import TreeConstants, core_matrix, laplacian_matrix, tree_constants
 
 SVD_RANK_RTOL = 1e-12  # singular values below this share of the largest count as 0
@@ -89,8 +90,8 @@ class ReactionNetwork:
         return len(self.species)
 
     def _subspace_bases(self) -> tuple[np.ndarray, np.ndarray]:
-        y, inc = exact.common(self.complexes, incidence_matrices(self.graph)[0])
-        m = y @ inc
+        tails, heads = edge_ends(self.graph, self.graph.edges)
+        m = self.complexes[:, heads] - self.complexes[:, tails]
         if exact.is_exact(m):
             return exact.column_space(m), exact.nullspace(m.T)
         return _float_column_space(m), _float_nullspace(m.T)
@@ -211,11 +212,13 @@ def binomial_rhs(net: ReactionNetwork, aux: AuxTree, x) -> tuple[np.ndarray, np.
     net.require_weakly_reversible()
     scaled = scaled_monomials(net, x)
     dec = core_matrix(net.graph, aux, consts=net.tree_constants())
-    y, inc, core, scaled = exact.common(
-        net.complexes, aux_incidence(net.graph, aux), dec.core, scaled
-    )
-    binomials = inc.T @ scaled
-    return -(y @ (inc @ (core @ binomials))), binomials
+    y, core, scaled = exact.common(net.complexes, dec.core, scaled)
+    tails, heads = edge_ends(net.graph, aux.edges)
+    binomials = scaled[heads] - scaled[tails]
+    value = -((y[:, heads] - y[:, tails]) @ (core @ binomials))
+    if exact.is_exact(value):  # an object matmul over no aux edges gives int 0s
+        value = value + exact.ZERO
+    return value, binomials
 
 
 def stoichiometric_subspace(net: ReactionNetwork) -> tuple[np.ndarray, np.ndarray]:

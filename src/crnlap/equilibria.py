@@ -9,6 +9,7 @@ strictly convex minimization.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -16,8 +17,8 @@ import numpy as np
 
 from . import exact
 from .crn import ReactionNetwork, check_state, monomial_vector
-from .errors import NoConvergenceError, NotACbeError
-from .graph import aux_incidence, default_chain_aux
+from .errors import FloatRangeError, NoConvergenceError, NotACbeError
+from .graph import default_chain_aux, edge_ends
 from .laplacian import laplacian_matrix
 
 logger = logging.getLogger(__name__)
@@ -34,14 +35,17 @@ class CbeCheck(NamedTuple):
 
 
 def is_cbe(net: ReactionNetwork, x, tol: float | None = None) -> CbeCheck:
-    """Test A_k x^Y = 0, relative to the largest single edge flow."""
+    """Test A_k x^Y = 0, relative to the largest single edge flow; float
+    monomials or flows that overflow are refused (FloatRangeError)."""
     g = net.graph
-    a, mono = exact.common(laplacian_matrix(g), monomial_vector(net, x))
-    src = [g.index[s] for s, _ in g.edges]
-    dst = [g.index[d] for _, d in g.edges]
-    # A[d, s] is the label of s->d, so the edge flows are A[d, s] x^y(s)
-    residual = np.max(np.abs(a @ mono), initial=0)
-    scale = np.max(np.abs(a[dst, src] * mono[src]), initial=0)
+    tails, heads = edge_ends(g, g.edges)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, mono = exact.common(laplacian_matrix(g), monomial_vector(net, x))
+        # A[d, s] is the label of s->d, so the edge flows are A[d, s] x^y(s)
+        residual = np.max(np.abs(a @ mono), initial=0)
+        scale = np.max(np.abs(a[heads, tails] * mono[tails]), initial=0)
+    if not (math.isfinite(residual) and math.isfinite(scale)):
+        raise FloatRangeError("complex-balance flows leave the float64 range")
     balanced = residual <= exact.tolerance(mono, CBE_RTOL, lambda: scale, tol)
     return CbeCheck(bool(balanced), float(residual), float(scale))
 
@@ -68,20 +72,20 @@ def solve_cbe(net: ReactionNetwork) -> CbeResult:
     not depend on the auxiliary tree chosen.
     """
     net.require_weakly_reversible()
-    aux = default_chain_aux(net.graph)
-    inc = np.asarray(aux_incidence(net.graph, aux), dtype=float)
-    if inc.shape[1] == 0:
+    tails, heads = edge_ends(net.graph, default_chain_aux(net.graph).edges)
+    if not heads.size:
         witness = np.ones(net.n_species)
         return CbeResult(status="found", witness=witness, log_residual=0.0)
     yf = np.asarray(net.complexes, dtype=float)
-    lhs = (yf @ inc).T
+    lhs = (yf[:, heads] - yf[:, tails]).T
     ln_k = np.log(net.tree_constants().as_float())
-    rhs = inc.T @ ln_k
+    rhs = ln_k[heads] - ln_k[tails]
     z, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
     log_residual = float(np.linalg.norm(lhs @ z - rhs))
     # relative to the size of the terms: rhs is exactly 0 when the tree
     # constants are equal, and rounding alone must not flip the verdict
-    term_norm = float(np.linalg.norm(np.abs(lhs) @ np.abs(z) + np.abs(inc.T) @ np.abs(ln_k)))
+    abs_ln_k = np.abs(ln_k)
+    term_norm = np.linalg.norm(np.abs(lhs) @ np.abs(z) + (abs_ln_k[heads] + abs_ln_k[tails]))
     if log_residual > CONSISTENCY_RTOL * term_norm:
         logger.debug("CBE system inconsistent: residual %.3e", log_residual)
         return CbeResult(status="infeasible", witness=None, log_residual=log_residual)

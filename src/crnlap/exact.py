@@ -12,7 +12,7 @@ of them to float64, so one expression serves both modes.  Comparisons take
 their tolerance from `tolerance`: 0 on exact values, so exact checks test
 equality, and otherwise the caller's `tol` or the site's named float
 constant, relative to a scale.  A `tol` that is not finite and >= 0 is
-refused.
+refused (`check_tol`).
 """
 
 from __future__ import annotations
@@ -62,13 +62,18 @@ def common(*operands: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(np.asarray(m, dtype=float) for m in operands)
 
 
+def check_tol(tol: float | None) -> None:
+    """Refuse a relative tolerance that is not None or finite and >= 0."""
+    if tol is not None and not (math.isfinite(tol) and tol >= 0):
+        raise SemanticError(f"tol must be finite and >= 0, got {tol!r}")
+
+
 def tolerance(values: np.ndarray, default: float, scale, tol: float | None = None):
     """Absolute tolerance for comparing `values`: 0 when they are exact,
     otherwise the relative tolerance `tol` (the site's `default` when None)
     times `scale()`.  The scale is computed only for float values, so an
     exact check never pays for one."""
-    if tol is not None and not (math.isfinite(tol) and tol >= 0):
-        raise SemanticError(f"tol must be finite and >= 0, got {tol!r}")
+    check_tol(tol)
     if is_exact(values):
         return 0
     return (default if tol is None else tol) * scale()

@@ -4,7 +4,8 @@ For a weakly reversible network, a chain auxiliary tree encodes an order on
 the scaled monomials x^{y(i)}/K_i within each component.  The positive
 states realizing that order form a stratum; in log coordinates the stratum
 is a polyhedron, and a cone C = {z : N.T z >= 0} (N = Y I_E for the tree's
-edges E) when a complex-balanced equilibrium exists.  By Farkas' lemma the
+edges E, gathered as Y[:, heads] - Y[:, tails] by `graph.edge_ends`) when a
+complex-balanced equilibrium exists.  By Farkas' lemma the
 polar cone of C is {-N lambda : lambda >= 0}, so polar-interior membership
 is a sign check against the lineality space, a rank check and one exact
 linear program.
@@ -25,7 +26,7 @@ from . import exact
 from .exact import ONE, ZERO
 from .crn import ReactionNetwork, mass_action_rhs, scaled_monomials
 from .errors import InvalidAuxTreeError, PointNotInStratumError
-from .graph import AuxTree, Edge, make_aux_tree, validate_aux_tree
+from .graph import AuxTree, Edge, edge_ends, make_aux_tree, validate_aux_tree
 
 STRATUM_RTOL = 1e-12
 TIE_RTOL = 1e-12
@@ -66,11 +67,9 @@ def stratum_contains(net: ReactionNetwork, aux: AuxTree, x) -> bool:
     if not report.ok:
         raise InvalidAuxTreeError(report.violation)
     values = scaled_monomials(net, x)
-    g = net.graph
+    tails, heads = edge_ends(net.graph, aux.edges)
     floor = -exact.tolerance(values, STRATUM_RTOL, lambda: np.max(values, initial=0))
-    return all(
-        values[g.index[ip]] - values[g.index[i]] >= floor for (i, ip) in aux.edges
-    )
+    return bool(np.all(values[heads] - values[tails] >= floor))
 
 
 @dataclass
@@ -105,9 +104,9 @@ def region_constraints(net: ReactionNetwork, aux: AuxTree, mode: str) -> ConeDes
     desc = _edge_cone(net, aux.edges)
     if mode == "polyhedron":
         ln_k = np.log(net.tree_constants().as_float())
-        idx = net.graph.index
+        tails, heads = edge_ends(net.graph, aux.edges)
         desc.mode = mode
-        desc.offset = np.array([ln_k[idx[b]] - ln_k[idx[a]] for a, b in aux.edges])
+        desc.offset = ln_k[heads] - ln_k[tails]
     return desc
 
 
@@ -124,10 +123,8 @@ def evaluation_cone(net: ReactionNetwork, x) -> ConeDescription:
 
 def _edge_cone(net: ReactionNetwork, edges: tuple[Edge, ...]) -> ConeDescription:
     """The cone N.T z >= 0 with N = Y I_E: column (a, b) is y(b) - y(a)."""
-    y, idx = net.complexes, net.graph.index
-    normals = np.empty((net.n_species, len(edges)), dtype=y.dtype)
-    for j, (a, b) in enumerate(edges):
-        normals[:, j] = y[:, idx[b]] - y[:, idx[a]]
+    tails, heads = edge_ends(net.graph, edges)
+    normals = net.complexes[:, heads] - net.complexes[:, tails]
     return ConeDescription(edges, "cone", normals, np.zeros(len(edges)), net.sperp_basis)
 
 

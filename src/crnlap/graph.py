@@ -4,7 +4,8 @@ Vertex ids are opaque strings mapped to dense indices in declaration order;
 all matrices produced here and downstream use that dense order.  Strongly
 connected components are computed once at construction and kept in a
 canonical order (ascending minimal vertex id) so that block layouts are
-reproducible.
+reproducible.  Products with an edge list's incidence matrix are gathers on
+its tail and head indices (`edge_ends`); no incidence matrix is formed.
 """
 
 from __future__ import annotations
@@ -245,30 +246,16 @@ def enumerate_cycles(g: LabeledDigraph) -> list[Cycle]:
 # -- incidence matrices ----------------------------------------------------
 
 
-def incidence_matrices(g: LabeledDigraph) -> tuple[np.ndarray, np.ndarray]:
-    """(incidence, source) matrices, V x E, columns in edge declaration order.
+def edge_ends(g: LabeledDigraph, edges: Sequence[Edge]) -> tuple[np.ndarray, np.ndarray]:
+    """Dense vertex indices (tails, heads) of an edge list, as np.intp arrays.
 
-    Entries are exact integers in object arrays so they compose with both
-    rational and float arithmetic downstream.
+    They apply the incidence matrix I_E (column (a, b) is e_b - e_a) as
+    gathers: I_E.T v = v[heads] - v[tails] and Y I_E = Y[:, heads] - Y[:, tails].
+    Fancy indexing keeps each operand's number type: Fractions stay Fractions.
     """
-    n, m = g.n_vertices, g.n_edges
-    inc = np.zeros((n, m), dtype=object)
-    src = np.zeros((n, m), dtype=object)
-    for j, (s, d) in enumerate(g.edges):
-        inc[g.index[s], j] = -1
-        inc[g.index[d], j] = 1
-        src[g.index[s], j] = 1
-    return inc, src
-
-
-def aux_incidence(g: LabeledDigraph, aux: "AuxTree") -> np.ndarray:
-    """Incidence matrix of an auxiliary tree, V x |aux.edges|."""
-    n = g.n_vertices
-    inc = np.zeros((n, len(aux.edges)), dtype=object)
-    for j, (s, d) in enumerate(aux.edges):
-        inc[g.index[s], j] = -1
-        inc[g.index[d], j] = 1
-    return inc
+    tails = np.array([g.index[a] for a, _ in edges], dtype=np.intp)
+    heads = np.array([g.index[b] for _, b in edges], dtype=np.intp)
+    return tails, heads
 
 
 # -- auxiliary trees --------------------------------------------------------

@@ -43,6 +43,7 @@ from .graph import (
     AuxTree,
     Cycle,
     LabeledDigraph,
+    edge_ends,
     enumerate_cycles,
     validate_aux_tree,
 )
@@ -93,8 +94,9 @@ def _kirchhoff(w: list[list]) -> list:
     to first: the pivot s_k is k's remaining out-rate, and each path
     i->k->j adds w[i][k] w[k][j] / s_k to w[i][j] (w is overwritten).  The
     product of the pivots is the principal minor of -A_k without vertex 0,
-    i.e. K of vertex 0; back substitution K_k = sum_{i<k} K_i w[i][k] / s_k
-    gives the others.  Only sums, products and quotients of positive
+    i.e. K of vertex 0; back substitution K_k = sum_{i<k} K_i (w[i][k] / s_k)
+    gives the others, dividing first so that a K float64 can hold does not
+    overflow on the way.  Only sums, products and quotients of positive
     numbers occur, so the result is exact on Fractions, and on floats each
     entry's relative error grows with n but not with the spread of rates.
     """
@@ -110,7 +112,7 @@ def _kirchhoff(w: list[list]) -> list:
                     w[i][j] += f * w[k][j]
     consts = [prod(pivots)]
     for k in range(1, n):
-        consts.append(sum(consts[i] * w[i][k] for i in range(k)) / pivots[k])
+        consts.append(sum(consts[i] * (w[i][k] / pivots[k]) for i in range(k)))
     return consts
 
 
@@ -239,7 +241,7 @@ def core_matrix(
         f = g.labels[(v, d)] * k_vals[i]
         res[j][i] += f
         res[i][i] -= f
-    ends = [(g.index[p], g.index[q]) for p, q in aux.edges]
+    ends = np.column_stack(edge_ends(g, aux.edges)).tolist()
     for (ar, br), srow in zip(ends, s):
         for (at, bt), c in zip(ends, srow):
             if c:

@@ -21,7 +21,7 @@ from .crn import ReactionNetwork, check_state, mass_action_rhs, scaled_monomials
 from .equilibria import is_cbe, require_cbe, solve_cbe
 from .errors import SemanticError, ShapeMismatchError, StepSizeUnderflowError
 from .geometry import PolarReport, evaluation_cone, monomial_order, polar_interior_contains
-from .graph import AuxTree, Edge, aux_incidence
+from .graph import AuxTree, Edge, edge_ends
 from .laplacian import core_matrix, laplacian_matrix
 
 logger = logging.getLogger(__name__)
@@ -69,12 +69,12 @@ def decrease_certificate(net: ReactionNetwork, x, x_star) -> StabilityCertificat
     aux = monomial_order(net, x)
     dec = core_matrix(net.graph, aux, consts=net.tree_constants())
     core = np.asarray(dec.core, dtype=float)
-    inc = np.asarray(aux_incidence(net.graph, aux), dtype=float)
+    tails, heads = edge_ends(net.graph, aux.edges)
     yf = np.asarray(net.complexes, dtype=float)
     z = np.log(xv / xs)
     scaled = np.asarray(scaled_monomials(net, x), dtype=float)
-    a = (yf @ inc).T @ z
-    b = inc.T @ scaled
+    a = (yf[:, heads] - yf[:, tails]).T @ z
+    b = scaled[heads] - scaled[tails]
     value = float(-(a @ core @ b)) if a.size else 0.0
 
     scale_a = float(np.max(np.abs(yf.T @ z))) if a.size else 0.0

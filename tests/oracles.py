@@ -6,7 +6,8 @@ backtracking, cofactor determinants and forest backtracking instead of
 state reduction, edge sums instead of matrix products, facet-subset ray
 search instead of a Farkas linear program, Gaussian elimination instead of
 tree cuts, a dense triple product instead of edge cut-flows, one polar check
-per tie-breaking chain order instead of one on the union of their cones.
+per tie-breaking chain order instead of one on the union of their cones,
+dense incidence matrices instead of edge-end gathers.
 """
 
 from __future__ import annotations
@@ -156,12 +157,36 @@ def brute_cycles(g):
     return found
 
 
+def incidence_matrices(g) -> tuple[np.ndarray, np.ndarray]:
+    """(incidence, source) matrices, V x E, columns in edge declaration order.
+
+    Entries are exact integers in object arrays so they compose with both
+    rational and float arithmetic downstream.
+    """
+    n, m = g.n_vertices, g.n_edges
+    inc = np.zeros((n, m), dtype=object)
+    src = np.zeros((n, m), dtype=object)
+    for j, (s, d) in enumerate(g.edges):
+        inc[g.index[s], j] = -1
+        inc[g.index[d], j] = 1
+        src[g.index[s], j] = 1
+    return inc, src
+
+
+def aux_incidence(g, aux) -> np.ndarray:
+    """Incidence matrix of an auxiliary tree, V x |aux.edges|."""
+    n = g.n_vertices
+    inc = np.zeros((n, len(aux.edges)), dtype=object)
+    for j, (s, d) in enumerate(aux.edges):
+        inc[g.index[s], j] = -1
+        inc[g.index[d], j] = 1
+    return inc
+
+
 def elimination_left_inverse(g, aux):
     """Exact L with L @ I_aux = -Identity, one Gaussian elimination per
     aux edge; rows are exact.solve's particular solutions, which are in
     general not the 0/1 tree cuts the library uses."""
-    from crnlap.graph import aux_incidence
-
     inc = aux_incidence(g, aux)
     m = len(aux.edges)
     left = np.zeros((m, g.n_vertices), dtype=object)
@@ -327,7 +352,7 @@ def cbe_feasible_multistart(net, tries: int = 24, seed: int = 0) -> bool:
     binomial residual in log coordinates (scipy, Nelder-Mead + BFGS)."""
     from scipy.optimize import minimize
 
-    from crnlap.graph import aux_incidence, default_chain_aux
+    from crnlap.graph import default_chain_aux
 
     g = net.graph
     aux = default_chain_aux(g)

@@ -15,7 +15,6 @@ from crnlap import (
 )
 from crnlap.crn import scaled_monomials
 from crnlap.errors import NotACbeError
-from crnlap.graph import aux_incidence
 from conftest import PLANAR_Y, running_example_graph
 
 from generators import (
@@ -25,7 +24,7 @@ from generators import (
     random_planted_network,
     random_positive_floats,
 )
-from oracles import cbe_feasible_multistart
+from oracles import aux_incidence, cbe_feasible_multistart
 
 
 def deficiency_one_net(k_values):

@@ -24,7 +24,7 @@ from crnlap import (
 from crnlap import exact
 from crnlap.errors import PointNotInStratumError
 from crnlap.geometry import evaluation_cone, evaluation_order
-from crnlap.graph import aux_incidence, default_chain_aux, make_aux_tree
+from crnlap.graph import default_chain_aux, make_aux_tree
 
 from generators import (
     random_planted_network,
@@ -34,6 +34,7 @@ from generators import (
     rand_fraction,
 )
 from oracles import (
+    aux_incidence,
     bdi_member_by_orders,
     polar_interior_by_rays,
     rays_by_facet_subsets,

@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crnlap import (
     build_digraph,
     enumerate_cycles,
-    incidence_matrices,
     make_aux_tree,
     scc_partition,
     validate_aux_tree,
@@ -20,10 +22,16 @@ from crnlap.errors import (
     SelfLoopError,
     UnknownEndpointError,
 )
-from crnlap.graph import aux_incidence, general_aux_tree
+from crnlap.graph import AuxTree, edge_ends, general_aux_tree
 
-from generators import random_general_aux, random_scc_digraph, random_star_aux
-from oracles import brute_cycles, brute_sccs
+from generators import (
+    rand_fraction,
+    random_general_aux,
+    random_scc_digraph,
+    random_star_aux,
+    random_wr_network,
+)
+from oracles import aux_incidence, brute_cycles, brute_sccs, incidence_matrices
 
 
 class TestBuildDigraph:
@@ -143,6 +151,56 @@ class TestIncidence:
             inc = aux_incidence(g, aux)
             assert exact.rank(inc) == g.n_vertices - g.n_components
             assert exact.nullspace(inc).shape[1] == 0
+
+
+class TestEdgeEnds:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["graph", "chain", "star", "general", "empty"]),
+    )
+    def test_gathers_equal_incidence_products(self, seed, kind):
+        # Y[:, heads] - Y[:, tails] = Y I_E and v[heads] - v[tails] = I_E.T v:
+        # equal Fractions on exact inputs, the same bits on float inputs
+        rng = random.Random(seed)
+        net = random_wr_network(rng, n_vertices_max=7)
+        g = net.graph
+        if kind == "graph":
+            edges = g.edges
+        elif kind == "chain":
+            orders = [rng.sample(g.component_vertices(ci), len(g.scc_partition[ci]))
+                      for ci in range(g.n_components)]
+            edges = make_aux_tree(g, "chain", orders).edges
+        elif kind == "star":
+            edges = random_star_aux(rng, g).edges
+        elif kind == "general":
+            edges = random_general_aux(rng, g).edges
+        else:
+            edges = ()
+        inc = aux_incidence(g, AuxTree(edges=tuple(edges), kind="general"))
+        tails, heads = edge_ends(g, edges)
+        assert tails.dtype == heads.dtype == np.intp
+
+        y = net.complexes
+        v = np.array([rand_fraction(rng) - rand_fraction(rng) for _ in range(g.n_vertices)],
+                     dtype=object)
+        for gathered, dense in ((y[:, heads] - y[:, tails], y @ inc),
+                                (v[heads] - v[tails], inc.T @ v)):
+            assert gathered.dtype == object and gathered.shape == dense.shape
+            assert all(isinstance(e, Fraction) for e in gathered.flat)
+            assert np.array_equal(gathered, dense)
+
+        gen = np.random.default_rng(seed)
+        yf = gen.standard_normal(y.shape) * 10.0 ** gen.uniform(-8, 8, y.shape)
+        yf[gen.random(y.shape) < 0.3] = 0.0
+        vf = gen.standard_normal(g.n_vertices) * 10.0 ** gen.uniform(-8, 8, g.n_vertices)
+        vf[gen.random(g.n_vertices) < 0.3] = 0.0
+        incf = inc.astype(float)
+        for gathered, dense in ((yf[:, heads] - yf[:, tails], yf @ incf),
+                                (vf[heads] - vf[tails], incf.T @ vf)):
+            assert gathered.dtype == dense.dtype == np.float64
+            assert gathered.shape == dense.shape
+            assert gathered.tobytes() == dense.tobytes()
 
 
 class TestAuxTrees:

@@ -201,6 +201,48 @@ class TestCli:
         code, out, _ = self.run(["equilibria", str(p)], capsys)
         assert code == 3
         assert json.loads(out)["status"] == "infeasible"
+        # --tol is checked before the analysis, whatever its outcome
+        code, out, err = self.run(["equilibria", str(p), "--tol=-5"], capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "SemanticError"
+
+    def test_equilibria_wide_labels_found(self, tmp_path, capsys):
+        # {} <-> {A} with labels 1e300 and 1e10: K = (1e10, 1e300) fits float64
+        doc = {
+            "species": ["A"],
+            "vertices": [{"id": "1", "complex": {}}, {"id": "2", "complex": {"A": 1}}],
+            "edges": [
+                {"from": "1", "to": "2", "k": 1e300},
+                {"from": "2", "to": "1", "k": 1e10},
+            ],
+        }
+        p = tmp_path / "wide.json"
+        p.write_text(json.dumps(doc))
+        code, out, _ = self.run(["equilibria", str(p)], capsys)
+        assert code == 0
+        assert json.loads(out)["witness"] == pytest.approx([1e290], rel=1e-12)
+
+    def test_equilibria_overflowing_flows_exit_2(self, tmp_path):
+        # the witness x = 1e300 is found, but x^2 at vertex 2 overflows:
+        # one JSON error, no numpy warnings and no Infinity in the report
+        doc = {
+            "species": ["A"],
+            "vertices": [{"id": "1", "complex": {"A": 1}}, {"id": "2", "complex": {"A": 2}}],
+            "edges": [
+                {"from": "1", "to": "2", "k": 1e300},
+                {"from": "2", "to": "1", "k": 1.0},
+            ],
+        }
+        p = tmp_path / "overflow.json"
+        p.write_text(json.dumps(doc))
+        path = os.pathsep.join(q for q in (str(SRC), os.environ.get("PYTHONPATH")) if q)
+        proc = subprocess.run(
+            [sys.executable, "-m", "crnlap.cli", "equilibria", str(p)],
+            capture_output=True, text=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert json.loads(proc.stderr)["error"]["type"] == "FloatRangeError"
 
     def test_bdi_check(self, capsys):
         code, out, _ = self.run(["bdi-check", str(CYCLE3), "--x", "0.5,0.5"], capsys)
