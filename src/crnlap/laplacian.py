@@ -31,9 +31,12 @@ lose digits to, accurate entry by entry on floats.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from itertools import accumulate
+from math import inf
+from operator import mul
 
 import numpy as np
 
@@ -94,26 +97,49 @@ def _kirchhoff(w: list[list]) -> list:
     to first: the pivot s_k is k's remaining out-rate, and each path
     i->k->j adds w[i][k] w[k][j] / s_k to w[i][j] (w is overwritten).  The
     product of the pivots is the principal minor of -A_k without vertex 0,
-    i.e. K of vertex 0; back substitution K_k = sum_{i<k} K_i (w[i][k] / s_k)
-    gives the others, dividing first so that a K float64 can hold does not
-    overflow on the way.  Only sums, products and quotients of positive
+    i.e. K of vertex 0; back substitution K_k = sum_{i<k} K_i w[i][k] / s_k
+    gives the others.  Only sums, products and quotients of positive
     numbers occur, so the result is exact on Fractions, and on floats each
-    entry's relative error grows with n but not with the spread of rates.
+    entry's relative error grows with n but not with the spread of rates,
+    provided no step leaves the normal float64 range.  That is checked on
+    every quotient w[i][k] / s_k and its product with the least rate it
+    scales (which bounds the terms it adds), every partial product of the
+    pivots, back-substitution sum and K; where one fails, the block is
+    reduced on the exact values of its rates instead (`_exactly`).
     """
-    n = len(w)
+    n, tiny = len(w), sys.float_info.min
+    guard = any(isinstance(x, float) for x in w[-1])  # False for one vertex
+    rates = [row[:] for row in w]
     pivots = [Fraction(1)] * n  # pivots[0] stays the unit
     for k in range(n - 1, 0, -1):
-        s = sum(w[k][:k])
-        pivots[k] = s
+        row_k = w[k][:k]
+        s = pivots[k] = sum(row_k)
+        low = min(filter(None, row_k)) if guard else 0
         for i in range(k):
             if w[i][k]:
                 f = w[i][k] / s
+                if guard and not (tiny <= f < inf and tiny <= f * low):
+                    return _exactly(rates)
                 for j in range(k):
                     w[i][j] += f * w[k][j]
-    consts = [prod(pivots)]
+    steps = list(accumulate(pivots, mul))
+    consts = [steps[-1]]
     for k in range(1, n):
-        consts.append(sum(consts[i] * (w[i][k] / pivots[k]) for i in range(k)))
+        steps.append(sum(consts[i] * w[i][k] for i in range(k)))
+        consts.append(steps[-1] / pivots[k])
+    checked = steps[1:] + consts  # positive: their sum is inf or NaN if one is
+    if guard and not (tiny <= min(checked) and sum(checked) < inf):
+        return _exactly(rates)
     return consts
+
+
+def _exactly(w: list[list]) -> list:
+    """Float tree constants of a float block from the exact values of its
+    rates, each rounded once: inf where it overflows or a rate is not finite."""
+    if not all(x < inf for row in w for x in row):
+        return [inf] * len(w)
+    exact_w = [[Fraction(x) for x in row] for row in w]
+    return [float(k) if k < sys.float_info.max else inf for k in _kirchhoff(exact_w)]
 
 
 def tree_constants(g: LabeledDigraph) -> TreeConstants:
@@ -125,8 +151,9 @@ def tree_constants(g: LabeledDigraph) -> TreeConstants:
     so it never subtracts.  On Fractions it is exact; on floats every
     tree constant keeps a small relative error however widely the labels
     spread (O'Cinneide 1993), where cofactor determinants lose digits to
-    cancellation.  The cost is cubic in the component size, where the
-    number of spanning trees is exponential.
+    cancellation; they are refused (FloatRangeError) only when they leave
+    the float64 range themselves.  The cost is cubic in the component size,
+    where the number of spanning trees is exponential.
     """
     _require_scc(g)
     values = np.empty(g.n_vertices, dtype=object)
@@ -241,7 +268,7 @@ def core_matrix(
         f = g.labels[(v, d)] * k_vals[i]
         res[j][i] += f
         res[i][i] -= f
-    ends = np.column_stack(edge_ends(g, aux.edges)).tolist()
+    ends = list(zip(*(e.tolist() for e in edge_ends(g, aux.edges))))
     for (ar, br), srow in zip(ends, s):
         for (at, bt), c in zip(ends, srow):
             if c:

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -244,6 +245,12 @@ class TestCoreMatrix:
         aux = default_chain_aux(g)
         k = tree_constants(g).values
         assert np.all(np.abs(k - [1e10, 1e300]) <= 1e-15 * np.array([1e10, 1e300]))
+        # mirrored: the quotient of the two labels underflows, K does not
+        far = build_digraph(["1", "2"], [("1", "2", 1e-200), ("2", "1", 1e200)])
+        assert tree_constants(far).values.tolist() == [1e200, 1e-200]
+        near = build_digraph(["1", "2"], [("1", "2", 1e-160), ("2", "1", 1e160)])
+        k = tree_constants(near).values
+        assert np.all(np.abs(k - [1e160, 1e-160]) <= 1e-15 * np.array([1e160, 1e-160]))
         consts = TreeConstants(values=np.array([1e10, 1e300]))
         with pytest.raises(FloatRangeError):
             core_matrix(g, aux, consts=consts)
@@ -319,16 +326,17 @@ class TestCycleDecomposition:
 
 
 @st.composite
-def wide_spread_float_graphs(draw):
-    """A strongly connected block with chords and labels 10^U(-8, 8), and
-    sometimes an extra edgeless vertex; vertex ids are arbitrary strings."""
+def wide_spread_float_graphs(draw, decades=8.0):
+    """A strongly connected block with chords and labels 10^U(-decades,
+    decades), and sometimes an extra edgeless vertex; vertex ids are
+    arbitrary strings."""
     n = draw(st.integers(2, 5))
     ids = draw(st.lists(st.text(min_size=0, max_size=3), min_size=n, max_size=n, unique=True))
     pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
     ring = {(i, (i + 1) % n) for i in range(n)}
     chords = [p for p in pairs if p not in ring and draw(st.booleans())]
     edges = [
-        (ids[a], ids[b], 10.0 ** draw(st.floats(-8.0, 8.0)))
+        (ids[a], ids[b], 10.0 ** draw(st.floats(-decades, decades)))
         for a, b in sorted(ring) + chords
     ]
     if draw(st.booleans()):
@@ -384,6 +392,65 @@ class TestFloatAccuracy:
                 for f, e in zip(got.flat, want.flat)
             )
 
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(wide_spread_float_graphs(decades=250.0))
+    def test_labels_beyond_float_range_spread(self, gf):
+        # censored rates, pivots and partial sums may leave float64 though K
+        # fits: K is then still accurate, and refused only when it overflows
+        ge = build_digraph(
+            gf.vertex_ids, [(s, d, Fraction(gf.labels[(s, d)])) for (s, d) in gf.edges]
+        )
+        want = tree_constants(ge).values
+        tiny, big = Fraction(sys.float_info.min), Fraction(sys.float_info.max)
+        if any(e > big for e in want):
+            with pytest.raises(FloatRangeError):
+                tree_constants(gf)
+        elif all(e >= tiny for e in want):
+            got = tree_constants(gf).values
+            assert all(
+                abs(Fraction(f) - e) <= Fraction(1e-13) * e for f, e in zip(got, want)
+            )
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            # w[1][2] / s_2 = 1e-323 is subnormal
+            [("0", "1", 1e67), ("1", "2", 1e-161), ("2", "0", 1e162)],
+            # s_1 s_2 = 1e-318 is subnormal, s_1 s_2 s_3 is not
+            [("0", "1", 1.0), ("0", "2", 1.0), ("0", "3", 1e300),
+             ("1", "0", 1e-159), ("2", "0", 1e-159), ("3", "0", 1e300)],
+            # w[1][2] / s_2 = 1e400 overflows
+            [("0", "1", 1.0), ("1", "2", 1e200), ("2", "0", 1e-200)],
+            # w[1][0] gets 1e-200 (1e-200 / 1e200), so s_1 underflows to 0
+            [("0", "1", 1.0), ("1", "2", 1e-200), ("2", "0", 1e200)],
+        ],
+    )
+    def test_intermediates_beyond_float_range(self, edges):
+        vs = sorted({v for e in edges for v in e[:2]})
+        got = tree_constants(build_digraph(vs, edges)).values
+        want = tree_constants(
+            build_digraph(vs, [(s, d, Fraction(k)) for s, d, k in edges])
+        ).values
+        assert all(
+            abs(Fraction(f) - e) <= Fraction(1e-15) * e for f, e in zip(got, want)
+        )
+
+    def test_pivot_below_float_range_refused(self):
+        # K of vertex 0 is about 1e-400; the pivot of vertex 1 underflows
+        g = build_digraph(
+            ["0", "1", "2"],
+            [("0", "1", 1.0), ("1", "2", 1e-200), ("2", "0", 1e-200), ("2", "1", 1e200)],
+        )
+        with pytest.raises(FloatRangeError):
+            tree_constants(g)
+
+    @pytest.mark.parametrize("label", [float("inf"), float("nan")])
+    def test_non_finite_label_refused(self, label):
+        edges = [("0", "1", label), ("1", "2", 1.0), ("2", "0", 1.0)]
+        g = build_digraph(["0", "1", "2"], edges)
+        with pytest.raises(FloatRangeError):
+            tree_constants(g)
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(wide_spread_float_graphs())
