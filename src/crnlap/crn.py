@@ -163,12 +163,9 @@ def check_state(x, n: int) -> np.ndarray:
             raise NonPositiveStateError(f"state entry {v!r} is not a number")
         if coerced[-1] <= 0:
             raise NonPositiveStateError("state entries must be strictly positive")
-        # an exact entry must stay positive and finite as a float64
-        if not isinstance(v, float) and not math.ulp(0.0) <= v <= sys.float_info.max:
-            raise FloatRangeError("state entry lies outside the float64 range")
-    if rational:
-        return np.array(coerced, dtype=object)
-    return np.array([float(v) for v in coerced], dtype=float)
+    # an exact entry must stay positive and finite as a float64
+    floats = exact.positive_floats(coerced, "state entries")
+    return np.array(coerced, dtype=object) if rational else floats
 
 
 def monomial_vector(net: ReactionNetwork, x) -> np.ndarray:
@@ -195,11 +192,15 @@ def monomial_vector(net: ReactionNetwork, x) -> np.ndarray:
 
 
 def mass_action_rhs(net: ReactionNetwork, x) -> np.ndarray:
-    """f_k(x) = Y A_k x^Y, in species coordinates."""
-    y, a, mono = exact.common(
-        net.complexes, laplacian_matrix(net.graph), monomial_vector(net, x)
-    )
-    return y @ (a @ mono)
+    """f_k(x) = Y A_k x^Y, in species coordinates; a float f_k(x) that
+    overflows is refused (FloatRangeError)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mono = monomial_vector(net, x)
+        y, a, mono = exact.common(net.complexes, laplacian_matrix(net.graph), mono)
+        f = y @ (a @ mono)
+    if not exact.is_exact(f) and not np.all(np.isfinite(f)):
+        raise FloatRangeError("float f_k(x) leaves the float64 range")
+    return f
 
 
 def binomial_rhs(net: ReactionNetwork, aux: AuxTree, x) -> tuple[np.ndarray, np.ndarray]:

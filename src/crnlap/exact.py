@@ -4,7 +4,9 @@ that decide between exact and float arithmetic.
 Matrices are numpy arrays with ``dtype=object`` holding ``fractions.Fraction``
 (or plain ``int``) entries.  Everything here is meant for the desk scale of
 this package (dimensions ~10), where exact Gaussian elimination is cheap and
-the identities being verified are exact.
+the identities being verified are exact.  `pivot` is the one Gauss-Jordan
+step: `rref` (so `nullspace` and `column_space`) and `geometry`'s simplex
+repeat it.
 
 A result is exact iff all its inputs are: `common` passes a call's operands
 on unchanged when every one is an object array, and otherwise converts all
@@ -12,7 +14,8 @@ of them to float64, so one expression serves both modes.  Comparisons take
 their tolerance from `tolerance`: 0 on exact values, so exact checks test
 equality, and otherwise the caller's `tol` or the site's named float
 constant, relative to a scale.  A `tol` that is not finite and >= 0 is
-refused (`check_tol`).
+refused (`check_tol`), and exact values that must become positive finite
+float64 values and do not are refused (`positive_floats`).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import SemanticError
+from .errors import FloatRangeError, SemanticError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -45,13 +48,6 @@ def vector(entries) -> np.ndarray:
 def zeros(nrows: int, ncols: int) -> np.ndarray:
     m = np.empty((nrows, ncols), dtype=object)
     m[:] = ZERO
-    return m
-
-
-def identity(n: int) -> np.ndarray:
-    m = zeros(n, n)
-    for i in range(n):
-        m[i, i] = ONE
     return m
 
 
@@ -79,46 +75,46 @@ def tolerance(values: np.ndarray, default: float, scale, tol: float | None = Non
     return (default if tol is None else tol) * scale()
 
 
+def positive_floats(values, what: str) -> np.ndarray:
+    """`values` as float64, refused (FloatRangeError) unless each becomes a
+    positive finite float64 value; `what` names them in the message."""
+    try:
+        out = [float(v) for v in values]
+    except OverflowError:  # an exact value beyond float64
+        out = [math.inf]
+    if not all(0 < v < math.inf for v in out):
+        raise FloatRangeError(f"{what} leave the float64 range")
+    return np.array(out, dtype=float)
+
+
+def pivot(rows: list[list], i: int, k: int) -> None:
+    """Scale row i to a unit entry in column k and clear column k elsewhere."""
+    pivot_row = rows[i]
+    p = pivot_row[k]
+    pivot_row[:] = [v / p for v in pivot_row]
+    for row in rows:
+        if row is not pivot_row and row[k] != 0:
+            f = row[k]
+            row[:] = [v - f * u for v, u in zip(row, pivot_row)]
+
+
 def rref(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form; returns (rref matrix, pivot column list)."""
-    r = m.astype(object, copy=True)
-    nrows, ncols = r.shape
+    rows = [[Fraction(v) for v in row] for row in m.tolist()]
     pivots: list[int] = []
-    row = 0
-    for col in range(ncols):
-        if row >= nrows:
-            break
-        pivot = None
-        for i in range(row, nrows):
-            if r[i, col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        if pivot != row:
-            r[[row, pivot]] = r[[pivot, row]]
-        r[row] = r[row] * (ONE / Fraction(r[row, col]))
-        for i in range(nrows):
-            if i != row and r[i, col] != 0:
-                r[i] = r[i] - r[i, col] * r[row]
-        pivots.append(col)
-        row += 1
-    return r, pivots
-
-
-def rank(m: np.ndarray) -> int:
-    if m.size == 0:
-        return 0
-    return len(rref(m)[1])
+    for col in range(m.shape[1]):
+        r = len(pivots)
+        i = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if i is not None:
+            rows[r], rows[i] = rows[i], rows[r]
+            pivot(rows, r, col)
+            pivots.append(col)
+    return np.array(rows, dtype=object).reshape(m.shape), pivots
 
 
 def nullspace(m: np.ndarray) -> np.ndarray:
     """Basis of ker(m) as columns of an ncols x dim matrix."""
-    nrows, ncols = m.shape
-    if ncols == 0:
-        return zeros(0, 0)
-    if nrows == 0:
-        return identity(ncols)
+    ncols = m.shape[1]
     r, pivots = rref(m)
     free = [c for c in range(ncols) if c not in pivots]
     basis = zeros(ncols, len(free))
@@ -131,25 +127,8 @@ def nullspace(m: np.ndarray) -> np.ndarray:
 
 def column_space(m: np.ndarray) -> np.ndarray:
     """Basis of im(m): the pivot columns of m."""
-    if m.size == 0:
-        return zeros(m.shape[0], 0)
     _, pivots = rref(m)
     return m[:, pivots].astype(object, copy=True)
-
-
-def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """One particular solution of a x = b, or None if inconsistent."""
-    nrows, ncols = a.shape
-    aug = zeros(nrows, ncols + 1)
-    aug[:, :ncols] = a
-    aug[:, ncols] = [Fraction(v) for v in b]
-    r, pivots = rref(aug)
-    if ncols in pivots:
-        return None
-    x = vector([0] * ncols)
-    for i, pc in enumerate(pivots):
-        x[pc] = r[i, ncols]
-    return x
 
 
 def det(m: np.ndarray) -> Fraction:

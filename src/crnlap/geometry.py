@@ -221,7 +221,7 @@ def _simplex(a: list[list], b: list, c: list) -> list[Fraction]:
         # an artificial basic at zero leaves by a degenerate pivot; the
         # row has a nonzero original entry because the rows are independent
         basis[i] = next(k for k in range(n_cols) if tab[i][k] != 0)
-        _pivot(tab, i, basis[i])
+        exact.pivot(tab, i, basis[i])
     for row in tab:
         del row[n_cols:n_cols + n_rows]
     _optimise(tab, basis, list(c))
@@ -250,18 +250,7 @@ def _optimise(tab: list[list], basis: list[int], cost: list) -> None:
             raise AssertionError("LP is unbounded")
         i = min(ratios)[2]
         basis[i] = k
-        _pivot(rows, i, k)
-
-
-def _pivot(rows: list[list], i: int, k: int) -> None:
-    """Scale row i to a unit entry in column k and clear column k elsewhere."""
-    pivot_row = rows[i]
-    p = pivot_row[k]
-    pivot_row[:] = [v / p for v in pivot_row]
-    for row in rows:
-        if row is not pivot_row and row[k] != 0:
-            f = row[k]
-            row[:] = [v - f * u for v, u in zip(row, pivot_row)]
+        exact.pivot(rows, i, k)
 
 
 def recession_polar_check(net: ReactionNetwork, aux: AuxTree, x) -> bool:

@@ -86,7 +86,9 @@ class TreeConstants:
     values: np.ndarray  # dense vertex order; Fractions in exact mode
 
     def as_float(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
+        """The constants as float64, refused (FloatRangeError) unless each is
+        a positive finite float64 value."""
+        return exact.positive_floats(self.values, "tree constants")
 
 
 def _kirchhoff(w: list[list]) -> list:
@@ -368,16 +370,6 @@ class CycleDecomposition:
     terms: tuple[tuple[Cycle, Fraction | float], ...]
 
 
-def cycle_laplacian(g: LabeledDigraph, cycle: Cycle) -> np.ndarray:
-    """Unit-label Laplacian of a cycle, embedded in the full vertex space."""
-    n = g.n_vertices
-    a = np.zeros((n, n), dtype=object)
-    for (s, d) in cycle.edges:
-        a[g.index[d], g.index[s]] = 1
-        a[g.index[s], g.index[s]] = -1
-    return a
-
-
 def _cycle_coefficient(g: LabeledDigraph, cycle: Cycle) -> Fraction | float:
     """prod_{e in C} k_e times the tree constant of C contracted to a vertex.
 
@@ -408,22 +400,14 @@ def cycle_decomposition(g: LabeledDigraph) -> CycleDecomposition:
 
     Each coefficient comes from the same GTH state reduction as the tree
     constants, on the component with the cycle contracted, so it is exact
-    on Fractions and accurate to a few ulps on floats.  The cycles
-    themselves are enumerated, so `enumerate_cycles`'s size limit applies.
+    on Fractions and accurate to a few ulps on floats, where coefficients
+    outside the normal float64 range are refused (FloatRangeError).  The
+    cycles are enumerated, so `enumerate_cycles`'s size limit applies.
     """
     _require_scc(g)
     terms = tuple(
         (cycle, _cycle_coefficient(g, cycle)) for cycle in enumerate_cycles(g)
     )
+    if not g.exact and not all(sys.float_info.min <= c < inf for _, c in terms):
+        raise FloatRangeError("float cycle coefficients leave the float64 range")
     return CycleDecomposition(terms=terms)
-
-
-def cycle_reconstruction(g: LabeledDigraph, dec: CycleDecomposition) -> np.ndarray:
-    """Sum of the weighted cycle Laplacians (should equal A_k diag K_k)."""
-    n = g.n_vertices
-    total = np.zeros((n, n), dtype=object)
-    for cycle, coeff in dec.terms:
-        total = total + coeff * cycle_laplacian(g, cycle)
-    if not g.exact:
-        total = np.asarray(total, dtype=float)
-    return total

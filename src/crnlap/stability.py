@@ -158,7 +158,6 @@ class Trajectory:
 
 
 # Cash-Karp 5(4) embedded pair
-_CK_C = (0.0, 1 / 5, 3 / 10, 3 / 5, 1.0, 7 / 8)
 _CK_A = (
     (),
     (1 / 5,),

@@ -8,6 +8,11 @@ search instead of a Farkas linear program, Gaussian elimination instead of
 tree cuts, a dense triple product instead of edge cut-flows, one polar check
 per tie-breaking chain order instead of one on the union of their cones,
 dense incidence matrices instead of edge-end gathers.
+
+It also holds the exact linear algebra only tests use: `solve` (one
+particular solution of a x = b) and `rank` on top of `exact.rref`, and
+`cycle_laplacian` and `cycle_reconstruction`, which sum the weighted cycle
+Laplacians of a cycle decomposition back into A_k diag K_k.
 """
 
 from __future__ import annotations
@@ -26,7 +31,50 @@ from crnlap.geometry import (
     polar_interior_contains,
     region_constraints,
 )
-from crnlap.graph import make_aux_tree
+from crnlap.graph import Cycle, LabeledDigraph, make_aux_tree
+from crnlap.laplacian import CycleDecomposition
+
+
+def rank(m: np.ndarray) -> int:
+    if m.size == 0:
+        return 0
+    return len(exact.rref(m)[1])
+
+
+def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """One particular solution of a x = b, or None if inconsistent."""
+    nrows, ncols = a.shape
+    aug = exact.zeros(nrows, ncols + 1)
+    aug[:, :ncols] = a
+    aug[:, ncols] = [Fraction(v) for v in b]
+    r, pivots = exact.rref(aug)
+    if ncols in pivots:
+        return None
+    x = exact.vector([0] * ncols)
+    for i, pc in enumerate(pivots):
+        x[pc] = r[i, ncols]
+    return x
+
+
+def cycle_laplacian(g: LabeledDigraph, cycle: Cycle) -> np.ndarray:
+    """Unit-label Laplacian of a cycle, embedded in the full vertex space."""
+    n = g.n_vertices
+    a = np.zeros((n, n), dtype=object)
+    for (s, d) in cycle.edges:
+        a[g.index[d], g.index[s]] = 1
+        a[g.index[s], g.index[s]] = -1
+    return a
+
+
+def cycle_reconstruction(g: LabeledDigraph, dec: CycleDecomposition) -> np.ndarray:
+    """Sum of the weighted cycle Laplacians (should equal A_k diag K_k)."""
+    n = g.n_vertices
+    total = np.zeros((n, n), dtype=object)
+    for cycle, coeff in dec.terms:
+        total = total + coeff * cycle_laplacian(g, cycle)
+    if not g.exact:
+        total = np.asarray(total, dtype=float)
+    return total
 
 
 def brute_sccs(vertex_ids, edges):
@@ -185,7 +233,7 @@ def aux_incidence(g, aux) -> np.ndarray:
 
 def elimination_left_inverse(g, aux):
     """Exact L with L @ I_aux = -Identity, one Gaussian elimination per
-    aux edge; rows are exact.solve's particular solutions, which are in
+    aux edge; rows are `solve`'s particular solutions, which are in
     general not the 0/1 tree cuts the library uses."""
     inc = aux_incidence(g, aux)
     m = len(aux.edges)
@@ -193,7 +241,7 @@ def elimination_left_inverse(g, aux):
     for r in range(m):
         rhs = np.zeros(m, dtype=object)
         rhs[r] = Fraction(-1)
-        row = exact.solve(inc.T.astype(object), rhs)
+        row = solve(inc.T.astype(object), rhs)
         assert row is not None, "aux incidence matrix is rank deficient"
         left[r, :] = row
     return left
@@ -277,7 +325,7 @@ def rays_by_facet_subsets(normals):
     n, m = normals.shape
     if m == 0:
         return set()
-    r = exact.rank(normals)
+    r = rank(normals)
     if r == 0:
         return set()
     basis = exact.column_space(normals)
@@ -285,7 +333,7 @@ def rays_by_facet_subsets(normals):
     rays = set()
     for subset in itertools.combinations(range(m), r - 1):
         sub = a[list(subset), :] if subset else np.zeros((0, r), dtype=object)
-        if exact.rank(sub) != r - 1:
+        if rank(sub) != r - 1:
             continue
         null = exact.nullspace(sub)
         if null.shape[1] != 1:
@@ -296,7 +344,7 @@ def rays_by_facet_subsets(normals):
             if all(v >= 0 for v in prods) and any(v > 0 for v in prods):
                 tight = [i for i in range(m) if prods[i] == 0]
                 sub_t = a[tight, :] if tight else np.zeros((0, r), dtype=object)
-                if exact.rank(sub_t) == r - 1:
+                if rank(sub_t) == r - 1:
                     z = primitive(basis @ c)
                     rays.add(tuple(z))
     return rays

@@ -36,7 +36,7 @@ from crnlap import (
 from crnlap.cli import run_command
 from crnlap.geometry import evaluation_order
 from crnlap.graph import default_chain_aux
-from crnlap.laplacian import cycle_reconstruction, laplacian_matrix
+from crnlap.laplacian import laplacian_matrix
 
 from conftest import SAMPLE_DIR, running_example_graph
 from generators import (
@@ -52,6 +52,7 @@ from generators import (
     to_float_graph,
 )
 from oracles import (
+    cycle_reconstruction,
     edge_sum_rhs,
     forest_cycle_coefficient,
     kirchhoff_minors,

@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crnlap import exact
 from crnlap.errors import SemanticError
 
-from oracles import primitive
+from oracles import primitive, rank, solve
 
 
 def random_matrix(rng, rows, cols, lo=-4, hi=4):
@@ -22,7 +24,7 @@ def random_matrix(rng, rows, cols, lo=-4, hi=4):
 
 class TestRrefRank:
     def test_identity_fixed_point(self):
-        eye = exact.identity(4)
+        eye = exact.matrix([[int(i == j) for j in range(4)] for i in range(4)])
         r, pivots = exact.rref(eye)
         assert np.array_equal(r, eye)
         assert pivots == [0, 1, 2, 3]
@@ -31,7 +33,7 @@ class TestRrefRank:
         rng = random.Random(61)
         for _ in range(40):
             m = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-            assert exact.rank(m) == np.linalg.matrix_rank(
+            assert rank(m) == np.linalg.matrix_rank(
                 np.asarray(m, dtype=float)
             )
 
@@ -39,7 +41,53 @@ class TestRrefRank:
         u = exact.vector([1, 2, 3])
         v = exact.vector([Fraction(1, 2), 5])
         m = np.outer(u, v)
-        assert exact.rank(m) == 1
+        assert rank(m) == 1
+
+
+@st.composite
+def rational_matrices(draw):
+    """Up to 5 x 5 matrices, 0 x n and n x 0 included, of int and Fraction
+    entries, with some rows and columns set to zero."""
+    nrows, ncols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    entry = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+    rows = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    zero_rows = draw(st.sets(st.integers(0, max(nrows - 1, 0)), max_size=nrows))
+    zero_cols = draw(st.sets(st.integers(0, max(ncols - 1, 0)), max_size=ncols))
+    for i, row in enumerate(rows):
+        for j in range(ncols):
+            if i in zero_rows or j in zero_cols:
+                row[j] = 0
+    return np.array(rows, dtype=object).reshape(nrows, ncols)
+
+
+class TestRrefProperties:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(rational_matrices())
+    def test_rref_nullspace_column_space(self, m):
+        r, pivots = exact.rref(m)
+        assert r.shape == m.shape and r.dtype == object
+        # reduced row echelon form: each pivot row leads with a 1 in its own
+        # pivot column, which is zero in every other row; the rest are zero
+        assert pivots == sorted(set(pivots))
+        for i, pc in enumerate(pivots):
+            assert all(v == 0 for v in r[i, :pc]) and r[i, pc] == 1
+            assert all(r[j, pc] == 0 for j in range(m.shape[0]) if j != i)
+        assert all(v == 0 for v in r[len(pivots):].flat)
+        # the pivot rows span the row space: every row of m is the
+        # combination of them read off its pivot entries, and the ranks agree
+        zero = exact.vector([0] * m.shape[1])
+        for row in m:
+            combo = sum((row[pc] * r[i] for i, pc in enumerate(pivots)), zero)
+            assert all(a == b for a, b in zip(combo, row))
+        fm = np.asarray(m, dtype=float)
+        assert len(pivots) == (np.linalg.matrix_rank(fm) if m.size else 0)
+        ns = exact.nullspace(m)
+        assert ns.shape == (m.shape[1], m.shape[1] - len(pivots))
+        assert all(v == 0 for v in (m @ ns).flat)
+        cs = exact.column_space(m)
+        assert cs.shape == (m.shape[0], len(pivots))
+        if cs.size:
+            assert np.linalg.matrix_rank(np.asarray(cs, dtype=float)) == len(pivots)
 
 
 class TestNullspaceSolve:
@@ -48,14 +96,14 @@ class TestNullspaceSolve:
         for _ in range(30):
             m = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 5))
             ns = exact.nullspace(m)
-            assert ns.shape[1] == m.shape[1] - exact.rank(m)
+            assert ns.shape[1] == m.shape[1] - rank(m)
             if ns.size:
                 assert all(v == 0 for v in (m @ ns).flat)
 
     def test_solve_consistent_and_inconsistent(self):
         a = exact.matrix([[1, 2], [2, 4]])
-        assert exact.solve(a, exact.vector([1, 2])) is not None
-        assert exact.solve(a, exact.vector([1, 3])) is None
+        assert solve(a, exact.vector([1, 2])) is not None
+        assert solve(a, exact.vector([1, 3])) is None
 
     def test_solve_residual_zero(self):
         rng = random.Random(63)
@@ -63,7 +111,7 @@ class TestNullspaceSolve:
             a = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
             x_true = exact.vector([rng.randint(-3, 3) for _ in range(a.shape[1])])
             b = a @ x_true
-            x = exact.solve(a, b)
+            x = solve(a, b)
             assert x is not None
             assert all(v == 0 for v in (a @ x - b))
 
@@ -98,10 +146,10 @@ class TestColumnSpace:
         for _ in range(20):
             m = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 5))
             basis = exact.column_space(m)
-            assert basis.shape[1] == exact.rank(m)
+            assert basis.shape[1] == rank(m)
             if basis.size and m.size:
                 stacked = np.hstack([basis, m])
-                assert exact.rank(stacked) == basis.shape[1]
+                assert rank(stacked) == basis.shape[1]
 
 
 class TestNumberRules:

@@ -22,7 +22,7 @@ from crnlap import (
     stratum_contains,
 )
 from crnlap import exact
-from crnlap.errors import PointNotInStratumError
+from crnlap.errors import FloatRangeError, PointNotInStratumError
 from crnlap.geometry import evaluation_cone, evaluation_order
 from crnlap.graph import default_chain_aux, make_aux_tree
 
@@ -37,6 +37,7 @@ from oracles import (
     aux_incidence,
     bdi_member_by_orders,
     polar_interior_by_rays,
+    rank,
     rays_by_facet_subsets,
     tie_chain_orders,
 )
@@ -110,6 +111,16 @@ class TestRegionConstraints:
         inc = np.asarray(aux_incidence(net.graph, aux), dtype=float)
         assert np.allclose(desc.offset, inc.T @ ln_k)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("k", ["1e400", "1e-400"])
+    def test_polyhedron_tree_constants_beyond_float_range_refused(self, k):
+        # A <-> 2A: the exact tree constants are (1, k), and ln K needs floats
+        g = build_digraph(["1", "2"], [("1", "2", Fraction(k)), ("2", "1", Fraction(1))])
+        net, aux = build_network(["A"], [[1, 2]], g), default_chain_aux(g)
+        assert region_constraints(net, aux, "cone").mode == "cone"  # needs no K
+        with pytest.raises(FloatRangeError):
+            region_constraints(net, aux, "polyhedron")
+
     def test_lineality_spans_sperp_exactly(self):
         rng = random.Random(43)
         for _ in range(20):
@@ -121,7 +132,7 @@ class TestRegionConstraints:
             assert sperp.shape[1] == kern.shape[1]
             if sperp.shape[1]:
                 stacked = np.hstack([sperp, kern])
-                assert exact.rank(stacked) == sperp.shape[1]
+                assert rank(stacked) == sperp.shape[1]
 
     def test_log_equivalence(self):
         rng = random.Random(44)

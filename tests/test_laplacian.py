@@ -24,7 +24,6 @@ from crnlap.laplacian import (
     FLOAT_RESIDUAL_RTOL,
     CoreDecomposition,
     TreeConstants,
-    cycle_reconstruction,
 )
 
 from conftest import running_example_graph
@@ -37,8 +36,10 @@ from generators import (
 from oracles import (
     aux_incidence,
     brute_arborescences,
+    cycle_reconstruction,
     elimination_left_inverse,
     incidence_matrices,
+    rank,
 )
 
 
@@ -324,6 +325,21 @@ class TestCycleDecomposition:
             m = a * consts[np.newaxis, :]
             assert np.array_equal(cycle_reconstruction(g, dec), m)
 
+    @pytest.mark.parametrize("label", [1e200, 1e-120])
+    def test_float_coefficient_beyond_float_range_refused(self, label):
+        # the one coefficient, label**3, is 1e600 or 1e-360; the tree
+        # constants label**2 are refused only in the first case
+        edges = [("1", "2", label), ("2", "3", label), ("3", "1", label)]
+        with pytest.raises(FloatRangeError):
+            cycle_decomposition(build_digraph(["1", "2", "3"], edges))
+
+    @pytest.mark.parametrize("label", [1e200, 1e-120])
+    def test_exact_coefficient_beyond_float_range_kept(self, label):
+        k = Fraction(label)
+        edges = [("1", "2", k), ("2", "3", k), ("3", "1", k)]
+        ((cycle, coeff),) = cycle_decomposition(build_digraph(["1", "2", "3"], edges)).terms
+        assert cycle.vertex_seq == ("1", "2", "3") and coeff == k**3
+
 
 @st.composite
 def wide_spread_float_graphs(draw, decades=8.0):
@@ -475,7 +491,7 @@ class TestImageEqualities:
             inc_e, _ = incidence_matrices(g)
             aux = random_general_aux(rng, g)
             inc_aux = aux_incidence(g, aux)
-            r = exact.rank(a)
-            assert r == exact.rank(inc_e) == exact.rank(inc_aux)
-            assert exact.rank(np.hstack([a, inc_e])) == r
-            assert exact.rank(np.hstack([inc_e, inc_aux])) == r
+            r = rank(a)
+            assert r == rank(inc_e) == rank(inc_aux)
+            assert rank(np.hstack([a, inc_e])) == r
+            assert rank(np.hstack([inc_e, inc_aux])) == r

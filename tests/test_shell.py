@@ -26,6 +26,42 @@ TWO_COMPONENT = SAMPLE_DIR / "two_component.json"
 SRC = SAMPLE_DIR.parent / "src"
 
 
+def _cli_process(tmp_path, doc: dict, cmd: str, *args: str):
+    """`crnlap cmd <doc> args` in a fresh interpreter where a numpy
+    RuntimeWarning is an error, so a refusal must come before any overflow."""
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    path = os.pathsep.join(q for q in (str(SRC), os.environ.get("PYTHONPATH")) if q)
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "crnlap.cli", cmd, str(p), *args],
+        capture_output=True, text=True, timeout=30,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+def _dimer_doc(k: str) -> dict:
+    return {
+        "species": ["A"],
+        "vertices": [{"id": "1", "complex": {"A": 1}}, {"id": "2", "complex": {"A": 2}}],
+        "edges": [{"from": "1", "to": "2", "k": k}, {"from": "2", "to": "1", "k": 1}],
+    }
+
+
+DEGREE_300_DOC = {
+    "species": ["A", "B"],
+    "vertices": [
+        {"id": "1", "complex": {"A": 300}},
+        {"id": "2", "complex": {"B": 300}},
+        {"id": "3", "complex": {"A": 150, "B": 150}},
+    ],
+    "edges": [
+        {"from": "1", "to": "2", "k": 1},
+        {"from": "2", "to": "3", "k": 1},
+        {"from": "3", "to": "1", "k": 1},
+    ],
+}
+
+
 class TestParseNetwork:
     def test_running_example_parses(self):
         doc, net = parse_network(TRIANGLE.read_text())
@@ -233,14 +269,25 @@ class TestCli:
                 {"from": "2", "to": "1", "k": 1.0},
             ],
         }
-        p = tmp_path / "overflow.json"
-        p.write_text(json.dumps(doc))
-        path = os.pathsep.join(q for q in (str(SRC), os.environ.get("PYTHONPATH")) if q)
-        proc = subprocess.run(
-            [sys.executable, "-m", "crnlap.cli", "equilibria", str(p)],
-            capture_output=True, text=True, timeout=30,
-            env={**os.environ, "PYTHONPATH": path},
-        )
+        proc = _cli_process(tmp_path, doc, "equilibria")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert json.loads(proc.stderr)["error"]["type"] == "FloatRangeError"
+
+    @pytest.mark.parametrize(
+        "doc, argv",
+        [
+            # A <-> 2A with an exact label that float64 cannot hold: the
+            # tree constant K_2 = k becomes inf or 0 as a float
+            (_dimer_doc("1e400"), ["equilibria"]),
+            (_dimer_doc("1e-400"), ["equilibria"]),
+            # degree-300 complexes: x^Y, and so f_k(x), overflows at x
+            (DEGREE_300_DOC, ["bdi-check", "--mode", "float", "--x", "20.0,10.0",
+                              "--x-star", "1,1"]),
+        ],
+        ids=["label-1e400", "label-1e-400", "degree-300"],
+    )
+    def test_beyond_float_range_one_error_exit_2(self, doc, argv, tmp_path):
+        proc = _cli_process(tmp_path, doc, *argv)
         assert proc.returncode == 2 and proc.stdout == ""
         assert json.loads(proc.stderr)["error"]["type"] == "FloatRangeError"
 
