@@ -6,7 +6,9 @@ Matrices are numpy arrays with ``dtype=object`` holding ``fractions.Fraction``
 this package (dimensions ~10), where exact Gaussian elimination is cheap and
 the identities being verified are exact.  `pivot` is the one Gauss-Jordan
 step: `rref` (so `nullspace` and `column_space`) and `geometry`'s simplex
-repeat it.
+repeat it.  Invertibility is decided on integers: `integer_rows` clears a
+matrix's denominators with one positive multiplier and `nonsingular` runs
+Bareiss fraction-free elimination on the result.
 
 A result is exact iff all its inputs are: `common` passes a call's operands
 on unchanged when every one is an object array, and otherwise converts all
@@ -131,30 +133,32 @@ def column_space(m: np.ndarray) -> np.ndarray:
     return m[:, pivots].astype(object, copy=True)
 
 
-def det(m: np.ndarray) -> Fraction:
-    """Determinant by fraction-free-ish Gaussian elimination with row swaps."""
-    n = m.shape[0]
-    if n != m.shape[1]:
-        raise ValueError("determinant requires a square matrix")
-    if n == 0:
-        return ONE
-    a = m.astype(object, copy=True)
-    sign = 1
-    result = ONE
-    for col in range(n):
-        pivot = None
-        for i in range(col, n):
-            if a[i, col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            return ZERO
-        if pivot != col:
-            a[[col, pivot]] = a[[pivot, col]]
-            sign = -sign
-        p = Fraction(a[col, col])
-        result *= p
-        for i in range(col + 1, n):
-            if a[i, col] != 0:
-                a[i, col:] = a[i, col:] - (a[i, col] / p) * a[col, col:]
-    return sign * result
+def integer_rows(m: np.ndarray) -> list[list[int]]:
+    """The rows of a rational matrix times one positive integer, the lcm of
+    its denominators, as lists of ints; signs, zero pattern and
+    singularity are those of `m`."""
+    values = m.tolist()
+    scale = math.lcm(*(v.denominator for row in values for v in row))
+    return [[v.numerator * (scale // v.denominator) for v in row] for row in values]
+
+
+def nonsingular(rows: list[list[int]]) -> bool:
+    """Whether a square integer matrix is invertible, by Bareiss (1968)
+    fraction-free elimination: each step divides by the previous pivot,
+    which is exact, so every entry stays an integer (a minor of the input).
+    `rows` is overwritten."""
+    prev = 1
+    for k in range(len(rows)):
+        i = next((i for i in range(k, len(rows)) if rows[i][k]), None)
+        if i is None:
+            return False
+        rows[k], rows[i] = rows[i], rows[k]
+        top = rows[k]
+        p = top[k]
+        for row in rows[k + 1 :]:
+            f = row[k]
+            row[k + 1 :] = [
+                (p * v - f * u) // prev for v, u in zip(row[k + 1 :], top[k + 1 :])
+            ]
+        prev = p
+    return True

@@ -18,7 +18,13 @@ choice of J nor, as J enters twice, on its sign.  The product is never
 formed: the cut-flow J A_k is sparse, since a graph edge v->d moves flux
 across exactly the tree edges on the tree path from v to d, so the core is
 assembled edge by edge, and the identity is re-checked by scattering each
-core entry onto the four entries of I_aux core I_aux.T it touches.
+core entry onto the four entries of I_aux core I_aux.T it touches.  In
+rational mode both run on Python ints: each component's labels are scaled
+once by the lcm of their denominators and its tree constants by the lcm of
+theirs, and each core entry is divided by the product of the two scales
+once, at the end.  The verification then clears the core's denominators
+with one positive multiplier and decides invertibility by Bareiss
+fraction-free elimination, again on ints.
 
 Tree constants and cycle coefficients both come from one routine,
 Grassmann-Taksar-Heyman state reduction on a component's rate matrix: the
@@ -35,7 +41,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import inf
+from math import inf, lcm
 from operator import mul
 
 import numpy as np
@@ -224,13 +230,19 @@ def core_matrix(
     +k_e when d is on side_r and -k_e when v is, so each edge touches only
     the rows on its tree path, and core[r, t] = -sum over v in side_t of
     F[r, v] K_v.  Labels are summed per vertex before the one product with
-    K_v and every sum starts from the graph's own zero, so exact cores are
-    Fractions and float star cores (single-leaf sides) are -A_k[i, j] K_j
-    to the bit.  The identity is re-verified by scattering each core entry
-    onto the four entries of I_aux core I_aux.T it touches, on top of the
-    edge fluxes k_e K_v, and its max-abs residual stored (exactly zero in
+    K_v, so float star cores (single-leaf sides) are -A_k[i, j] K_j to the
+    bit.  The identity is re-verified by scattering each core entry onto
+    the four entries of I_aux core I_aux.T it touches, on top of the edge
+    fluxes k_e K_v, and its max-abs residual stored (exactly zero in
     rational mode).  Precomputed tree constants may be passed to avoid
-    computing them again.
+    computing them again; any positive kernel vector serves.
+
+    In rational mode every sum is one of ints: component c's labels are
+    taken times D_c and its constants times L_c, the lcm of their own
+    denominators, so the component's block of S = -core and its residual
+    rows are D_c L_c times the true values.  Each nonzero core entry is
+    then built once as Fraction(-s, D_c L_c), zeros are `exact.ZERO`, and
+    the residual is each row's max divided by its scale.
     """
     _require_scc(g)
     report = validate_aux_tree(g, aux)
@@ -239,16 +251,32 @@ def core_matrix(
     a = laplacian_matrix(g)
     if consts is None:
         consts = tree_constants(g)
-    zero = exact.ZERO if g.exact else 0.0
-    k_vals = consts.values.tolist()
+    labels, k_vals = g.labels, consts.values.tolist()
+    if g.exact:
+        # component c's labels times D_c and constants times L_c, the lcm of
+        # their denominators: every sum below is then one of ints
+        comp = [g.component_index[v] for v in g.vertex_ids]
+        dens, lens = [1] * g.n_components, [1] * g.n_components
+        for (v, _), k in labels.items():
+            c = g.component_index[v]
+            dens[c] = lcm(dens[c], k.denominator)
+        for c, k in zip(comp, k_vals):
+            lens[c] = lcm(lens[c], k.denominator)
+        labels = {
+            (v, d): k.numerator * (dens[g.component_index[v]] // k.denominator)
+            for (v, d), k in labels.items()
+        }
+        k_vals = [k.numerator * (lens[c] // k.denominator) for c, k in zip(comp, k_vals)]
+        scales = [dens[c] * lens[c] for c in comp]  # per vertex
+    zero = 0 if g.exact else 0.0
     cuts = _tree_cuts(g, aux)
     m = len(aux.edges)
 
     # F = J A_k, one dict per row: the edges r separating v from d are
     # those with exactly one of them on side_r
-    flow: list[dict[str, Fraction | float]] = [{} for _ in range(m)]
+    flow: list[dict[str, int | float]] = [{} for _ in range(m)]
     for (v, d) in g.edges:
-        k = g.labels[(v, d)]
+        k = labels[(v, d)]
         into = cuts[d]
         for r in cuts[v] ^ into:
             row = flow[r]
@@ -267,10 +295,11 @@ def core_matrix(
     res = [[zero] * g.n_vertices for _ in range(g.n_vertices)]
     for (v, d) in g.edges:
         i, j = g.index[v], g.index[d]
-        f = g.labels[(v, d)] * k_vals[i]
+        f = labels[(v, d)] * k_vals[i]
         res[j][i] += f
         res[i][i] -= f
-    ends = list(zip(*(e.tolist() for e in edge_ends(g, aux.edges))))
+    tails, heads = (e.tolist() for e in edge_ends(g, aux.edges))
+    ends = list(zip(tails, heads))
     for (ar, br), srow in zip(ends, s):
         for (at, bt), c in zip(ends, srow):
             if c:
@@ -278,10 +307,20 @@ def core_matrix(
                 res[ar][bt] += c
                 res[br][at] += c
                 res[br][bt] -= c
-    residual = float(max((max(map(abs, line)) for line in res), default=0.0))
-    core = -np.array(s, dtype=object if g.exact else float).reshape(m, m)
-    if not g.exact and not (np.all(np.isfinite(core)) and np.isfinite(residual)):
-        raise FloatRangeError("float core matrix or residual leaves the float64 range")
+    if g.exact:
+        # rows of S and of the residual in component c carry the scale D_c L_c
+        core = np.array(
+            [[Fraction(-c, scales[a]) if c else exact.ZERO for c in srow]
+             for a, srow in zip(tails, s)],
+            dtype=object,
+        ).reshape(m, m)
+        rows = zip(res, scales)
+        residual = float(max((Fraction(max(map(abs, r)), sc) for r, sc in rows), default=0))
+    else:
+        core = -np.array(s, dtype=float).reshape(m, m)
+        residual = float(max((max(map(abs, line)) for line in res), default=0.0))
+        if not (np.all(np.isfinite(core)) and np.isfinite(residual)):
+            raise FloatRangeError("float core matrix or residual leaves the float64 range")
     return CoreDecomposition(
         aux=aux, core=core, laplacian=a, tree_constants=consts, residual=residual
     )
@@ -313,6 +352,10 @@ def verify_core_decomposition(
     max |A_k diag K|, and exactly with 0 in rational mode.  That maximum is
     max_v |A_k[v, v]| K_v: each diagonal entry is minus the sum of the
     positive labels in its column, so it dominates the column, in floats too.
+    In rational mode the other checks run on integers: the core times one
+    positive integer, the lcm of its denominators, which changes no sign,
+    dominance or singularity, and each block's invertibility is decided by
+    Bareiss elimination.
     """
     core = d.core
 
@@ -320,6 +363,8 @@ def verify_core_decomposition(
         return np.max(np.abs(np.diagonal(d.laplacian)) * d.tree_constants.values, initial=0)
 
     residual_ok = d.residual <= exact.tolerance(core, FLOAT_RESIDUAL_RTOL, scale, tol)
+    if d.exact:
+        core = np.array(exact.integer_rows(core), dtype=object).reshape(core.shape)
 
     invertible = True
     n_comp = max(d.aux.component_map, default=-1) + 1
@@ -329,7 +374,7 @@ def verify_core_decomposition(
             continue
         block = core[np.ix_(idx, idx)]
         if d.exact:
-            invertible = invertible and exact.det(block) != 0
+            invertible = invertible and exact.nonsingular(block.tolist())
         else:
             invertible = invertible and np.linalg.matrix_rank(block) == len(idx)
 

@@ -10,9 +10,11 @@ per tie-breaking chain order instead of one on the union of their cones,
 dense incidence matrices instead of edge-end gathers.
 
 It also holds the exact linear algebra only tests use: `solve` (one
-particular solution of a x = b) and `rank` on top of `exact.rref`, and
-`cycle_laplacian` and `cycle_reconstruction`, which sum the weighted cycle
-Laplacians of a cycle decomposition back into A_k diag K_k.
+particular solution of a x = b) and `rank` on top of `exact.rref`, `det`
+(Gaussian elimination on Fractions, where the library decides invertibility
+by Bareiss elimination on integers), and `cycle_laplacian` and
+`cycle_reconstruction`, which sum the weighted cycle Laplacians of a cycle
+decomposition back into A_k diag K_k.
 """
 
 from __future__ import annotations
@@ -132,6 +134,35 @@ def brute_arborescences(g, root):
     return found
 
 
+def det(m: np.ndarray) -> Fraction:
+    """Determinant by Gaussian elimination on Fractions with row swaps."""
+    n = m.shape[0]
+    if n != m.shape[1]:
+        raise ValueError("determinant requires a square matrix")
+    if n == 0:
+        return exact.ONE
+    a = m.astype(object, copy=True)
+    sign = 1
+    result = exact.ONE
+    for col in range(n):
+        pivot = None
+        for i in range(col, n):
+            if a[i, col] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            return exact.ZERO
+        if pivot != col:
+            a[[col, pivot]] = a[[pivot, col]]
+            sign = -sign
+        p = Fraction(a[col, col])
+        result *= p
+        for i in range(col + 1, n):
+            if a[i, col] != 0:
+                a[i, col:] = a[i, col:] - (a[i, col] / p) * a[col, col:]
+    return sign * result
+
+
 def kirchhoff_minors(g):
     """Exact tree constants as principal minors of -A_k, one cofactor
     determinant per vertex (matrix-tree theorem)."""
@@ -143,7 +174,7 @@ def kirchhoff_minors(g):
         idx = [g.index[v] for v in g.component_vertices(ci)]
         for i in idx:
             keep = [j for j in idx if j != i]
-            values[i] = exact.det(neg_a[np.ix_(keep, keep)])
+            values[i] = det(neg_a[np.ix_(keep, keep)])
     return values
 
 

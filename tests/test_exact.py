@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from crnlap import exact
 from crnlap.errors import SemanticError
 
-from oracles import primitive, rank, solve
+from oracles import det, primitive, rank, solve
 
 
 def random_matrix(rng, rows, cols, lo=-4, hi=4):
@@ -122,12 +122,33 @@ class TestDetInverse:
         for _ in range(30):
             n = rng.randint(1, 5)
             m = random_matrix(rng, n, n)
-            d = exact.det(m)
+            d = det(m)
             nd = np.linalg.det(np.asarray(m, dtype=float))
             assert abs(float(d) - nd) <= 1e-8 * max(1.0, abs(nd))
 
     def test_empty_matrix_det_is_one(self):
-        assert exact.det(exact.zeros(0, 0)) == 1
+        assert det(exact.zeros(0, 0)) == 1
+
+    def test_integer_bareiss_agrees_with_det(self):
+        # some matrices are products through a narrower middle, so
+        # singular; n = 0 and n = 1 included
+        rng = random.Random(65)
+        for trial in range(120):
+            n, k = trial % 6, rng.randint(1, 4)
+            if n == 0:
+                m = exact.zeros(0, 0)
+            elif k < n and rng.random() < 0.4:
+                m = random_matrix(rng, n, k) @ random_matrix(rng, k, n)
+            else:
+                m = random_matrix(rng, n, n)
+            rows = exact.integer_rows(m)
+            assert all(type(v) is int for row in rows for v in row)
+            assert exact.nonsingular(rows) == (det(m) != 0)
+
+    def test_integer_rows_one_positive_multiplier(self):
+        m = exact.matrix([[Fraction(1, 6), Fraction(-3, 4)], [0, Fraction(5, 9)]])
+        assert exact.integer_rows(m) == [[6, -27], [0, 20]]
+        assert exact.integer_rows(exact.zeros(0, 0)) == []
 
 
 class TestPrimitive:

@@ -40,7 +40,25 @@ from oracles import (
     elimination_left_inverse,
     incidence_matrices,
     rank,
+    tree_cut_core,
 )
+
+
+def mixed_denominator_digraph(rng, dens):
+    """One strongly connected component of 2-5 vertices per entry of `dens`,
+    a Hamiltonian cycle plus random chords, each label over a denominator
+    drawn from that entry, so every component has its own scale."""
+    vertices, edges = [], []
+    for choices in dens:
+        comp = [str(len(vertices) + i + 1) for i in range(rng.randint(2, 5))]
+        vertices += comp
+        pairs = set(zip(comp, comp[1:] + comp[:1]))
+        pairs |= {(a, b) for a in comp for b in comp if a != b and rng.random() < 0.4}
+        edges += [
+            (a, b, Fraction(rng.randint(1, 40), rng.choice(choices)))
+            for a, b in sorted(pairs)
+        ]
+    return build_digraph(vertices, edges)
 
 
 def running_example_matrices(k12, k21, k23, k31):
@@ -257,6 +275,49 @@ class TestCoreMatrix:
             core_matrix(g, aux, consts=consts)
 
 
+class TestIntegerAssembly:
+    """Exact cores are assembled on ints, one scale per component, and
+    divided once per entry; they must equal the dense rational product."""
+
+    DENS = ([(7,), (9, 4)], [(7,), (9, 4), (1, 11)], [(3, 5), (1,), (8,)])
+
+    @pytest.mark.parametrize("dens", DENS, ids=["7|9,4", "7|9,4|1,11", "3,5|1|8"])
+    def test_core_equals_dense_oracle(self, dens):
+        rng = random.Random(len(dens) * 100 + sum(map(len, dens)))
+        for _ in range(8):
+            g = mixed_denominator_digraph(rng, dens)
+            consts = tree_constants(g)
+            for aux in (
+                default_chain_aux(g),
+                random_star_aux(rng, g),
+                random_general_aux(rng, g),
+            ):
+                dec = core_matrix(g, aux, consts=consts)
+                assert dec.core.dtype == object
+                assert all(type(v) is Fraction for v in dec.core.flat)
+                assert np.array_equal(dec.core, tree_cut_core(g, aux, consts))
+                assert dec.residual == 0.0 and type(dec.residual) is float
+
+    def test_scaled_constants_scale_the_core(self):
+        # any positive kernel vector may be passed: its own denominators set
+        # the constants' scale, whatever the labels' are
+        rng = random.Random(31)
+        for _ in range(8):
+            g = mixed_denominator_digraph(rng, [(7,), (9, 4)])
+            consts = tree_constants(g)
+            scaled = TreeConstants(values=consts.values * Fraction(3, 7))
+            for aux in (
+                default_chain_aux(g),
+                random_star_aux(rng, g),
+                random_general_aux(rng, g),
+            ):
+                core = core_matrix(g, aux, consts=consts).core
+                dec = core_matrix(g, aux, consts=scaled)
+                assert np.array_equal(dec.core, Fraction(3, 7) * core)
+                assert all(type(v) is Fraction for v in dec.core.flat)
+                assert dec.residual == 0.0
+
+
 class TestVerify:
     def test_chain_decomposition_passes(self, running_graph):
         aux = make_aux_tree(running_graph, "chain", [["1", "2", "3"]])
@@ -286,6 +347,29 @@ class TestVerify:
             residual=float(max(abs(v) for v in res.flat)),
         )
         assert not verify_core_decomposition(bad).residual_ok
+
+    def test_singular_block_not_invertible(self, running_graph):
+        # row 1 is twice row 0, both with fractional entries
+        aux = make_aux_tree(running_graph, "chain", [["1", "2", "3"]])
+        dec = core_matrix(running_graph, aux)
+        core = exact.matrix([[Fraction(1, 3), Fraction(-2, 7)], [Fraction(2, 3), Fraction(-4, 7)]])
+        report = verify_core_decomposition(dataclasses.replace(dec, core=core))
+        assert not report.invertible and not report.passed
+
+    def test_huge_entries_invertible(self, running_graph):
+        aux = make_aux_tree(running_graph, "star", ["1"])
+        dec = core_matrix(running_graph, aux)
+        big = 10**30
+        core = exact.matrix(
+            [
+                [Fraction(big + 7, big - 3), Fraction(-(big + 1), 3 * big + 1)],
+                [Fraction(-(big - 11), 7 * big + 9), Fraction(5 * big + 3, big + 13)],
+            ]
+        )
+        assert verify_core_decomposition(dataclasses.replace(dec, core=core)).invertible
+        # the same block with core[1, 1] chosen to make it singular is caught
+        core[1, 1] = core[1, 0] * core[0, 1] / core[0, 0]
+        assert not verify_core_decomposition(dataclasses.replace(dec, core=core)).invertible
 
 
 class TestCycleDecomposition:
