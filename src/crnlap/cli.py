@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__, exact
-from .crn import mass_action_rhs, stoichiometric_subspace
+from .crn import ReactionNetwork, mass_action_rhs, stoichiometric_subspace
 from .equilibria import cbe_manifold_sample, is_cbe, require_cbe, solve_cbe
 from .errors import (
     CrnlapError,
@@ -75,10 +75,10 @@ def emit_error(kind: str, message: str, path: str = "") -> None:
     print(json.dumps(obj, indent=2, sort_keys=True), file=sys.stderr)
 
 
-def _load(args) -> tuple:
+def _load(args) -> ReactionNetwork:
     with open(args.network, "r", encoding="utf-8") as fh:
         text = fh.read()
-    return parse_network(text, mode=args.mode)
+    return parse_network(text, mode=args.mode)[1]
 
 
 def _parse_state(text: str) -> list:
@@ -140,7 +140,7 @@ def _decomposition_report(net, aux, tol) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    doc, net = _load(args)
+    net = _load(args)
     g = net.graph
     s_basis, sperp_basis = stoichiometric_subspace(net)
     report = {
@@ -166,7 +166,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    doc, net = _load(args)
+    net = _load(args)
     aux = (
         _parse_aux(args.aux, net.graph) if args.aux else default_chain_aux(net.graph)
     )
@@ -180,7 +180,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_equilibria(args) -> int:
-    doc, net = _load(args)
+    net = _load(args)
     result = solve_cbe(net)
     report = {
         "command": "equilibria",
@@ -216,7 +216,7 @@ def _resolve_x_star(args, net):
 
 
 def cmd_certify(args) -> int:
-    doc, net = _load(args)
+    net = _load(args)
     x = _parse_state(args.x)
     x_star = _resolve_x_star(args, net)
     cert = decrease_certificate(net, x, x_star)
@@ -239,7 +239,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_bdi_check(args) -> int:
-    doc, net = _load(args)
+    net = _load(args)
     x = _parse_state(args.x)
     # no CBE: NoConvergenceError, exit 3; a given x* that is not one: exit 2
     require_cbe(net, _resolve_x_star(args, net))
@@ -262,7 +262,7 @@ def cmd_bdi_check(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    doc, net = _load(args)
+    net = _load(args)
     x0 = _parse_state(args.x0)
     x_star = _parse_state(args.x_star) if args.x_star else None
     traj = simulate(
@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"crnlap {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, needs_out=True):
+    def common(p):
         p.add_argument("network", help="network document (JSON)")
         p.add_argument(
             "--mode",
@@ -314,8 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="numeric mode for parsing document numbers",
         )
         p.add_argument("--seed", type=int, default=0, help="seed for sampling")
-        if needs_out:
-            p.add_argument("--out", default=None, help="write the report to a file")
+        p.add_argument("--out", default=None, help="write the report to a file")
 
     p = sub.add_parser("analyze", help="components, tree constants, decomposition")
     common(p)

@@ -10,7 +10,7 @@ its tail and head indices (`edge_ends`); no incidence matrix is formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -266,16 +266,13 @@ class AuxTree:
     """Spanning tree per component encoding a partial order on vertices.
 
     `kind` is "chain" (total order), "star" (common maximum) or "general".
-    Edges need not belong to the host graph.  `component_map` gives, per
-    edge, the canonical component index.
+    Edges need not belong to the host graph.  Each edge's component is its
+    tail's in the host graph (`component_index`); the constructors list the
+    edges grouped by component, in canonical order.
     """
 
     edges: tuple[Edge, ...]
     kind: str
-    component_map: tuple[int, ...] = field(default=())
-
-    def component_edge_indices(self, ci: int) -> list[int]:
-        return [j for j, c in enumerate(self.component_map) if c == ci]
 
 
 @dataclass(frozen=True)
@@ -294,7 +291,6 @@ def make_aux_tree(g: LabeledDigraph, kind: str, spec) -> AuxTree:
     if kind not in ("chain", "star"):
         raise BadOrderError(f"unknown aux tree kind {kind!r}")
     edges: list[Edge] = []
-    comp_map: list[int] = []
     covered: set[int] = set()
     if kind == "chain":
         for order in spec:
@@ -315,7 +311,6 @@ def make_aux_tree(g: LabeledDigraph, kind: str, spec) -> AuxTree:
             covered.add(ci)
             for a, b in zip(order, order[1:]):
                 edges.append((a, b))
-                comp_map.append(ci)
     else:
         for root in spec:
             root = str(root)
@@ -329,38 +324,27 @@ def make_aux_tree(g: LabeledDigraph, kind: str, spec) -> AuxTree:
             for v in g.component_vertices(ci):
                 if v != root:
                     edges.append((v, root))
-                    comp_map.append(ci)
     if covered != set(range(g.n_components)):
         missing = sorted(set(range(g.n_components)) - covered)
         names = [sorted(g.scc_partition[ci]) for ci in missing]
         raise BadOrderError(f"spec does not cover components {names}")
-    # group edges by canonical component so core matrices come out block-diagonal
-    keyed = sorted(range(len(edges)), key=lambda j: (comp_map[j], j))
-    return AuxTree(
-        edges=tuple(edges[j] for j in keyed),
-        kind=kind,
-        component_map=tuple(comp_map[j] for j in keyed),
-    )
+    return _grouped(g, AuxTree(edges=tuple(edges), kind=kind))
 
 
 def general_aux_tree(g: LabeledDigraph, edges: Iterable[Edge]) -> AuxTree:
     """Wrap arbitrary edges as a general auxiliary tree (validated)."""
-    es = tuple((str(a), str(b)) for a, b in edges)
-    comp_map = []
-    for (a, b) in es:
-        if a not in g.index or b not in g.index:
-            raise InvalidAuxTreeError(f"edge {a}->{b} has an unknown endpoint")
-        comp_map.append(g.component_index[a])
-    keyed = sorted(range(len(es)), key=lambda j: (comp_map[j], j))
-    aux = AuxTree(
-        edges=tuple(es[j] for j in keyed),
-        kind="general",
-        component_map=tuple(comp_map[j] for j in keyed),
-    )
+    aux = AuxTree(edges=tuple((str(a), str(b)) for a, b in edges), kind="general")
     report = validate_aux_tree(g, aux)
     if not report.ok:
         raise InvalidAuxTreeError(report.violation)
-    return aux
+    return _grouped(g, aux)
+
+
+def _grouped(g: LabeledDigraph, aux: AuxTree) -> AuxTree:
+    """`aux` with its edges stably sorted by component, so that core
+    matrices come out block-diagonal."""
+    edges = sorted(aux.edges, key=lambda e: g.component_index[e[0]])
+    return AuxTree(edges=tuple(edges), kind=aux.kind)
 
 
 def validate_aux_tree(g: LabeledDigraph, aux: AuxTree) -> AuxTreeReport:
@@ -368,6 +352,8 @@ def validate_aux_tree(g: LabeledDigraph, aux: AuxTree) -> AuxTreeReport:
 
     Returns the first violated invariant as a report instead of raising.
     """
+    if aux.kind not in ("chain", "star", "general"):
+        return AuxTreeReport(False, f"unknown aux tree kind {aux.kind!r}")
     for (a, b) in aux.edges:
         if a not in g.index or b not in g.index:
             return AuxTreeReport(False, f"edge {a}->{b} has an unknown endpoint")
@@ -423,10 +409,6 @@ def validate_aux_tree(g: LabeledDigraph, aux: AuxTree) -> AuxTreeReport:
             root = next(iter(targets))
             if root in sources:
                 return AuxTreeReport(False, f"star root {root} is also a source")
-    if aux.component_map and len(aux.component_map) == len(aux.edges):
-        for (a, _), ci in zip(aux.edges, aux.component_map):
-            if g.component_index[a] != ci:
-                return AuxTreeReport(False, "component_map is inconsistent")
     return AuxTreeReport(True)
 
 

@@ -24,7 +24,8 @@ once by the lcm of their denominators and its tree constants by the lcm of
 theirs, and each core entry is divided by the product of the two scales
 once, at the end.  The verification then clears the core's denominators
 with one positive multiplier and decides invertibility by Bareiss
-fraction-free elimination, again on ints.
+fraction-free elimination, again on ints, one block per strongly
+connected component of the graph.
 
 Tree constants and cycle coefficients both come from one routine,
 Grassmann-Taksar-Heyman state reduction on a component's rate matrix: the
@@ -184,11 +185,15 @@ def tree_constants(g: LabeledDigraph) -> TreeConstants:
 
 @dataclass(frozen=True)
 class CoreDecomposition:
-    """Core matrix with its ingredients and the verification residual."""
+    """Core matrix with its ingredients and the verification residual.
+
+    The graph gives the core's blocks: aux edges r and t share a block when
+    their tails share a component, and the core is zero off the blocks.
+    """
 
     aux: AuxTree
     core: np.ndarray  # |aux.edges| x |aux.edges|
-    laplacian: np.ndarray  # V x V
+    graph: LabeledDigraph
     tree_constants: TreeConstants
     residual: float  # max |A_k diag(K) + I_aux core I_aux.T|
 
@@ -248,7 +253,6 @@ def core_matrix(
     report = validate_aux_tree(g, aux)
     if not report.ok:
         raise InvalidAuxTreeError(report.violation)
-    a = laplacian_matrix(g)
     if consts is None:
         consts = tree_constants(g)
     labels, k_vals = g.labels, consts.values.tolist()
@@ -322,7 +326,7 @@ def core_matrix(
         if not (np.all(np.isfinite(core)) and np.isfinite(residual)):
             raise FloatRangeError("float core matrix or residual leaves the float64 range")
     return CoreDecomposition(
-        aux=aux, core=core, laplacian=a, tree_constants=consts, residual=residual
+        aux=aux, core=core, graph=g, tree_constants=consts, residual=residual
     )
 
 
@@ -352,26 +356,28 @@ def verify_core_decomposition(
     max |A_k diag K|, and exactly with 0 in rational mode.  That maximum is
     max_v |A_k[v, v]| K_v: each diagonal entry is minus the sum of the
     positive labels in its column, so it dominates the column, in floats too.
-    In rational mode the other checks run on integers: the core times one
-    positive integer, the lcm of its denominators, which changes no sign,
-    dominance or singularity, and each block's invertibility is decided by
-    Bareiss elimination.
+    The core is invertible iff each of its blocks is, one per component of
+    the graph, holding the aux edges whose tails lie in it; each block is
+    tested on its own.  In rational mode the other checks run on integers:
+    the core times one positive integer, the lcm of its denominators, which
+    changes no sign, dominance or singularity, and each block's
+    invertibility is decided by Bareiss elimination.
     """
-    core = d.core
+    core, g = d.core, d.graph
 
     def scale():  # max |A_k diag K|
-        return np.max(np.abs(np.diagonal(d.laplacian)) * d.tree_constants.values, initial=0)
+        a = laplacian_matrix(g)
+        return np.max(np.abs(np.diagonal(a)) * d.tree_constants.values, initial=0)
 
     residual_ok = d.residual <= exact.tolerance(core, FLOAT_RESIDUAL_RTOL, scale, tol)
     if d.exact:
         core = np.array(exact.integer_rows(core), dtype=object).reshape(core.shape)
 
+    blocks: dict[int, list[int]] = {}
+    for r, (a, _) in enumerate(d.aux.edges):
+        blocks.setdefault(g.component_index[a], []).append(r)
     invertible = True
-    n_comp = max(d.aux.component_map, default=-1) + 1
-    for ci in range(n_comp):
-        idx = d.aux.component_edge_indices(ci)
-        if not idx:
-            continue
+    for idx in blocks.values():
         block = core[np.ix_(idx, idx)]
         if d.exact:
             invertible = invertible and exact.nonsingular(block.tolist())

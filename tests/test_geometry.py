@@ -56,7 +56,7 @@ class TestMonomialOrder:
     def test_per_component_orders(self, two_component_net):
         aux = monomial_order(two_component_net, [0.5, 0.5])
         comps = {
-            tuple(e for e, c in zip(aux.edges, aux.component_map) if c == ci)
+            tuple(e for e in aux.edges if two_component_net.graph.component_index[e[0]] == ci)
             for ci in range(2)
         }
         # never an edge between {1,2,3} and {4,5}

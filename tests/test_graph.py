@@ -237,7 +237,6 @@ class TestAuxTrees:
         bad = AuxTree(
             edges=(("1", "2"), ("2", "3"), ("3", "1")),
             kind="general",
-            component_map=(0, 0, 0),
         )
         report = validate_aux_tree(running_graph, bad)
         assert not report.ok

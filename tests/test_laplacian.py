@@ -19,7 +19,8 @@ from crnlap import (
     verify_core_decomposition,
 )
 from crnlap import exact
-from crnlap.errors import FloatRangeError, NotStronglyConnectedError
+from crnlap.errors import FloatRangeError, InvalidAuxTreeError, NotStronglyConnectedError
+from crnlap.graph import AuxTree, validate_aux_tree
 from crnlap.laplacian import (
     FLOAT_RESIDUAL_RTOL,
     CoreDecomposition,
@@ -236,7 +237,7 @@ class TestCoreMatrix:
             consts = tree_constants(g).values
             for r, (i, _) in enumerate(aux.edges):
                 for c, (j, _) in enumerate(aux.edges):
-                    if aux.component_map[r] != aux.component_map[c]:
+                    if g.component_index[i] != g.component_index[j]:
                         continue
                     expected = -(a[g.index[i], g.index[j]] * consts[g.index[j]])
                     assert dec.core[r, c] == expected
@@ -337,12 +338,12 @@ class TestVerify:
         bad_core = dec.core.copy()
         bad_core[0, 0] = bad_core[0, 0] + 1
         inc = aux_incidence(running_graph, aux)
-        m = dec.laplacian * dec.tree_constants.values[np.newaxis, :]
+        m = laplacian_matrix(running_graph) * dec.tree_constants.values[np.newaxis, :]
         res = m + inc @ bad_core @ inc.T
         bad = CoreDecomposition(
             aux=dec.aux,
             core=bad_core,
-            laplacian=dec.laplacian,
+            graph=dec.graph,
             tree_constants=dec.tree_constants,
             residual=float(max(abs(v) for v in res.flat)),
         )
@@ -370,6 +371,32 @@ class TestVerify:
         # the same block with core[1, 1] chosen to make it singular is caught
         core[1, 1] = core[1, 0] * core[0, 1] / core[0, 0]
         assert not verify_core_decomposition(dataclasses.replace(dec, core=core)).invertible
+
+    def test_hand_built_tree_blocks_come_from_graph(self, running_graph):
+        # a tree built without a constructor still has its one block checked
+        aux = AuxTree(edges=(("1", "2"), ("2", "3")), kind="chain")
+        dec = core_matrix(running_graph, aux)
+        assert verify_core_decomposition(dec).passed
+        singular = exact.matrix([[1, 1], [1, 1]])
+        report = verify_core_decomposition(dataclasses.replace(dec, core=singular))
+        assert not report.invertible and not report.passed
+
+    def test_blocks_far_apart_in_scale_invertible(self):
+        # each block is tested on its own: ranked whole, the 1e-5 block
+        # would fall below the rank cutoff set by the 1e5 one
+        edges = [("1", "2"), ("2", "3"), ("3", "1"), ("4", "5"), ("5", "6"), ("6", "4")]
+        labels = [1e5] * 3 + [1e-5] * 3
+        g = build_digraph([str(v) for v in range(1, 7)],
+                          [(a, b, k) for (a, b), k in zip(edges, labels)])
+        report = verify_core_decomposition(core_matrix(g, default_chain_aux(g)))
+        assert report.invertible and report.passed
+
+    def test_unknown_kind_refused(self, running_graph):
+        aux = AuxTree(edges=(("1", "2"), ("2", "3")), kind="chian")
+        report = validate_aux_tree(running_graph, aux)
+        assert not report.ok and "chian" in report.violation
+        with pytest.raises(InvalidAuxTreeError):
+            core_matrix(running_graph, aux)
 
 
 class TestCycleDecomposition:
@@ -558,7 +585,7 @@ class TestFloatAccuracy:
         # the float residual limit is FLOAT_RESIDUAL_RTOL max |A_k diag K|,
         # read off the diagonal: the limit itself passes, the next float fails
         dec = core_matrix(gf, default_chain_aux(gf))
-        m = dec.laplacian * dec.tree_constants.values[np.newaxis, :]
+        m = laplacian_matrix(gf) * dec.tree_constants.values[np.newaxis, :]
         limit = FLOAT_RESIDUAL_RTOL * float(np.max(np.abs(m)))
         at = dataclasses.replace(dec, residual=limit)
         over = dataclasses.replace(dec, residual=float(np.nextafter(limit, np.inf)))
