@@ -6,9 +6,11 @@ Matrices are numpy arrays with ``dtype=object`` holding ``fractions.Fraction``
 this package (dimensions ~10), where exact Gaussian elimination is cheap and
 the identities being verified are exact.  `pivot` is the one Gauss-Jordan
 step: `rref` (so `nullspace` and `column_space`) and `geometry`'s simplex
-repeat it.  Invertibility is decided on integers: `integer_rows` clears a
-matrix's denominators with one positive multiplier and `nonsingular` runs
-Bareiss fraction-free elimination on the result.
+repeat it.  Determinants are taken on integers: `integer_rows` clears a
+matrix's denominators with one positive multiplier, and `bareiss`, Bareiss
+fraction-free elimination, gives the determinant of an integer matrix.
+`laplacian` uses it to decide the invertibility of core blocks and to take
+the off-cycle minors of cycle coefficients.
 
 A result is exact iff all its inputs are: `common` passes a call's operands
 on unchanged when every one is an object array, and otherwise converts all
@@ -142,17 +144,20 @@ def integer_rows(m: np.ndarray) -> list[list[int]]:
     return [[v.numerator * (scale // v.denominator) for v in row] for row in values]
 
 
-def nonsingular(rows: list[list[int]]) -> bool:
-    """Whether a square integer matrix is invertible, by Bareiss (1968)
+def bareiss(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss (1968)
     fraction-free elimination: each step divides by the previous pivot,
-    which is exact, so every entry stays an integer (a minor of the input).
-    `rows` is overwritten."""
-    prev = 1
+    which is exact, so every entry stays an integer (a minor of the input)
+    and the last pivot is the determinant, up to the sign that each row
+    swap flips.  `rows` is overwritten."""
+    sign, prev = 1, 1
     for k in range(len(rows)):
         i = next((i for i in range(k, len(rows)) if rows[i][k]), None)
         if i is None:
-            return False
-        rows[k], rows[i] = rows[i], rows[k]
+            return 0
+        if i != k:
+            rows[k], rows[i] = rows[i], rows[k]
+            sign = -sign
         top = rows[k]
         p = top[k]
         for row in rows[k + 1 :]:
@@ -161,4 +166,4 @@ def nonsingular(rows: list[list[int]]) -> bool:
                 (p * v - f * u) // prev for v, u in zip(row[k + 1 :], top[k + 1 :])
             ]
         prev = p
-    return True
+    return sign * prev

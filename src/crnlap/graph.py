@@ -189,19 +189,10 @@ def scc_partition(g: LabeledDigraph) -> list[set[str]]:
 
 @dataclass(frozen=True)
 class Cycle:
-    """Directed simple cycle, stored rotated so the smallest vertex leads."""
+    """Directed simple cycle; its smallest vertex leads."""
 
     edges: tuple[Edge, ...]
     vertices: frozenset[str]
-
-    @staticmethod
-    def from_vertex_seq(seq: Sequence[str]) -> "Cycle":
-        pivot = min(range(len(seq)), key=lambda i: seq[i])
-        rotated = list(seq[pivot:]) + list(seq[:pivot])
-        edges = tuple(
-            (rotated[i], rotated[(i + 1) % len(rotated)]) for i in range(len(rotated))
-        )
-        return Cycle(edges=edges, vertices=frozenset(rotated))
 
     @property
     def vertex_seq(self) -> tuple[str, ...]:
@@ -212,20 +203,27 @@ def enumerate_cycles(g: LabeledDigraph) -> list[Cycle]:
     """All directed simple cycles, sorted lexicographically by vertex sequence.
 
     Each cycle is found once by only exploring vertices >= the start vertex,
-    so the start is the cycle's minimum.  The number of cycles grows
-    exponentially with density (a complete 8-vertex graph has 16 064, a
-    complete 9-vertex graph 125 664), so the walk stops with
-    DimensionTooLargeError as soon as it has found more than MAX_CYCLES.
+    so the start is the cycle's minimum.  The starts and each out-list are
+    taken in sorted order, and the start precedes every other vertex the
+    walk may enter, so each path is closed before it is extended and the
+    cycles come out already in lexicographic order.
+    The number of cycles grows exponentially with density (a complete
+    8-vertex graph has 16 064, a complete 9-vertex graph 125 664), so the
+    walk stops with DimensionTooLargeError as soon as it has found more
+    than MAX_CYCLES.
     """
     order = sorted(g.vertex_ids)
     pos = {v: i for i, v in enumerate(order)}
-    out = {v: sorted(d for (s, d) in g.edges if s == v) for v in g.vertex_ids}
+    out: dict[str, list[str]] = {v: [] for v in order}
+    for s, d in sorted(g.edges):
+        out[s].append(d)
     cycles: list[Cycle] = []
 
     def walk(start: str, v: str, path: list[str], visited: set[str]) -> None:
         for d in out[v]:
             if d == start:
-                cycles.append(Cycle.from_vertex_seq(path))
+                edges = tuple(zip(path, path[1:] + [start]))
+                cycles.append(Cycle(edges=edges, vertices=frozenset(path)))
                 if len(cycles) > MAX_CYCLES:
                     raise DimensionTooLargeError(
                         f"more than MAX_CYCLES={MAX_CYCLES} simple cycles"
@@ -239,7 +237,6 @@ def enumerate_cycles(g: LabeledDigraph) -> list[Cycle]:
 
     for start in order:
         walk(start, start, [start], {start})
-    cycles.sort(key=lambda c: c.vertex_seq)
     return cycles
 
 

@@ -27,13 +27,15 @@ with one positive multiplier and decides invertibility by Bareiss
 fraction-free elimination, again on ints, one block per strongly
 connected component of the graph.
 
-Tree constants and cycle coefficients both come from one routine,
-Grassmann-Taksar-Heyman state reduction on a component's rate matrix: the
-tree constants directly (matrix-tree theorem), and each cycle coefficient
-as a principal minor of -A_k on the vertices off the cycle (all-minors
-matrix-tree theorem).  The reduction only adds, multiplies and divides
-positive numbers, so it is exact on Fractions and, with no cancellation to
-lose digits to, accurate entry by entry on floats.
+Tree constants come from Grassmann-Taksar-Heyman state reduction on a
+component's rate matrix (matrix-tree theorem).  The reduction only adds,
+multiplies and divides positive numbers, so it is exact on Fractions and,
+with no cancellation to lose digits to, accurate entry by entry on floats.
+Each cycle coefficient is the cycle's label product times the principal
+minor of -A_k on the vertices off the cycle (all-minors matrix-tree
+theorem), taken once per vertex set: on floats as the product of the same
+reduction's pivots, and in rational mode as the Bareiss determinant of the
+component's labels scaled to ints, as for the core.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from .errors import FloatRangeError, InvalidAuxTreeError, NotStronglyConnectedEr
 from .graph import (
     AuxTree,
     Cycle,
+    Edge,
     LabeledDigraph,
     edge_ends,
     enumerate_cycles,
@@ -98,27 +101,23 @@ class TreeConstants:
         return exact.positive_floats(self.values, "tree constants")
 
 
-def _kirchhoff(w: list[list]) -> list:
-    """Tree constants of one block by Grassmann-Taksar-Heyman state reduction.
+def _reduce(w: list[list]) -> list | None:
+    """Pivots of Grassmann-Taksar-Heyman state reduction on one block.
 
     w[i][j] is the rate i->j (zero for no edge; the diagonal is never read)
     and every vertex must reach vertex 0.  Vertices are censored from last
     to first: the pivot s_k is k's remaining out-rate, and each path
-    i->k->j adds w[i][k] w[k][j] / s_k to w[i][j] (w is overwritten).  The
-    product of the pivots is the principal minor of -A_k without vertex 0,
-    i.e. K of vertex 0; back substitution K_k = sum_{i<k} K_i w[i][k] / s_k
-    gives the others.  Only sums, products and quotients of positive
+    i->k->j adds w[i][k] w[k][j] / s_k to w[i][j] (w is overwritten).
+    Returns [1, s_1, ..., s_{n-1}], whose product is the principal minor of
+    -A_k without vertex 0.  Only sums, products and quotients of positive
     numbers occur, so the result is exact on Fractions, and on floats each
-    entry's relative error grows with n but not with the spread of rates,
-    provided no step leaves the normal float64 range.  That is checked on
-    every quotient w[i][k] / s_k and its product with the least rate it
-    scales (which bounds the terms it adds), every partial product of the
-    pivots, back-substitution sum and K; where one fails, the block is
-    reduced on the exact values of its rates instead (`_exactly`).
+    pivot's relative error grows with n but not with the spread of rates,
+    provided no step leaves the normal float64 range.  On floats that is
+    checked on every quotient w[i][k] / s_k and its product with the least
+    rate it scales (which bounds the terms it adds); None where one fails.
     """
     n, tiny = len(w), sys.float_info.min
     guard = any(isinstance(x, float) for x in w[-1])  # False for one vertex
-    rates = [row[:] for row in w]
     pivots = [Fraction(1)] * n  # pivots[0] stays the unit
     for k in range(n - 1, 0, -1):
         row_k = w[k][:k]
@@ -128,9 +127,28 @@ def _kirchhoff(w: list[list]) -> list:
             if w[i][k]:
                 f = w[i][k] / s
                 if guard and not (tiny <= f < inf and tiny <= f * low):
-                    return _exactly(rates)
+                    return None
                 for j in range(k):
                     w[i][j] += f * w[k][j]
+    return pivots
+
+
+def _kirchhoff(w: list[list]) -> list:
+    """Tree constants of one block: `_reduce`, then back substitution.
+
+    The product of the pivots is K of vertex 0 (matrix-tree theorem), and
+    K_k = sum_{i<k} K_i w[i][k] / s_k gives the others.  On floats every
+    partial product of the pivots, back-substitution sum and K is checked
+    to lie in the normal float64 range; where one of these or a check of
+    `_reduce` fails, the block is reduced on the exact values of its rates
+    instead (`_exactly`).
+    """
+    n, tiny = len(w), sys.float_info.min
+    guard = any(isinstance(x, float) for x in w[-1])
+    rates = [row[:] for row in w]
+    pivots = _reduce(w)
+    if pivots is None:
+        return _exactly(rates)
     steps = list(accumulate(pivots, mul))
     consts = [steps[-1]]
     for k in range(1, n):
@@ -222,6 +240,20 @@ def _tree_cuts(g: LabeledDigraph, aux: AuxTree) -> dict[str, set[int]]:
     return cuts
 
 
+def _integer_labels(g: LabeledDigraph) -> tuple[dict[Edge, int], list[int]]:
+    """Exact labels as ints: those of component c times D_c, the lcm of
+    their denominators, with the list of the D_c."""
+    dens = [1] * g.n_components
+    for (v, _), k in g.labels.items():
+        c = g.component_index[v]
+        dens[c] = lcm(dens[c], k.denominator)
+    labels = {
+        (v, d): k.numerator * (dens[g.component_index[v]] // k.denominator)
+        for (v, d), k in g.labels.items()
+    }
+    return labels, dens
+
+
 def core_matrix(
     g: LabeledDigraph, aux: AuxTree, consts: TreeConstants | None = None
 ) -> CoreDecomposition:
@@ -260,16 +292,10 @@ def core_matrix(
         # component c's labels times D_c and constants times L_c, the lcm of
         # their denominators: every sum below is then one of ints
         comp = [g.component_index[v] for v in g.vertex_ids]
-        dens, lens = [1] * g.n_components, [1] * g.n_components
-        for (v, _), k in labels.items():
-            c = g.component_index[v]
-            dens[c] = lcm(dens[c], k.denominator)
+        labels, dens = _integer_labels(g)
+        lens = [1] * g.n_components
         for c, k in zip(comp, k_vals):
             lens[c] = lcm(lens[c], k.denominator)
-        labels = {
-            (v, d): k.numerator * (dens[g.component_index[v]] // k.denominator)
-            for (v, d), k in labels.items()
-        }
         k_vals = [k.numerator * (lens[c] // k.denominator) for c, k in zip(comp, k_vals)]
         scales = [dens[c] * lens[c] for c in comp]  # per vertex
     zero = 0 if g.exact else 0.0
@@ -361,7 +387,7 @@ def verify_core_decomposition(
     tested on its own.  In rational mode the other checks run on integers:
     the core times one positive integer, the lcm of its denominators, which
     changes no sign, dominance or singularity, and each block's
-    invertibility is decided by Bareiss elimination.
+    invertibility is decided by the sign of its Bareiss determinant.
     """
     core, g = d.core, d.graph
 
@@ -380,7 +406,7 @@ def verify_core_decomposition(
     for idx in blocks.values():
         block = core[np.ix_(idx, idx)]
         if d.exact:
-            invertible = invertible and exact.nonsingular(block.tolist())
+            invertible = invertible and exact.bareiss(block.tolist()) != 0
         else:
             invertible = invertible and np.linalg.matrix_rank(block) == len(idx)
 
@@ -421,44 +447,71 @@ class CycleDecomposition:
     terms: tuple[tuple[Cycle, Fraction | float], ...]
 
 
-def _cycle_coefficient(g: LabeledDigraph, cycle: Cycle) -> Fraction | float:
-    """prod_{e in C} k_e times the tree constant of C contracted to a vertex.
+def _off_cycle_minor(
+    out: dict[str, dict[str, int | float]], free: list[str], exact_mode: bool
+) -> int | float:
+    """Principal minor of -A_k on `free`, the vertices of a component off a
+    cycle C; out[v][d] is the label of v->d.
 
-    By the all-minors matrix-tree theorem (Chaiken 1982) the coefficient is
-    prod_{e in C} k_e times the principal minor of -A_k on the component's
-    vertices off C, which sums the label products of the forests in which
-    every such vertex has one out-edge and a path into C.  That minor is K
-    of index 0 in the block where index 0 stands for all of C, free vertex
-    i sits at index i and keeps its out-edges (those into C summed into
-    w[i][0]), and index 0 has none.
+    It is K of index 0 in the block where index 0 stands for all of C and
+    free vertex i sits at index i with its out-edges (those into C summed
+    into w[i][0]): on floats the product of the block's GTH pivots, taken
+    from the exact rates (`_exactly`) where a pivot or partial product
+    leaves the normal float64 range; on ints the Bareiss determinant, with
+    no row swap as the rows are diagonally dominant.
     """
-    ci = g.component_index[next(iter(cycle.vertices))]
-    free = [v for v in g.component_vertices(ci) if v not in cycle.vertices]
     pos = {v: i for i, v in enumerate(free, start=1)}
     w = [[0] * (len(free) + 1) for _ in range(len(free) + 1)]
-    for (s, d) in g.edges:
-        if s in pos:
-            w[pos[s]][pos.get(d, 0)] += g.labels[(s, d)]
-    coeff = _kirchhoff(w)[0]
-    for e in cycle.edges:
-        coeff *= g.labels[e]
-    return coeff
+    for v, i in pos.items():
+        for d, k in out[v].items():
+            w[i][pos.get(d, 0)] += k
+    if exact_mode:
+        idx = range(1, len(w))
+        rows = [[sum(w[i]) if i == j else -w[i][j] for j in idx] for i in idx]
+        return exact.bareiss(rows)
+    rates = [row[:] for row in w]
+    pivots = _reduce(w)
+    if pivots is not None:
+        steps = list(accumulate(pivots, mul))
+        if sys.float_info.min <= min(steps) and steps[-1] < inf:
+            return steps[-1]
+    return _exactly(rates)[0]
 
 
 def cycle_decomposition(g: LabeledDigraph) -> CycleDecomposition:
     """One positive coefficient per simple cycle; the weighted unit-label
     cycle Laplacians sum exactly to A_k diag(K_k).
 
-    Each coefficient comes from the same GTH state reduction as the tree
-    constants, on the component with the cycle contracted, so it is exact
-    on Fractions and accurate to a few ulps on floats, where coefficients
-    outside the normal float64 range are refused (FloatRangeError).  The
-    cycles are enumerated, so `enumerate_cycles`'s size limit applies.
+    By the all-minors matrix-tree theorem (Chaiken 1982) the coefficient of
+    C is prod_{e in C} k_e times the principal minor of -A_k on the vertices
+    of its component off C, which sums the label products of the forests in
+    which each of them has one out-edge and a path into C; the minor is
+    taken once per vertex set.  In rational mode component c's labels are
+    scaled to ints by D_c, the lcm of their denominators, so the label
+    product and the minor carry D_c^n_c together and each coefficient is
+    one Fraction.  Float coefficients are accurate to a few ulps and refused
+    (FloatRangeError) outside the normal float64 range.  The cycles are
+    enumerated, so `enumerate_cycles`'s size limit applies.
     """
     _require_scc(g)
-    terms = tuple(
-        (cycle, _cycle_coefficient(g, cycle)) for cycle in enumerate_cycles(g)
-    )
+    labels, dens = _integer_labels(g) if g.exact else (g.labels, None)
+    out: dict[str, dict[str, int | float]] = {v: {} for v in g.vertex_ids}
+    for (v, d), k in labels.items():
+        out[v][d] = k
+    minors: dict[frozenset[str], int | float] = {}
+    terms = []
+    for cycle in enumerate_cycles(g):
+        ci = g.component_index[cycle.edges[0][0]]
+        minor = minors.get(cycle.vertices)
+        if minor is None:
+            free = [v for v in g.component_vertices(ci) if v not in cycle.vertices]
+            minor = minors[cycle.vertices] = _off_cycle_minor(out, free, g.exact)
+        coeff = minor
+        for e in cycle.edges:
+            coeff *= labels[e]
+        if g.exact:
+            coeff = Fraction(coeff, dens[ci] ** len(g.scc_partition[ci]))
+        terms.append((cycle, coeff))
     if not g.exact and not all(sys.float_info.min <= c < inf for _, c in terms):
         raise FloatRangeError("float cycle coefficients leave the float64 range")
-    return CycleDecomposition(terms=terms)
+    return CycleDecomposition(terms=tuple(terms))

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -143,7 +144,18 @@ class TestDetInverse:
                 m = random_matrix(rng, n, n)
             rows = exact.integer_rows(m)
             assert all(type(v) is int for row in rows for v in row)
-            assert exact.nonsingular(rows) == (det(m) != 0)
+            want = det(exact.matrix(rows).reshape(n, n))
+            got = exact.bareiss(rows)
+            assert type(got) is int and got == want
+        # scaled permutation matrices: every zero pivot forces a row swap,
+        # and the determinant is the product of the scales times the parity
+        scales = [2, -3, 5, 7]
+        for perm in itertools.permutations(range(4)):
+            rows = [[scales[i] * (j == perm[i]) for j in range(4)] for i in range(4)]
+            odd = sum(perm[i] > perm[j] for i in range(4) for j in range(i + 1, 4)) % 2
+            want = -210 if odd == 0 else 210
+            assert det(exact.matrix(rows)) == want
+            assert exact.bareiss(rows) == want
 
     def test_integer_rows_one_positive_multiplier(self):
         m = exact.matrix([[Fraction(1, 6), Fraction(-3, 4)], [0, Fraction(5, 9)]])

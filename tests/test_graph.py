@@ -118,6 +118,21 @@ class TestCycles:
             got = {frozenset(c.edges) for c in enumerate_cycles(g)}
             assert got == brute_cycles(g)
 
+    def test_enumerated_in_vertex_seq_order(self):
+        # the walk itself closes cycles in order: no sort follows it
+        rng = random.Random(12)
+        pool = ["10", "2", "a", "B", "x1", "07", "Z", "m", "1", "ab"]
+        for _ in range(40):
+            ids = rng.sample(pool, rng.randint(2, 7))
+            pairs = {(a, b) for a in ids for b in ids if a != b and rng.random() < 0.6}
+            g = build_digraph(ids, [(a, b, 1) for a, b in sorted(pairs)])
+            cycles = enumerate_cycles(g)
+            assert cycles == sorted(cycles, key=lambda c: c.vertex_seq)
+            for c in cycles:
+                assert c.vertex_seq[0] == min(c.vertices)
+                assert c.vertices == frozenset(c.vertex_seq)
+                assert c.edges == tuple(zip(c.vertex_seq, c.vertex_seq[1:] + c.vertex_seq[:1]))
+
     def test_complete_nine_exceeds_max_cycles(self):
         ids = [str(i) for i in range(9)]
         g = build_digraph(ids, [(a, b, 1) for a in ids for b in ids if a != b])

@@ -18,7 +18,7 @@ from crnlap import (
     tree_constants,
     verify_core_decomposition,
 )
-from crnlap import exact
+from crnlap import exact, laplacian
 from crnlap.errors import FloatRangeError, InvalidAuxTreeError, NotStronglyConnectedError
 from crnlap.graph import AuxTree, validate_aux_tree
 from crnlap.laplacian import (
@@ -39,6 +39,7 @@ from oracles import (
     brute_arborescences,
     cycle_reconstruction,
     elimination_left_inverse,
+    forest_cycle_coefficient,
     incidence_matrices,
     rank,
     tree_cut_core,
@@ -435,6 +436,44 @@ class TestCycleDecomposition:
             consts = tree_constants(g).values
             m = a * consts[np.newaxis, :]
             assert np.array_equal(cycle_reconstruction(g, dec), m)
+
+    def test_components_scaled_on_their_own(self):
+        # exact labels of component c are taken times D_c, the lcm of their
+        # denominators: 3 on the four-vertex component, 7 on the three-vertex
+        # one, so a D_c^n_c from the wrong component changes every value
+        rng = random.Random(17)
+        for _ in range(5):
+            big, small = ["1", "2", "3", "4"], ["5", "6", "7"]
+            edges = []
+            for comp, den in ((big, 3), (small, 7)):
+                pairs = set(zip(comp, comp[1:] + comp[:1]))
+                pairs |= {(a, b) for a in comp for b in comp if a != b and rng.random() < 0.5}
+                edges += [(a, b, Fraction(rng.randint(1, 20), den)) for a, b in sorted(pairs)]
+            rng.shuffle(edges)
+            g = build_digraph(big + small, edges)
+            assert g.n_components == 2
+            dec = cycle_decomposition(g)
+            assert all(
+                type(lam) is Fraction and lam == forest_cycle_coefficient(g, c)
+                for c, lam in dec.terms
+            )
+            m = laplacian_matrix(g) * tree_constants(g).values[np.newaxis, :]
+            assert np.array_equal(cycle_reconstruction(g, dec), m)
+
+    def test_float_minors_need_no_exact_reduction(self, monkeypatch):
+        # the minor off a cycle is the product of the GTH pivots; on labels
+        # in [1, 30] no float check fails, so the exact fallback never runs
+        rng = random.Random(18)
+        ids = [str(i) for i in range(5)]
+        edges = [(a, b, rng.uniform(1, 30)) for a in ids for b in ids if a != b]
+        g = build_digraph(ids, edges)
+
+        def refuse(w):
+            raise AssertionError("float block reduced on exact values")
+
+        monkeypatch.setattr(laplacian, "_exactly", refuse)
+        dec = cycle_decomposition(g)
+        assert len(dec.terms) == 84 and all(lam > 0 for _, lam in dec.terms)
 
     @pytest.mark.parametrize("label", [1e200, 1e-120])
     def test_float_coefficient_beyond_float_range_refused(self, label):
