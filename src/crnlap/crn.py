@@ -2,9 +2,9 @@
 
 A network couples a labeled digraph (vertices = complexes, edges = reactions)
 with a complex matrix Y (one exponent column per vertex).  The right-hand
-side of the mass-action ODE is Y A_k x^Y; for weakly reversible networks it
-is also a sum of binomials through the core-matrix decomposition.  Y I_E
-and I_aux.T (x^Y / K) are gathers on `graph.edge_ends`.
+side of the mass-action ODE is Y A_k x^Y = N `edge_flows`, N = Y I_E; for
+weakly reversible networks it is also a sum of binomials through the core
+matrix decomposition.  Y I_E and I_aux.T (x^Y / K) are gathers on `edge_ends`.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .graph import AuxTree, LabeledDigraph, edge_ends
-from .laplacian import TreeConstants, core_matrix, laplacian_matrix, tree_constants
+from .laplacian import TreeConstants, core_matrix, tree_constants
 
 SVD_RANK_RTOL = 1e-12  # singular values below this share of the largest count as 0
 
@@ -43,9 +43,10 @@ def _coerce_complex_entry(v) -> Fraction | float:
 class ReactionNetwork:
     """Chemical reaction network (graph, Y) with cached derived structure.
 
-    `complexes` is the n x V matrix Y in dense vertex order.  Stoichiometric
-    subspace bases are computed at construction (exactly when Y is rational);
-    tree constants are computed lazily on the first weakly-reversible query.
+    `complexes` is the n x V matrix Y in dense vertex order; `tails`, `heads`,
+    `rates` (labels) and `reactions` (N = Y I_E) follow `graph.edges`.  Bases
+    of S are computed at construction (exactly when Y is rational); tree
+    constants are computed lazily on the first weakly-reversible query.
     """
 
     def __init__(self, species: Sequence[str], complexes, graph: LabeledDigraph):
@@ -70,7 +71,14 @@ class ReactionNetwork:
         self.integer_y = exact.is_exact(y) and all(
             Fraction(v).denominator == 1 for v in y.flat
         )
-        self.s_basis, self.sperp_basis = self._subspace_bases()
+        self.tails, self.heads = edge_ends(graph, graph.edges)
+        labels = [graph.labels[e] for e in graph.edges]
+        self.rates = np.array(labels, dtype=object if graph.exact else float)
+        m = self.reactions = y[:, self.heads] - y[:, self.tails]
+        if exact.is_exact(m):
+            self.s_basis, self.sperp_basis = exact.column_space(m), exact.nullspace(m.T)
+        else:
+            self.s_basis, self.sperp_basis = _float_column_space(m), _float_nullspace(m.T)
         self._consts: TreeConstants | None = None
         self._consts_lock = threading.Lock()
 
@@ -88,13 +96,6 @@ class ReactionNetwork:
     @property
     def n_species(self) -> int:
         return len(self.species)
-
-    def _subspace_bases(self) -> tuple[np.ndarray, np.ndarray]:
-        tails, heads = edge_ends(self.graph, self.graph.edges)
-        m = self.complexes[:, heads] - self.complexes[:, tails]
-        if exact.is_exact(m):
-            return exact.column_space(m), exact.nullspace(m.T)
-        return _float_column_space(m), _float_nullspace(m.T)
 
     def is_weakly_reversible(self) -> bool:
         return self.graph.has_strongly_connected_components()
@@ -191,14 +192,21 @@ def monomial_vector(net: ReactionNetwork, x) -> np.ndarray:
     return np.exp(yf.T @ np.log(xf))
 
 
+def edge_flows(net: ReactionNetwork, x) -> np.ndarray:
+    """k o x^{y(tail)}: each reaction's rate at x; exact for rational k and x and integer Y."""
+    rates, mono = exact.common(net.rates, monomial_vector(net, x))
+    return rates * mono[net.tails]
+
+
 def mass_action_rhs(net: ReactionNetwork, x) -> np.ndarray:
-    """f_k(x) = Y A_k x^Y, in species coordinates; a float f_k(x) that
-    overflows is refused (FloatRangeError)."""
+    """f_k(x) = Y A_k x^Y = N `edge_flows`, in species coordinates; a float
+    f_k(x) that overflows is refused (FloatRangeError)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        mono = monomial_vector(net, x)
-        y, a, mono = exact.common(net.complexes, laplacian_matrix(net.graph), mono)
-        f = y @ (a @ mono)
-    if not exact.is_exact(f) and not np.all(np.isfinite(f)):
+        n, flows = exact.common(net.reactions, edge_flows(net, x))
+        f = n @ flows
+    if exact.is_exact(f):  # an object matmul over no edges gives int 0s
+        f = f + exact.ZERO
+    elif not np.all(np.isfinite(f)):
         raise FloatRangeError("float f_k(x) leaves the float64 range")
     return f
 

@@ -391,9 +391,11 @@ def verify_core_decomposition(
     """
     core, g = d.core, d.graph
 
-    def scale():  # max |A_k diag K|
-        a = laplacian_matrix(g)
-        return np.max(np.abs(np.diagonal(a)) * d.tree_constants.values, initial=0)
+    def scale():  # max |A_k diag K|: K_v times the sum of v's out-labels
+        out = [0] * g.n_vertices
+        for e in g.edges:
+            out[g.index[e[0]]] += g.labels[e]
+        return np.max(np.array(out) * d.tree_constants.values, initial=0)
 
     residual_ok = d.residual <= exact.tolerance(core, FLOAT_RESIDUAL_RTOL, scale, tol)
     if d.exact:

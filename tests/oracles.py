@@ -7,7 +7,9 @@ state reduction, edge sums instead of matrix products, facet-subset ray
 search instead of a Farkas linear program, Gaussian elimination instead of
 tree cuts, a dense triple product instead of edge cut-flows, one polar check
 per tie-breaking chain order instead of one on the union of their cones,
-dense incidence matrices instead of edge-end gathers.
+dense incidence matrices instead of edge-end gathers, and the dense
+Laplacian applied to x^Y instead of edge flows (`dense_rhs`,
+`dense_balance`).
 
 It also holds the exact linear algebra only tests use: `solve` (one
 particular solution of a x = b) and `rank` on top of `exact.rref`, `det`
@@ -26,6 +28,7 @@ from math import gcd, lcm
 import numpy as np
 
 from crnlap import exact
+from crnlap.crn import monomial_vector
 from crnlap.geometry import (
     POLAR_LINEALITY_RTOL,
     POLAR_STRICT_RTOL,
@@ -34,7 +37,7 @@ from crnlap.geometry import (
     region_constraints,
 )
 from crnlap.graph import Cycle, LabeledDigraph, make_aux_tree
-from crnlap.laplacian import CycleDecomposition
+from crnlap.laplacian import CycleDecomposition, laplacian_matrix
 
 
 def rank(m: np.ndarray) -> int:
@@ -330,6 +333,21 @@ def edge_sum_rhs(net, x, exact_mode: bool):
         mono = float(np.prod(xf ** yf[:, js]))
         total += float(g.labels[(s, d)]) * mono * (yf[:, jd] - yf[:, js])
     return total
+
+
+def dense_rhs(net, x) -> np.ndarray:
+    """f_k(x) = Y (A_k x^Y) with the dense n x n Laplacian."""
+    y, a, mono = exact.common(net.complexes, laplacian_matrix(net.graph), monomial_vector(net, x))
+    return y @ (a @ mono)
+
+
+def dense_balance(net, x):
+    """(max |A_k x^Y|, max off-diagonal A_k[d, s] x^{y(s)}): the complex-balance
+    residual and the largest edge flow, read off the dense Laplacian."""
+    a, mono = exact.common(laplacian_matrix(net.graph), monomial_vector(net, x))
+    n = len(mono)
+    flows = [a[d, s] * mono[s] for d in range(n) for s in range(n) if d != s and a[d, s]]
+    return max(np.abs(a @ mono), default=0), max(flows, default=0)
 
 
 def primitive(vec: np.ndarray) -> np.ndarray:

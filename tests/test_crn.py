@@ -10,6 +10,7 @@ from crnlap import (
     binomial_rhs,
     build_digraph,
     build_network,
+    is_cbe,
     mass_action_rhs,
     monomial_vector,
     stoichiometric_subspace,
@@ -31,7 +32,7 @@ from generators import (
     random_wr_network,
     to_float_graph,
 )
-from oracles import edge_sum_rhs, solve
+from oracles import dense_balance, dense_rhs, edge_sum_rhs, solve
 
 
 class TestBuildNetwork:
@@ -130,6 +131,28 @@ class TestMassActionRhs:
                 assert solve(s, f) is not None
             else:
                 assert all(v == 0 for v in f)
+
+    def test_edge_flows_agree_with_dense_laplacian(self):
+        # f_k(x) and the complex balance of A_k x^Y from edge flows against
+        # the dense Laplacian: equal on rationals, to rounding on floats
+        rng = random.Random(15)
+        nets = [random_wr_network(rng) for _ in range(300)]
+        nets.append(build_network(["A"], [[1, 2]], build_digraph(["1", "2"], [])))
+        zero_complex = build_digraph(["A", "0"], [("A", "0", Fraction(3, 2)), ("0", "A", 5)])
+        nets.append(build_network(["A"], [[1, 0]], zero_complex))
+        for net in nets:
+            q = random_positive_fractions(rng, net.n_species)
+            f = mass_action_rhs(net, q)
+            assert f.dtype == object and all(isinstance(v, Fraction) for v in f)
+            assert np.array_equal(f, dense_rhs(net, q))
+            residual, scale = dense_balance(net, q)
+            assert is_cbe(net, q)[1:] == (float(residual), float(scale))
+            x = random_positive_floats(rng, net.n_species)
+            residual, scale = dense_balance(net, x)
+            check = is_cbe(net, x)
+            assert check.scale == scale
+            assert abs(check.residual - residual) <= 1e-14 * scale
+            assert np.max(np.abs(mass_action_rhs(net, x) - dense_rhs(net, x))) <= 1e-14 * scale
 
 
 class TestBinomialRhs:

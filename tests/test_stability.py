@@ -8,6 +8,8 @@ import pytest
 from crnlap import (
     bdi_membership,
     birch_intersect,
+    build_digraph,
+    build_network,
     decrease_certificate,
     is_cbe,
     lyapunov_derivative,
@@ -214,7 +216,18 @@ class TestSimulate:
             assert np.max(np.abs(np.asarray(state) - target)) <= tol
             done += 1
 
-    def test_positivity_guard_counts_rejections(self, cycle3_net):
+    def test_near_boundary_start_stays_positive_and_converges(self, cycle3_net):
         traj = simulate(cycle3_net, [1e-3, 10.0], 30.0)
         assert all(np.all(s > 0) for s in traj.states)
         assert np.max(np.abs(traj.states[-1] - 1.0)) <= 1e-5
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_positivity_guard_counts_rejections(self):
+        # A -> 0 at rate 10^4: the first steps from x = 1 (h = 1e-3, 5e-4,
+        # 2.5e-4) overshoot below 0 and are rejected before any log of a
+        # negative state is taken
+        g = build_digraph(["A", "0"], [("A", "0", 10**4), ("0", "A", 1)])
+        traj = simulate(build_network(["A"], [[1, 0]], g), [1.0], 1.0)
+        assert all(np.all(s > 0) for s in traj.states)
+        assert traj.rejected >= 3
+        assert abs(traj.states[-1][0] - 1e-4) <= 1e-6
