@@ -13,7 +13,6 @@ from .graph import (
     enumerate_cycles,
     general_aux_tree,
     make_aux_tree,
-    scc_partition,
     validate_aux_tree,
 )
 from .laplacian import (
@@ -32,7 +31,6 @@ from .crn import (
     build_network,
     mass_action_rhs,
     monomial_vector,
-    stoichiometric_subspace,
 )
 from .equilibria import (
     CbeResult,

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__, exact
-from .crn import ReactionNetwork, mass_action_rhs, stoichiometric_subspace
+from .crn import ReactionNetwork, mass_action_rhs
 from .equilibria import cbe_manifold_sample, is_cbe, require_cbe, solve_cbe
 from .errors import (
     CrnlapError,
@@ -128,7 +128,7 @@ def _decomposition_report(net, aux, tol) -> dict:
     return {
         "aux": _aux_report(aux),
         "core": dec.core,
-        "residual": dec.residual,
+        "residual": checks.residual,
         "checks": {
             "residual_ok": checks.residual_ok,
             "invertible": checks.invertible,
@@ -142,7 +142,6 @@ def _decomposition_report(net, aux, tol) -> dict:
 def cmd_analyze(args) -> int:
     net = _load(args)
     g = net.graph
-    s_basis, sperp_basis = stoichiometric_subspace(net)
     report = {
         "command": "analyze",
         "mode": _mode_name(net),
@@ -150,8 +149,8 @@ def cmd_analyze(args) -> int:
         "components": [sorted(c) for c in g.scc_partition],
         "weakly_reversible": net.is_weakly_reversible(),
         "laplacian": laplacian_matrix(g),
-        "stoichiometric_dim": int(s_basis.shape[1]),
-        "conservation_dim": int(sperp_basis.shape[1]),
+        "stoichiometric_dim": int(net.s_basis.shape[1]),
+        "conservation_dim": int(net.sperp_basis.shape[1]),
     }
     if net.is_weakly_reversible():
         consts = net.tree_constants().values
@@ -198,10 +197,8 @@ def cmd_equilibria(args) -> int:
                 net, list(result.witness), args.samples, args.seed
             )
             report["manifold_samples"] = samples
-        emit(report, args.out)
-        return EXIT_OK
     emit(report, args.out)
-    return EXIT_INFEASIBLE
+    return EXIT_OK if result.status == "found" else EXIT_INFEASIBLE
 
 
 def _resolve_x_star(args, net):
@@ -290,10 +287,9 @@ def cmd_simulate(args) -> int:
             json.dump(jsonable(trajectory), fh, indent=2, sort_keys=True)
             fh.write("\n")
         report["trajectory_file"] = args.out
-        emit(report, None)
     else:
         report["trajectory"] = trajectory
-        emit(report, None)
+    emit(report, None)
     return EXIT_OK
 
 

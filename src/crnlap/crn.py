@@ -230,11 +230,6 @@ def binomial_rhs(net: ReactionNetwork, aux: AuxTree, x) -> tuple[np.ndarray, np.
     return value, binomials
 
 
-def stoichiometric_subspace(net: ReactionNetwork) -> tuple[np.ndarray, np.ndarray]:
-    """Bases of S = im(Y I_E) and of its orthogonal complement."""
-    return net.s_basis, net.sperp_basis
-
-
 def scaled_monomials(net: ReactionNetwork, x) -> np.ndarray:
     """Per-vertex values x^{y(i)} / K_i used by evaluation orders."""
     consts = net.tree_constants()

@@ -99,11 +99,8 @@ def cbe_manifold_sample(net: ReactionNetwork, x_star, count: int, seed: int):
     w_basis = np.asarray(net.sperp_basis, dtype=float)
     rng = np.random.default_rng(seed)
     samples = []
-    for _ in range(count):
-        if w_basis.shape[1] == 0:
-            w = np.zeros(net.n_species)
-        else:
-            w = w_basis @ rng.standard_normal(w_basis.shape[1])
+    for _ in range(count):  # with no conservation laws w is 0
+        w = w_basis @ rng.standard_normal(w_basis.shape[1])
         samples.append(xs * np.exp(w))
     return samples
 

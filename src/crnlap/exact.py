@@ -9,8 +9,8 @@ step: `rref` (so `nullspace` and `column_space`) and `geometry`'s simplex
 repeat it.  Determinants are taken on integers: `integer_rows` clears a
 matrix's denominators with one positive multiplier, and `bareiss`, Bareiss
 fraction-free elimination, gives the determinant of an integer matrix.
-`laplacian` uses it to decide the invertibility of core blocks and to take
-the off-cycle minors of cycle coefficients.
+`laplacian` uses it to decide the invertibility of core blocks built
+elsewhere and to take the off-cycle minors of cycle coefficients.
 
 A result is exact iff all its inputs are: `common` passes a call's operands
 on unchanged when every one is an object array, and otherwise converts all
@@ -135,13 +135,13 @@ def column_space(m: np.ndarray) -> np.ndarray:
     return m[:, pivots].astype(object, copy=True)
 
 
-def integer_rows(m: np.ndarray) -> list[list[int]]:
+def integer_rows(m: np.ndarray) -> tuple[list[list[int]], int]:
     """The rows of a rational matrix times one positive integer, the lcm of
-    its denominators, as lists of ints; signs, zero pattern and
-    singularity are those of `m`."""
+    its denominators, as lists of ints, and that integer; signs, zero
+    pattern and singularity are those of `m`."""
     values = m.tolist()
     scale = math.lcm(*(v.denominator for row in values for v in row))
-    return [[v.numerator * (scale // v.denominator) for v in row] for row in values]
+    return [[v.numerator * (scale // v.denominator) for v in row] for row in values], scale
 
 
 def bareiss(rows: list[list[int]]) -> int:

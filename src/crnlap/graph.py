@@ -179,11 +179,6 @@ def build_digraph(vertices: Sequence, edges: Iterable[tuple]) -> LabeledDigraph:
     return LabeledDigraph(vertices, edges)
 
 
-def scc_partition(g: LabeledDigraph) -> list[set[str]]:
-    """Strongly connected components, ascending by minimal vertex id."""
-    return [set(c) for c in g.scc_partition]
-
-
 # -- cycles ----------------------------------------------------------------
 
 

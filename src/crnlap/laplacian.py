@@ -17,15 +17,16 @@ sum to zero, and K_k spans its kernel), so the core does not depend on the
 choice of J nor, as J enters twice, on its sign.  The product is never
 formed: the cut-flow J A_k is sparse, since a graph edge v->d moves flux
 across exactly the tree edges on the tree path from v to d, so the core is
-assembled edge by edge, and the identity is re-checked by scattering each
-core entry onto the four entries of I_aux core I_aux.T it touches.  In
-rational mode both run on Python ints: each component's labels are scaled
-once by the lcm of their denominators and its tree constants by the lcm of
-theirs, and each core entry is divided by the product of the two scales
-once, at the end.  The verification then clears the core's denominators
-with one positive multiplier and decides invertibility by Bareiss
-fraction-free elimination, again on ints, one block per strongly
-connected component of the graph.
+assembled edge by edge.  In rational mode this runs on Python ints: each
+component's labels are scaled once by the lcm of their denominators and
+its tree constants by the lcm of theirs, and each core entry is divided by
+the product of the two scales once, at the end.
+
+`verify_core_decomposition` re-checks the identity for the core it is
+given, scattering each core entry onto the four entries of I_aux core
+I_aux.T it touches; in rational mode, on ints, where an exactly zero
+residual proves the core invertible, and Bareiss elimination, one block
+per component, runs only on a core with a nonzero residual.
 
 Tree constants come from Grassmann-Taksar-Heyman state reduction on a
 component's rate matrix (matrix-tree theorem).  The reduction only adds,
@@ -56,7 +57,6 @@ from .graph import (
     Cycle,
     Edge,
     LabeledDigraph,
-    edge_ends,
     enumerate_cycles,
     validate_aux_tree,
 )
@@ -203,7 +203,8 @@ def tree_constants(g: LabeledDigraph) -> TreeConstants:
 
 @dataclass(frozen=True)
 class CoreDecomposition:
-    """Core matrix with its ingredients and the verification residual.
+    """Core matrix with its ingredients; `verify_core_decomposition` checks
+    the identity that ties them together.
 
     The graph gives the core's blocks: aux edges r and t share a block when
     their tails share a component, and the core is zero off the blocks.
@@ -213,7 +214,6 @@ class CoreDecomposition:
     core: np.ndarray  # |aux.edges| x |aux.edges|
     graph: LabeledDigraph
     tree_constants: TreeConstants
-    residual: float  # max |A_k diag(K) + I_aux core I_aux.T|
 
     @property
     def exact(self) -> bool:
@@ -240,18 +240,37 @@ def _tree_cuts(g: LabeledDigraph, aux: AuxTree) -> dict[str, set[int]]:
     return cuts
 
 
+def _component_ints(g: LabeledDigraph, comps: list[int], values: list) -> tuple[list, list]:
+    """Exact `values` (value i in component comps[i]) as ints: those of
+    component c times the lcm of their denominators; and the list of lcms."""
+    dens = [1] * g.n_components
+    for c, k in zip(comps, values):
+        dens[c] = lcm(dens[c], k.denominator)
+    return [k.numerator * (dens[c] // k.denominator) for c, k in zip(comps, values)], dens
+
+
 def _integer_labels(g: LabeledDigraph) -> tuple[dict[Edge, int], list[int]]:
     """Exact labels as ints: those of component c times D_c, the lcm of
     their denominators, with the list of the D_c."""
-    dens = [1] * g.n_components
-    for (v, _), k in g.labels.items():
-        c = g.component_index[v]
-        dens[c] = lcm(dens[c], k.denominator)
-    labels = {
-        (v, d): k.numerator * (dens[g.component_index[v]] // k.denominator)
-        for (v, d), k in g.labels.items()
-    }
-    return labels, dens
+    comps = [g.component_index[v] for v, _ in g.labels]
+    ints, dens = _component_ints(g, comps, list(g.labels.values()))
+    return dict(zip(g.labels, ints)), dens
+
+
+def _integer_scaling(g: LabeledDigraph, consts: TreeConstants) -> tuple[dict, list, list]:
+    """Exact labels and tree constants as ints: component c's labels times
+    D_c and its constants times L_c, the lcm of their own denominators, with
+    the scale D_c L_c of each vertex."""
+    comps = [g.component_index[v] for v in g.vertex_ids]
+    labels, dens = _integer_labels(g)
+    k_vals, lens = _component_ints(g, comps, consts.values.tolist())
+    return labels, k_vals, [dens[c] * lens[c] for c in comps]
+
+
+def _require_aux(g: LabeledDigraph, aux: AuxTree) -> None:
+    report = validate_aux_tree(g, aux)
+    if not report.ok:
+        raise InvalidAuxTreeError(report.violation)
 
 
 def core_matrix(
@@ -268,36 +287,22 @@ def core_matrix(
     the rows on its tree path, and core[r, t] = -sum over v in side_t of
     F[r, v] K_v.  Labels are summed per vertex before the one product with
     K_v, so float star cores (single-leaf sides) are -A_k[i, j] K_j to the
-    bit.  The identity is re-verified by scattering each core entry onto
-    the four entries of I_aux core I_aux.T it touches, on top of the edge
-    fluxes k_e K_v, and its max-abs residual stored (exactly zero in
-    rational mode).  Precomputed tree constants may be passed to avoid
-    computing them again; any positive kernel vector serves.
+    bit.  The identity is not checked here: `verify_core_decomposition`
+    checks it for the core it is given.  Precomputed tree constants may be
+    passed to avoid computing them again; any positive kernel vector serves.
 
-    In rational mode every sum is one of ints: component c's labels are
-    taken times D_c and its constants times L_c, the lcm of their own
-    denominators, so the component's block of S = -core and its residual
-    rows are D_c L_c times the true values.  Each nonzero core entry is
-    then built once as Fraction(-s, D_c L_c), zeros are `exact.ZERO`, and
-    the residual is each row's max divided by its scale.
+    In rational mode every sum is one of ints (`_integer_scaling`): the
+    component's block of S = -core is D_c L_c times the true values, and
+    each nonzero core entry is then built once as Fraction(-s, D_c L_c);
+    zeros are `exact.ZERO`.
     """
     _require_scc(g)
-    report = validate_aux_tree(g, aux)
-    if not report.ok:
-        raise InvalidAuxTreeError(report.violation)
+    _require_aux(g, aux)
     if consts is None:
         consts = tree_constants(g)
     labels, k_vals = g.labels, consts.values.tolist()
     if g.exact:
-        # component c's labels times D_c and constants times L_c, the lcm of
-        # their denominators: every sum below is then one of ints
-        comp = [g.component_index[v] for v in g.vertex_ids]
-        labels, dens = _integer_labels(g)
-        lens = [1] * g.n_components
-        for c, k in zip(comp, k_vals):
-            lens[c] = lcm(lens[c], k.denominator)
-        k_vals = [k.numerator * (lens[c] // k.denominator) for c, k in zip(comp, k_vals)]
-        scales = [dens[c] * lens[c] for c in comp]  # per vertex
+        labels, k_vals, scales = _integer_scaling(g, consts)
     zero = 0 if g.exact else 0.0
     cuts = _tree_cuts(g, aux)
     m = len(aux.edges)
@@ -319,41 +324,18 @@ def core_matrix(
             for t in cuts[v]:
                 srow[t] += f
 
-    # residual of A_k diag K = I_aux S I_aux.T: the edge fluxes k_e K_v less
-    # I_aux S I_aux.T, where S[r, t] reaches only the four entries (tail or
-    # head of r, tail or head of t), with sign + when both ends match
-    res = [[zero] * g.n_vertices for _ in range(g.n_vertices)]
-    for (v, d) in g.edges:
-        i, j = g.index[v], g.index[d]
-        f = labels[(v, d)] * k_vals[i]
-        res[j][i] += f
-        res[i][i] -= f
-    tails, heads = (e.tolist() for e in edge_ends(g, aux.edges))
-    ends = list(zip(tails, heads))
-    for (ar, br), srow in zip(ends, s):
-        for (at, bt), c in zip(ends, srow):
-            if c:
-                res[ar][at] -= c
-                res[ar][bt] += c
-                res[br][at] += c
-                res[br][bt] -= c
     if g.exact:
-        # rows of S and of the residual in component c carry the scale D_c L_c
+        # rows of S in component c carry the scale D_c L_c
         core = np.array(
-            [[Fraction(-c, scales[a]) if c else exact.ZERO for c in srow]
-             for a, srow in zip(tails, s)],
+            [[Fraction(-c, scales[g.index[a]]) if c else exact.ZERO for c in srow]
+             for (a, _), srow in zip(aux.edges, s)],
             dtype=object,
         ).reshape(m, m)
-        rows = zip(res, scales)
-        residual = float(max((Fraction(max(map(abs, r)), sc) for r, sc in rows), default=0))
     else:
         core = -np.array(s, dtype=float).reshape(m, m)
-        residual = float(max((max(map(abs, line)) for line in res), default=0.0))
-        if not (np.all(np.isfinite(core)) and np.isfinite(residual)):
-            raise FloatRangeError("float core matrix or residual leaves the float64 range")
-    return CoreDecomposition(
-        aux=aux, core=core, graph=g, tree_constants=consts, residual=residual
-    )
+        if not np.all(np.isfinite(core)):
+            raise FloatRangeError("float core matrix leaves the float64 range")
+    return CoreDecomposition(aux=aux, core=core, graph=g, tree_constants=consts)
 
 
 @dataclass(frozen=True)
@@ -362,6 +344,7 @@ class DecompositionReport:
     invertible: bool
     chain_signs_ok: bool | None
     star_signs_ok: bool | None
+    residual: float  # max |A_k diag(K) + I_aux core I_aux.T|
 
     @property
     def passed(self) -> bool:
@@ -376,20 +359,27 @@ class DecompositionReport:
 def verify_core_decomposition(
     d: CoreDecomposition, tol: float | None = None
 ) -> DecompositionReport:
-    """Check residual, invertibility, and kind-specific sign structure.
+    """Check the residual, invertibility and kind-specific sign structure
+    of the core `d` holds, against its graph, aux tree (refused, as by
+    `core_matrix`, when invalid) and tree constants.
 
-    The residual is compared with `tol` (default FLOAT_RESIDUAL_RTOL) times
-    max |A_k diag K|, and exactly with 0 in rational mode.  That maximum is
-    max_v |A_k[v, v]| K_v: each diagonal entry is minus the sum of the
-    positive labels in its column, so it dominates the column, in floats too.
-    The core is invertible iff each of its blocks is, one per component of
-    the graph, holding the aux edges whose tails lie in it; each block is
-    tested on its own.  In rational mode the other checks run on integers:
-    the core times one positive integer, the lcm of its denominators, which
-    changes no sign, dominance or singularity, and each block's
-    invertibility is decided by the sign of its Bareiss determinant.
+    The residual max |A_k diag K + I_aux core I_aux.T| scatters each core
+    entry onto the four entries of I_aux core I_aux.T it touches, on top of
+    the edge fluxes k_e K_v; a float one must be finite (FloatRangeError).
+    It is compared with `tol` (default FLOAT_RESIDUAL_RTOL) times
+    max |A_k diag K| = max_v |A_k[v, v]| K_v (each diagonal entry dominates
+    its column, in floats too), and exactly with 0 in rational mode, where
+    every check runs on the core and the fluxes times one positive integer.
+
+    The core is invertible iff each block is, one per component.  In
+    rational mode a zero residual with every K_v > 0 proves it: A_k diag K
+    then has rank n - l = m, and I_aux, a forest's incidence matrix, has
+    full column rank, so the core has rank m and is zero off the blocks.
+    Only otherwise is each block decided by its Bareiss determinant; on
+    floats always by its numerical rank.
     """
     core, g = d.core, d.graph
+    _require_aux(g, d.aux)
 
     def scale():  # max |A_k diag K|: K_v times the sum of v's out-labels
         out = [0] * g.n_vertices
@@ -397,20 +387,47 @@ def verify_core_decomposition(
             out[g.index[e[0]]] += g.labels[e]
         return np.max(np.array(out) * d.tree_constants.values, initial=0)
 
-    residual_ok = d.residual <= exact.tolerance(core, FLOAT_RESIDUAL_RTOL, scale, tol)
     if d.exact:
-        core = np.array(exact.integer_rows(core), dtype=object).reshape(core.shape)
+        # one common scale q for the core and the fluxes of every component
+        labels, k_vals, scales = _integer_scaling(g, d.tree_constants)
+        rows, mult = exact.integer_rows(core)
+        q = lcm(mult, *scales)
+        rows = [[c * (q // mult) for c in row] for row in rows]
+        k_vals = [k * (q // sc) for k, sc in zip(k_vals, scales)]
+        core = np.array(rows, dtype=object).reshape(core.shape)
+    else:
+        labels, k_vals, rows = g.labels, d.tree_constants.values.tolist(), core.tolist()
+    res = [[0] * g.n_vertices for _ in range(g.n_vertices)]
+    for (v, w) in g.edges:
+        i, j = g.index[v], g.index[w]
+        f = labels[(v, w)] * k_vals[i]
+        res[j][i] += f
+        res[i][i] -= f
+    ends = [(g.index[a], g.index[b]) for a, b in d.aux.edges]
+    for (ar, br), row in zip(ends, rows, strict=True):  # the core is m x m
+        for (at, bt), c in zip(ends, row, strict=True):
+            if c:
+                res[ar][at] += c
+                res[ar][bt] -= c
+                res[br][at] -= c
+                res[br][bt] += c
+    if d.exact:
+        residual = Fraction(max((max(map(abs, line)) for line in res), default=0), q)
+    else:
+        residual = np.max(np.abs(res), initial=0.0)  # a NaN anywhere gives NaN
+        if not np.isfinite(residual):
+            raise FloatRangeError("float core or residual leaves the float64 range")
+    residual_ok = residual <= exact.tolerance(core, FLOAT_RESIDUAL_RTOL, scale, tol)
 
     blocks: dict[int, list[int]] = {}
     for r, (a, _) in enumerate(d.aux.edges):
         blocks.setdefault(g.component_index[a], []).append(r)
-    invertible = True
-    for idx in blocks.values():
-        block = core[np.ix_(idx, idx)]
-        if d.exact:
-            invertible = invertible and exact.bareiss(block.tolist()) != 0
-        else:
-            invertible = invertible and np.linalg.matrix_rank(block) == len(idx)
+    proved = d.exact and residual == 0 and all(k > 0 for k in k_vals)
+    invertible = proved or all(
+        exact.bareiss(block.tolist()) != 0 if d.exact
+        else np.linalg.matrix_rank(block) == len(block)
+        for block in (core[np.ix_(idx, idx)] for idx in blocks.values())
+    )
 
     chain_ok: bool | None = None
     star_ok: bool | None = None
@@ -436,6 +453,7 @@ def verify_core_decomposition(
         invertible=bool(invertible),
         chain_signs_ok=chain_ok,
         star_signs_ok=star_ok,
+        residual=float(residual) if residual <= sys.float_info.max else inf,
     )
 
 

@@ -30,12 +30,19 @@ SIGN_RTOL = 1e-12
 MANIFOLD_V_TOL = 1e-12
 
 
+def _lyapunov(x: np.ndarray, xs: np.ndarray) -> float:
+    """sum x*_i phi(x_i/x*_i), phi(r) = r ln r - r + 1 >= 0, as x ln(x/x*) - x + x*
+    with ln(x/x*) = ln x - ln x* (no ratio to over- or underflow), each term
+    clamped at 0, where rounding near x* would take it below."""
+    return float(np.sum(np.maximum(x * (np.log(x) - np.log(xs)) - x + xs, 0.0)))
+
+
 def lyapunov_value(x, x_star) -> float:
-    """L(x) = sum x_i (ln(x_i/x*_i) - 1) + x*_i; zero exactly at x_star."""
+    """L(x) = sum x_i (ln(x_i/x*_i) - 1) + x*_i >= 0; zero exactly at x_star."""
     entries = list(x)
     xv = np.asarray(check_state(entries, len(entries)), dtype=float)
     xs = np.asarray(check_state(list(x_star), len(entries)), dtype=float)
-    return float(np.sum(xv * (np.log(xv / xs) - 1.0) + xs))
+    return _lyapunov(xv, xs)
 
 
 def lyapunov_derivative(net: ReactionNetwork, x, x_star) -> float:
@@ -84,20 +91,16 @@ def decrease_certificate(net: ReactionNetwork, x, x_star) -> StabilityCertificat
     )
     b_zero = bool(np.all(np.abs(b) <= SIGN_RTOL * scale_b)) if b.size else True
 
-    witness = None
-    if not b_zero:
-        for j, e in enumerate(aux.edges):
-            if b[j] > SIGN_RTOL * scale_b and a[j] > SIGN_RTOL * max(scale_a, 1e-300):
-                witness = e
-                break
-    if not signs_ok:
-        verdict = "failure"
-    elif b_zero:
+    witness = None  # none where b is zero: no b[j] then exceeds the limit
+    for j, e in enumerate(aux.edges):
+        if b[j] > SIGN_RTOL * scale_b and a[j] > SIGN_RTOL * max(scale_a, 1e-300):
+            witness = e
+            break
+    verdict = "failure"
+    if signs_ok and b_zero:
         verdict = "equilibrium"
-    elif value < 0:
+    elif signs_ok and value < 0:
         verdict = "strict_decrease"
-    else:
-        verdict = "failure"
     if verdict == "failure":
         logger.warning("certificate failure at x=%s (value=%r)", xv, value)
     return StabilityCertificate(
@@ -206,12 +209,9 @@ def simulate(
         if sol.status == "found":
             xs = sol.witness
 
-    def lyap(state: np.ndarray) -> float:
-        return float(np.sum(state * (np.log(state / xs) - 1.0) + xs))
-
     times = [0.0]
     states = [x.copy()]
-    lyapunov = [lyap(x)] if xs is not None else None
+    lyapunov = [_lyapunov(x, xs)] if xs is not None else None
     t = 0.0
     h = min(t_end, max(1e-6, t_end * 1e-3))
     h_min = 1e-14 * max(t_end, 1.0)
@@ -244,7 +244,7 @@ def simulate(
             times.append(t)
             states.append(x.copy())
             if lyapunov is not None:
-                lyapunov.append(lyap(x))
+                lyapunov.append(_lyapunov(x, xs))
             factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
             h *= factor
         else:

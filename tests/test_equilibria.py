@@ -11,7 +11,6 @@ from crnlap import (
     cbe_manifold_sample,
     is_cbe,
     solve_cbe,
-    stoichiometric_subspace,
 )
 from crnlap.crn import scaled_monomials
 from crnlap.errors import NotACbeError
@@ -186,7 +185,7 @@ class TestBirchIntersect:
             net, x_star = random_planted_network(rng)
             xp = random_positive_floats(rng, net.n_species)
             got = birch_intersect(net, x_star, xp)
-            s, sperp = stoichiometric_subspace(net)
+            s, sperp = net.s_basis, net.sperp_basis
             w = np.asarray(sperp, dtype=float)
             xs = np.asarray([float(v) for v in x_star])
             # on the manifold: log-deviation orthogonal to S
@@ -218,7 +217,7 @@ class TestBirchIntersect:
         rng = random.Random(11)
         for _ in range(5):
             net, x_star = random_planted_network(rng)
-            sperp_dim = stoichiometric_subspace(net)[1].shape[1]
+            sperp_dim = net.sperp_basis.shape[1]
             xp = random_positive_floats(rng, net.n_species)
             a = birch_intersect(net, x_star, xp)
             b = birch_intersect(net, x_star, xp, c0=np.full(sperp_dim, 0.7))

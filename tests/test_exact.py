@@ -142,7 +142,7 @@ class TestDetInverse:
                 m = random_matrix(rng, n, k) @ random_matrix(rng, k, n)
             else:
                 m = random_matrix(rng, n, n)
-            rows = exact.integer_rows(m)
+            rows, _ = exact.integer_rows(m)
             assert all(type(v) is int for row in rows for v in row)
             want = det(exact.matrix(rows).reshape(n, n))
             got = exact.bareiss(rows)
@@ -159,8 +159,8 @@ class TestDetInverse:
 
     def test_integer_rows_one_positive_multiplier(self):
         m = exact.matrix([[Fraction(1, 6), Fraction(-3, 4)], [0, Fraction(5, 9)]])
-        assert exact.integer_rows(m) == [[6, -27], [0, 20]]
-        assert exact.integer_rows(exact.zeros(0, 0)) == []
+        assert exact.integer_rows(m) == ([[6, -27], [0, 20]], 36)
+        assert exact.integer_rows(exact.zeros(0, 0)) == ([], 1)
 
 
 class TestPrimitive:

@@ -10,7 +10,6 @@ from crnlap import (
     build_digraph,
     enumerate_cycles,
     make_aux_tree,
-    scc_partition,
     validate_aux_tree,
 )
 from crnlap import exact
@@ -36,19 +35,19 @@ from oracles import aux_incidence, brute_cycles, brute_sccs, incidence_matrices,
 
 class TestBuildDigraph:
     def test_running_example_single_scc(self, running_graph):
-        assert scc_partition(running_graph) == [{"1", "2", "3"}]
+        assert list(running_graph.scc_partition) == [{"1", "2", "3"}]
         assert running_graph.n_edges == 4
         assert running_graph.exact
 
     def test_single_vertex_no_edges(self):
         g = build_digraph(["1"], [])
-        assert scc_partition(g) == [{"1"}]
+        assert list(g.scc_partition) == [{"1"}]
 
     def test_two_cycles_two_sccs(self):
         edges = [(1, 2, 1), (2, 3, 1), (3, 1, 1), (4, 5, 1), (5, 4, 1)]
         g = build_digraph([1, 2, 3, 4, 5], edges)
         expected = brute_sccs(g.vertex_ids, g.edges)
-        assert scc_partition(g) == expected
+        assert list(g.scc_partition) == expected
         assert len(expected) == 2
 
     def test_duplicate_vertex(self):
@@ -77,7 +76,7 @@ class TestBuildDigraph:
 class TestSccPartition:
     def test_dag_gives_singletons(self):
         g = build_digraph([1, 2, 3], [(1, 2, 1), (2, 3, 1)])
-        assert scc_partition(g) == [{"1"}, {"2"}, {"3"}]
+        assert list(g.scc_partition) == [{"1"}, {"2"}, {"3"}]
 
     def test_matches_bruteforce_on_random_graphs(self):
         rng = random.Random(20240701)
@@ -91,7 +90,7 @@ class TestSccPartition:
                 if a != b and rng.random() < 0.3
             ]
             g = build_digraph(ids, edges)
-            assert scc_partition(g) == brute_sccs(g.vertex_ids, g.edges)
+            assert list(g.scc_partition) == brute_sccs(g.vertex_ids, g.edges)
 
 
 class TestCycles:

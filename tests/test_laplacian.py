@@ -21,11 +21,7 @@ from crnlap import (
 from crnlap import exact, laplacian
 from crnlap.errors import FloatRangeError, InvalidAuxTreeError, NotStronglyConnectedError
 from crnlap.graph import AuxTree, validate_aux_tree
-from crnlap.laplacian import (
-    FLOAT_RESIDUAL_RTOL,
-    CoreDecomposition,
-    TreeConstants,
-)
+from crnlap.laplacian import FLOAT_RESIDUAL_RTOL, TreeConstants
 
 from conftest import running_example_graph
 from generators import (
@@ -38,6 +34,7 @@ from oracles import (
     aux_incidence,
     brute_arborescences,
     cycle_reconstruction,
+    det,
     elimination_left_inverse,
     forest_cycle_coefficient,
     incidence_matrices,
@@ -154,7 +151,7 @@ class TestCoreMatrix:
                 [[1, 1], [0, 1]]
             ) + k12 * k21 * k31 * exact.matrix([[1, 0], [0, 0]])
             assert np.array_equal(dec.core, expected)
-            assert dec.residual == 0.0
+            assert verify_core_decomposition(dec).residual == 0.0
 
     def test_running_chain_not_subgraph_symbolic(self):
         # chain 1 -> 3 -> 2; neither edge belongs to the graph
@@ -224,9 +221,8 @@ class TestCoreMatrix:
         for _ in range(20):
             g = random_scc_digraph(rng, n_max=6)
             aux = random_general_aux(rng, g)
-            dec = core_matrix(g, aux)
-            assert dec.residual == 0.0
-            assert verify_core_decomposition(dec).passed
+            report = verify_core_decomposition(core_matrix(g, aux))
+            assert report.residual == 0.0 and report.passed
 
     def test_star_entries_match_minor_formula(self):
         rng = random.Random(12)
@@ -275,6 +271,16 @@ class TestCoreMatrix:
         consts = TreeConstants(values=np.array([1e10, 1e300]))
         with pytest.raises(FloatRangeError):
             core_matrix(g, aux, consts=consts)
+        # the root's fluxes sum past float64, though the star core fits:
+        # the residual is refused where it is computed
+        g = build_digraph(
+            ["1", "2", "3"],
+            [("1", "2", 1e308), ("1", "3", 1e308), ("2", "1", 1.0), ("3", "1", 1.0)],
+        )
+        dec = core_matrix(g, make_aux_tree(g, "star", ["1"]))
+        assert dec.core.tolist() == [[1e308, 0.0], [0.0, 1e308]]
+        with pytest.raises(FloatRangeError):
+            verify_core_decomposition(dec)
 
 
 class TestIntegerAssembly:
@@ -298,7 +304,8 @@ class TestIntegerAssembly:
                 assert dec.core.dtype == object
                 assert all(type(v) is Fraction for v in dec.core.flat)
                 assert np.array_equal(dec.core, tree_cut_core(g, aux, consts))
-                assert dec.residual == 0.0 and type(dec.residual) is float
+                residual = verify_core_decomposition(dec).residual
+                assert residual == 0.0 and type(residual) is float
 
     def test_scaled_constants_scale_the_core(self):
         # any positive kernel vector may be passed: its own denominators set
@@ -317,7 +324,7 @@ class TestIntegerAssembly:
                 dec = core_matrix(g, aux, consts=scaled)
                 assert np.array_equal(dec.core, Fraction(3, 7) * core)
                 assert all(type(v) is Fraction for v in dec.core.flat)
-                assert dec.residual == 0.0
+                assert verify_core_decomposition(dec).residual == 0.0
 
 
 class TestVerify:
@@ -334,21 +341,93 @@ class TestVerify:
         assert report.star_signs_ok
 
     def test_corrupted_core_fails_residual(self, running_graph):
+        # the residual is computed from the core it is given: one unit more
+        # at core[0, 0] adds I_aux e_0 e_0.T I_aux.T, whose entries are +-1
         aux = make_aux_tree(running_graph, "chain", [["1", "2", "3"]])
         dec = core_matrix(running_graph, aux)
         bad_core = dec.core.copy()
         bad_core[0, 0] = bad_core[0, 0] + 1
-        inc = aux_incidence(running_graph, aux)
-        m = laplacian_matrix(running_graph) * dec.tree_constants.values[np.newaxis, :]
-        res = m + inc @ bad_core @ inc.T
-        bad = CoreDecomposition(
-            aux=dec.aux,
-            core=bad_core,
-            graph=dec.graph,
-            tree_constants=dec.tree_constants,
-            residual=float(max(abs(v) for v in res.flat)),
-        )
-        assert not verify_core_decomposition(bad).residual_ok
+        report = verify_core_decomposition(dataclasses.replace(dec, core=bad_core))
+        assert not report.residual_ok and report.residual == 1.0
+        assert report.invertible and not report.passed
+
+    def test_wrong_invertible_core_fails_residual(self):
+        # twice the core is invertible, and its residual is -A_k diag K
+        rng = random.Random(41)
+        for _ in range(20):
+            g = random_scc_digraph(rng, n_max=6)
+            if g.n_edges == 0:  # an empty core: twice it is itself
+                continue
+            m = laplacian_matrix(g) * tree_constants(g).values[np.newaxis, :]
+            for aux in (default_chain_aux(g), random_star_aux(rng, g), random_general_aux(rng, g)):
+                dec = core_matrix(g, aux)
+                report = verify_core_decomposition(dataclasses.replace(dec, core=2 * dec.core))
+                assert report.residual == float(max(abs(v) for v in m.flat))
+                assert report.invertible
+                assert not report.residual_ok and not report.passed
+
+    def test_zero_tree_constants_not_invertible(self, running_graph):
+        # K = 0 gives a zero core and a zero residual, which proves nothing
+        aux = make_aux_tree(running_graph, "chain", [["1", "2", "3"]])
+        zeros = TreeConstants(values=exact.vector([0, 0, 0]))
+        report = verify_core_decomposition(core_matrix(running_graph, aux, consts=zeros))
+        assert report.residual_ok and report.residual == 0.0
+        assert not report.invertible and not report.passed
+        # swapped in under a core built from the true constants
+        dec = core_matrix(running_graph, aux)
+        report = verify_core_decomposition(dataclasses.replace(dec, tree_constants=zeros))
+        assert not report.residual_ok and not report.passed
+
+    @pytest.mark.parametrize(
+        "edges, kind",
+        [((("1", "2"), ("2", "1")), "general"), ((("1", "2"), ("2", "3")), "chian")],
+        ids=["cycle", "kind"],
+    )
+    def test_invalid_aux_tree_refused(self, running_graph, edges, kind):
+        dec = core_matrix(running_graph, default_chain_aux(running_graph))
+        bad = dataclasses.replace(dec, aux=AuxTree(edges=edges, kind=kind))
+        with pytest.raises(InvalidAuxTreeError):
+            verify_core_decomposition(bad)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_float_core_refused(self, value):
+        # core[1, 1] of the chain 1-2-3 reaches only rows 2 and 3 of the
+        # residual, so a max that skipped a NaN there would still be finite
+        g = build_digraph(["1", "2", "3"], [(a, b, 1.0) for a in "123" for b in "123" if a != b])
+        dec = core_matrix(g, default_chain_aux(g))
+        core = dec.core.copy()
+        core[1, 1] = value
+        with pytest.raises(FloatRangeError):
+            verify_core_decomposition(dataclasses.replace(dec, core=core))
+
+    def test_invertible_matches_block_determinants(self):
+        # built cores, where a zero residual decides, and cores with a block
+        # made singular or perturbed, where Bareiss does: the verdict is
+        # that of the oracle's determinant of every block
+        rng = random.Random(42)
+        singular = 0
+        for _ in range(300):
+            g = random_scc_digraph(rng, n_max=6)
+            consts = tree_constants(g)
+            for aux in (default_chain_aux(g), random_star_aux(rng, g), random_general_aux(rng, g)):
+                dec = core_matrix(g, aux, consts=consts)
+                core = dec.core.copy()
+                blocks = {}
+                for r, (a, _) in enumerate(aux.edges):
+                    blocks.setdefault(g.component_index[a], []).append(r)
+                change = rng.choice(["none", "copy", "perturb"])
+                if core.size and change == "copy":
+                    idx = rng.choice(list(blocks.values()))
+                    core[idx[-1], idx] = core[idx[0], idx] * rand_fraction(rng)
+                elif core.size and change == "perturb":
+                    r, t = rng.randrange(len(core)), rng.randrange(len(core))
+                    core[r, t] = core[r, t] + rng.randint(-2, 2)
+                want = all(det(core[np.ix_(idx, idx)]) != 0 for idx in blocks.values())
+                singular += not want
+                report = verify_core_decomposition(dataclasses.replace(dec, core=core))
+                assert report.invertible == want
+                assert report.residual_ok == np.array_equal(core, dec.core)
+        assert singular > 50
 
     def test_singular_block_not_invertible(self, running_graph):
         # row 1 is twice row 0, both with fractional entries
@@ -622,14 +701,31 @@ class TestFloatAccuracy:
     @given(wide_spread_float_graphs())
     def test_residual_limit_is_dense_max(self, gf):
         # the float residual limit is FLOAT_RESIDUAL_RTOL max |A_k diag K|,
-        # read off the diagonal: the limit itself passes, the next float fails
+        # read off the diagonal.  One core entry moved by about that limit
+        # gives a residual near it; then the smallest rtol whose limit
+        # reaches the residual passes and the float below it fails, both as
+        # the module default and as `tol`
         dec = core_matrix(gf, default_chain_aux(gf))
         m = laplacian_matrix(gf) * dec.tree_constants.values[np.newaxis, :]
-        limit = FLOAT_RESIDUAL_RTOL * float(np.max(np.abs(m)))
-        at = dataclasses.replace(dec, residual=limit)
-        over = dataclasses.replace(dec, residual=float(np.nextafter(limit, np.inf)))
-        assert verify_core_decomposition(at).residual_ok
-        assert not verify_core_decomposition(over).residual_ok
+        top = float(np.max(np.abs(m)))
+        core = dec.core.copy()
+        core[0, 0] += FLOAT_RESIDUAL_RTOL * top
+        dec = dataclasses.replace(dec, core=core)
+        report = verify_core_decomposition(dec)
+        residual = report.residual
+        assert residual > 0
+        assert report.residual_ok == (residual <= FLOAT_RESIDUAL_RTOL * top)
+        rtol = residual / top
+        while rtol * top < residual:
+            rtol = np.nextafter(rtol, np.inf)
+        while np.nextafter(rtol, 0) * top >= residual:
+            rtol = np.nextafter(rtol, 0)
+        for limit, ok in ((float(rtol), True), (float(np.nextafter(rtol, 0)), False)):
+            assert verify_core_decomposition(dec, tol=limit).residual_ok is ok
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(laplacian, "FLOAT_RESIDUAL_RTOL", limit)
+                report = verify_core_decomposition(dec)
+            assert report.residual_ok is ok and report.residual == residual
 
 
 class TestImageEqualities:

@@ -511,3 +511,13 @@ class TestCli:
         )
         assert code == 0
         assert json.loads(out)["mode"] == "float"
+
+
+class TestReadme:
+    def test_library_example_runs(self, capsys):
+        # the README's python block is documentation of the API: run it
+        text = (SAMPLE_DIR.parent / "README.md").read_text(encoding="utf-8")
+        blocks = text.split("```python\n")[1:]
+        assert len(blocks) == 1
+        exec(compile(blocks[0].split("```")[0], "README.md", "exec"), {})
+        assert capsys.readouterr().out.startswith("strict_decrease -0.4332")

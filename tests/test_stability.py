@@ -17,7 +17,6 @@ from crnlap import (
     mass_action_rhs,
     simulate,
     solve_cbe,
-    stoichiometric_subspace,
 )
 from crnlap.errors import NotACbeError
 
@@ -39,6 +38,12 @@ class TestLyapunovValue:
         expected = 2 * (0.5 * (math.log(0.5) - 1) + 1)
         assert lyapunov_value([0.5, 0.5], [1, 1]) == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.30685, abs=1e-5)
+
+    @pytest.mark.parametrize("x, xs", [(1e-320, 1e10), (1e300, 1e-10)])
+    def test_ratio_beyond_float_range(self, x, xs):
+        # x / x* underflows to 0 or overflows to inf; L does not
+        expected = x * (math.log(x) - math.log(xs)) - x + xs
+        assert lyapunov_value([x, 1.0], [xs, 1.0]) == pytest.approx(expected, rel=1e-12)
 
     def test_nonnegative_with_equality_only_at_x_star(self):
         rng = random.Random(51)
@@ -181,6 +186,15 @@ class TestSimulate:
         assert L is not None
         assert all(L[i + 1] <= L[i] + 1e-9 for i in range(len(L) - 1))
 
+    def test_lyapunov_never_negative_near_equilibrium(self, triangle_net):
+        # x (ln(x/x*) - 1) + x* cancels to rounding near x*: it gave values
+        # down to -4.4e-16 on this trajectory
+        traj = simulate(triangle_net, [0.001, 10.0], 30.0)
+        assert min(traj.lyapunov) >= 0.0 and traj.lyapunov[-1] <= 1e-12
+        # one formula: the values are lyapunov_value's
+        xs = solve_cbe(triangle_net).witness
+        assert traj.lyapunov == [lyapunov_value(x, xs) for x in traj.states]
+
     def test_constant_at_equilibrium(self, cycle3_net):
         traj = simulate(cycle3_net, [1.0, 1.0], 10.0)
         for s in traj.states:
@@ -188,7 +202,7 @@ class TestSimulate:
 
     def test_conservation_along_trajectory(self, xy_net):
         traj = simulate(xy_net, [0.3, 1.1], 20.0)
-        _, sperp = stoichiometric_subspace(xy_net)
+        sperp = xy_net.sperp_basis
         w = np.asarray(sperp, dtype=float)[:, 0]
         c0 = w @ traj.states[0]
         for s in traj.states:
