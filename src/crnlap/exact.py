@@ -4,11 +4,15 @@ that decide between exact and float arithmetic.
 Matrices are numpy arrays with ``dtype=object`` holding ``fractions.Fraction``
 (or plain ``int``) entries.  Everything here is meant for the desk scale of
 this package (dimensions ~10), where exact Gaussian elimination is cheap and
-the identities being verified are exact.  `pivot` is the one Gauss-Jordan
-step: `rref` (so `nullspace` and `column_space`) and `geometry`'s simplex
-repeat it.  Determinants are taken on integers: `integer_rows` clears a
-matrix's denominators with one positive multiplier, and `bareiss`, Bareiss
-fraction-free elimination, gives the determinant of an integer matrix.
+the identities being verified are exact.  Elimination runs on Python ints:
+a rational row is a list of ints over one positive int denominator
+(`integer_row` forms it from ints, Fractions or floats, each at its exact
+value).  `pivot` is the one Gauss-Jordan step on such rows: `rref` (so
+`nullspace` and `column_space`), which converts to Fractions once when it
+returns, and `geometry`'s simplex share it.  Determinants are taken on
+integers: `integer_rows` clears a matrix's denominators with one positive
+multiplier, and `bareiss`, Bareiss fraction-free elimination, gives the
+determinant of an integer matrix.
 `laplacian` uses it to decide the invertibility of core blocks built
 elsewhere and to take the off-cycle minors of cycle coefficients.
 
@@ -91,29 +95,62 @@ def positive_floats(values, what: str) -> np.ndarray:
     return np.array(out, dtype=float)
 
 
-def pivot(rows: list[list], i: int, k: int) -> None:
-    """Scale row i to a unit entry in column k and clear column k elsewhere."""
-    pivot_row = rows[i]
-    p = pivot_row[k]
-    pivot_row[:] = [v / p for v in pivot_row]
-    for row in rows:
-        if row is not pivot_row and row[k] != 0:
-            f = row[k]
-            row[:] = [v - f * u for v, u in zip(row, pivot_row)]
+def integer_row(values) -> tuple[list[int], int]:
+    """A row of ints, Fractions or floats, each taken at its exact value, as
+    ints over one positive denominator, the lcm of the entries' own."""
+    try:
+        ratios = [v.as_integer_ratio() for v in values]
+    except AttributeError:  # numpy integer scalars, which object arrays may hold
+        ratios = [Fraction(v).as_integer_ratio() for v in values]
+    den = math.lcm(*(d for _, d in ratios))
+    return [n * (den // d) for n, d in ratios], den
+
+
+def pivot(rows: list[list[int]], dens: list[int], i: int, k: int) -> None:
+    """One Gauss-Jordan step on rational rows, row r being the ints rows[r]
+    over the positive denominator dens[r]: scale row i so that its entry in
+    column k equals its denominator (a unit entry) and clear column k from
+    every other row, r becoming d_i T_r - T_r[k] T_i over d_r d_i.  Each
+    row changed is divided by the gcd of its ints and its denominator."""
+    top = rows[i]
+    if top[k] < 0:
+        top[:] = [-v for v in top]
+    dens[i] = top[k]
+    _lowest_terms(rows, dens, i)
+    d = dens[i]
+    for r, row in enumerate(rows):
+        f = row[k]
+        if f and r != i:
+            row[:] = [d * v - f * u for v, u in zip(row, top)]
+            dens[r] *= d
+            _lowest_terms(rows, dens, r)
+
+
+def _lowest_terms(rows: list[list[int]], dens: list[int], r: int) -> None:
+    g = math.gcd(dens[r], *rows[r])
+    if g > 1:
+        rows[r][:] = [v // g for v in rows[r]]
+        dens[r] //= g
 
 
 def rref(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form; returns (rref matrix, pivot column list)."""
-    rows = [[Fraction(v) for v in row] for row in m.tolist()]
+    rows, dens = [], []
+    for values in m.tolist():
+        row, den = integer_row(values)
+        rows.append(row)
+        dens.append(den)
     pivots: list[int] = []
     for col in range(m.shape[1]):
         r = len(pivots)
-        i = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        i = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if i is not None:
             rows[r], rows[i] = rows[i], rows[r]
-            pivot(rows, r, col)
+            dens[r], dens[i] = dens[i], dens[r]
+            pivot(rows, dens, r, col)
             pivots.append(col)
-    return np.array(rows, dtype=object).reshape(m.shape), pivots
+    out = [[Fraction(v, d) if v else ZERO for v in row] for row, d in zip(rows, dens)]
+    return np.array(out, dtype=object).reshape(m.shape), pivots
 
 
 def nullspace(m: np.ndarray) -> np.ndarray:

@@ -185,34 +185,40 @@ def _max_margin(normals: np.ndarray, v: np.ndarray) -> tuple[list[Fraction], Fra
     float v that lies in im N only up to rounding keeps the LP feasible.
     With lambda = mu + (1 - t) 1 and mu, t >= 0 it is min t in standard form.
     """
-    n = np.frompyfunc(Fraction, 1, 1)(normals)
-    m = n.shape[1]
-    _, rows = exact.rref(n.T)
-    a, b = [], []
-    for r in rows:
-        row_sum = sum(n[r], ZERO)
-        a.append(list(n[r]) + [-row_sum])
-        b.append(-Fraction(float(v[r])) - row_sum)
-    x = _simplex(a, b, [ZERO] * m + [ONE])
+    m = normals.shape[1]
+    _, selected = exact.rref(normals.T)
+    values = normals.tolist()
+    rows, dens = [], []
+    for r in selected:
+        ints, den = exact.integer_row(values[r] + [float(v[r])])
+        row_sum = sum(ints[:-1])
+        rows.append(ints[:-1] + [-row_sum, -ints[-1] - row_sum])
+        dens.append(den)
+    x = _simplex(rows, dens, [0] * m + [1])
     s = ONE - x[m]
-    return [mu + s for mu in x[:m]], s, len(rows)
+    return [mu + s for mu in x[:m]], s, len(selected)
 
 
-def _simplex(a: list[list], b: list, c: list) -> list[Fraction]:
-    """A minimiser of c.x subject to a x = b, x >= 0.
+def _simplex(rows: list[list[int]], dens: list[int], c: list[int]) -> list[Fraction]:
+    """A minimiser of c.x subject to a x = b, x >= 0, row i of (a | b) being
+    the ints rows[i] over the positive denominator dens[i].
 
     The rows of a must be independent and the LP feasible and bounded.
-    Two-phase tableau method on Fractions with Bland's rule (lowest index
-    enters, ratio ties leave by lowest basic index), which cannot cycle.
+    Two-phase tableau method with Bland's rule (lowest index enters, ratio
+    ties leave by lowest basic index), which cannot cycle.  The tableau is
+    rational, each row ints over one denominator, and `exact.pivot` steps it;
+    its last row holds the reduced costs.
     """
-    n_rows, n_cols = len(a), len(c)
+    n_rows, n_cols = len(rows), len(c)
     tab = []
-    for i, (row, bi) in enumerate(zip(a, b)):
-        sign = -1 if bi < 0 else 1
-        unit = [ONE if k == i else ZERO for k in range(n_rows)]
-        tab.append([sign * v for v in row] + unit + [sign * bi])
+    for i, (row, d) in enumerate(zip(rows, dens)):
+        sign = -1 if row[-1] < 0 else 1
+        unit = [d if k == i else 0 for k in range(n_rows)]
+        tab.append([sign * v for v in row[:-1]] + unit + [sign * row[-1]])
+    tab.append([])
+    dens = list(dens) + [1]
     basis = list(range(n_cols, n_cols + n_rows))
-    _optimise(tab, basis, [ZERO] * n_cols + [ONE] * n_rows)
+    _optimise(tab, dens, basis, [0] * n_cols + [1] * n_rows)
     for i, j in enumerate(basis):
         if j < n_cols:
             continue
@@ -221,36 +227,36 @@ def _simplex(a: list[list], b: list, c: list) -> list[Fraction]:
         # an artificial basic at zero leaves by a degenerate pivot; the
         # row has a nonzero original entry because the rows are independent
         basis[i] = next(k for k in range(n_cols) if tab[i][k] != 0)
-        exact.pivot(tab, i, basis[i])
+        exact.pivot(tab, dens, i, basis[i])
     for row in tab:
         del row[n_cols:n_cols + n_rows]
-    _optimise(tab, basis, list(c))
+    _optimise(tab, dens, basis, list(c))
     x = [ZERO] * n_cols
     for i, j in enumerate(basis):
-        x[j] = tab[i][-1]
+        x[j] = Fraction(tab[i][-1], dens[i])
     return x
 
 
-def _optimise(tab: list[list], basis: list[int], cost: list) -> None:
-    """Pivot a feasible tableau to a minimum of cost.x by Bland's rule."""
-    reduced = cost + [ZERO]
-    for i, j in enumerate(basis):
-        if reduced[j] != 0:
-            f = reduced[j]
-            reduced = [r - f * t for r, t in zip(reduced, tab[i])]
-    rows = tab + [reduced]
+def _optimise(tab: list[list[int]], dens: list[int], basis: list[int], cost: list[int]) -> None:
+    """Pivot a feasible tableau to a minimum of cost.x by Bland's rule; the
+    tableau's last row is set to the reduced costs."""
+    tab[-1][:], dens[-1] = cost + [0], 1
+    for i, j in enumerate(basis):  # row i is a unit in column j: price it out
+        exact.pivot(tab, dens, i, j)
+    reduced = tab[-1]
     while True:
         k = next((k for k in range(len(cost)) if reduced[k] < 0), None)
         if k is None:
             return
         ratios = [
-            (row[-1] / row[k], basis[i], i) for i, row in enumerate(tab) if row[k] > 0
+            (Fraction(row[-1], row[k]), basis[i], i)
+            for i, row in enumerate(tab[:-1]) if row[k] > 0
         ]
         if not ratios:
             raise AssertionError("LP is unbounded")
         i = min(ratios)[2]
         basis[i] = k
-        exact.pivot(rows, i, k)
+        exact.pivot(tab, dens, i, k)
 
 
 def recession_polar_check(net: ReactionNetwork, aux: AuxTree, x) -> bool:

@@ -437,15 +437,15 @@ def verify_core_decomposition(
             core, CHAIN_SIGN_RTOL, lambda: np.max(np.abs(core), initial=0)
         )
         chain_ok = bool(np.all(core >= floor)) and all(core[i, i] > 0 for i in range(m_e))
-    elif d.aux.kind == "star":
-        star_ok = all(core[i, i] > 0 for i in range(m_e)) and all(
-            core[i, j] <= 0 for i in range(m_e) for j in range(m_e) if i != j
+    elif d.aux.kind == "star":  # on `rows`: the core's entries, in rational mode times q
+        star_ok = all(line[i] > 0 for i, line in enumerate(rows)) and all(
+            c <= 0 for i, line in enumerate(rows) for j, c in enumerate(line) if i != j
         )
         if star_ok:
-            for i in range(m_e):
-                row = sum(abs(core[i, j]) for j in range(m_e) if j != i)
-                col = sum(abs(core[j, i]) for j in range(m_e) if j != i)
-                if abs(core[i, i]) < row or abs(core[i, i]) < col:
+            for i, (line, column) in enumerate(zip(rows, zip(*rows))):
+                row = sum(abs(c) for j, c in enumerate(line) if j != i)
+                col = sum(abs(c) for j, c in enumerate(column) if j != i)
+                if abs(line[i]) < row or abs(line[i]) < col:
                     star_ok = False
                     break
     return DecompositionReport(

@@ -17,6 +17,12 @@ particular solution of a x = b) and `rank` on top of `exact.rref`, `det`
 by Bareiss elimination on integers), and `cycle_laplacian` and
 `cycle_reconstruction`, which sum the weighted cycle Laplacians of a cycle
 decomposition back into A_k diag K_k.
+
+The Farkas LP and reduced row echelon form have Fraction oracles too, where
+the library pivots rows of ints over one denominator: `fraction_rref`,
+`fraction_max_margin` (the same two-phase Bland's-rule tableau, on
+Fractions) and `fraction_polar_report`, the polar report with its LP solved
+by `fraction_max_margin`.
 """
 
 from __future__ import annotations
@@ -24,14 +30,16 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd, lcm
+from unittest import mock
 
 import numpy as np
 
-from crnlap import exact
+from crnlap import exact, geometry
 from crnlap.crn import monomial_vector
 from crnlap.geometry import (
     POLAR_LINEALITY_RTOL,
     POLAR_STRICT_RTOL,
+    PolarReport,
     evaluation_order,
     polar_interior_contains,
     region_constraints,
@@ -59,6 +67,107 @@ def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     for i, pc in enumerate(pivots):
         x[pc] = r[i, ncols]
     return x
+
+
+def fraction_pivot(rows: list[list[Fraction]], i: int, k: int) -> None:
+    """Scale row i to a unit entry in column k and clear column k elsewhere."""
+    pivot_row = rows[i]
+    p = pivot_row[k]
+    pivot_row[:] = [v / p for v in pivot_row]
+    for row in rows:
+        if row is not pivot_row and row[k] != 0:
+            f = row[k]
+            row[:] = [v - f * u for v, u in zip(row, pivot_row)]
+
+
+def fraction_rref(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form by Gauss-Jordan on Fractions; returns
+    (rref matrix, pivot column list)."""
+    rows = [[Fraction(v) for v in row] for row in m.tolist()]
+    pivots: list[int] = []
+    for col in range(m.shape[1]):
+        r = len(pivots)
+        i = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if i is not None:
+            rows[r], rows[i] = rows[i], rows[r]
+            fraction_pivot(rows, r, col)
+            pivots.append(col)
+    return np.array(rows, dtype=object).reshape(m.shape), pivots
+
+
+def fraction_max_margin(
+    normals: np.ndarray, v: np.ndarray
+) -> tuple[list[Fraction], Fraction, int]:
+    """(lambda, s*, rank N) for max s s.t. N lambda = -v, lambda >= s 1,
+    s <= 1, posed on the rows `fraction_rref` selects and solved on a
+    tableau of Fractions: `geometry._max_margin`'s LP."""
+    n = np.frompyfunc(Fraction, 1, 1)(normals)
+    m = n.shape[1]
+    _, rows = fraction_rref(n.T)
+    a, b = [], []
+    for r in rows:
+        row_sum = sum(n[r], Fraction(0))
+        a.append(list(n[r]) + [-row_sum])
+        b.append(-Fraction(float(v[r])) - row_sum)
+    x = fraction_simplex(a, b, [Fraction(0)] * m + [Fraction(1)])
+    s = 1 - x[m]
+    return [mu + s for mu in x[:m]], s, len(rows)
+
+
+def fraction_simplex(a: list[list], b: list, c: list) -> list[Fraction]:
+    """A minimiser of c.x subject to a x = b, x >= 0 (rows of a independent,
+    the LP feasible and bounded): two-phase tableau method on Fractions with
+    Bland's rule (lowest index enters, ratio ties leave by lowest basic
+    index)."""
+    zero, one = Fraction(0), Fraction(1)
+    n_rows, n_cols = len(a), len(c)
+    tab = []
+    for i, (row, bi) in enumerate(zip(a, b)):
+        sign = -1 if bi < 0 else 1
+        unit = [one if k == i else zero for k in range(n_rows)]
+        tab.append([sign * Fraction(v) for v in row] + unit + [sign * Fraction(bi)])
+    basis = list(range(n_cols, n_cols + n_rows))
+    _fraction_optimise(tab, basis, [zero] * n_cols + [one] * n_rows)
+    for i, j in enumerate(basis):
+        if j < n_cols:
+            continue
+        assert tab[i][-1] == 0, "phase 1 found no feasible point"
+        basis[i] = next(k for k in range(n_cols) if tab[i][k] != 0)
+        fraction_pivot(tab, i, basis[i])
+    for row in tab:
+        del row[n_cols:n_cols + n_rows]
+    _fraction_optimise(tab, basis, [Fraction(v) for v in c])
+    x = [zero] * n_cols
+    for i, j in enumerate(basis):
+        x[j] = tab[i][-1]
+    return x
+
+
+def _fraction_optimise(tab: list[list], basis: list[int], cost: list) -> None:
+    """Pivot a feasible tableau to a minimum of cost.x by Bland's rule."""
+    reduced = cost + [Fraction(0)]
+    for i, j in enumerate(basis):
+        if reduced[j] != 0:
+            f = reduced[j]
+            reduced = [r - f * t for r, t in zip(reduced, tab[i])]
+    rows = tab + [reduced]
+    while True:
+        k = next((k for k in range(len(cost)) if reduced[k] < 0), None)
+        if k is None:
+            return
+        ratios = [
+            (row[-1] / row[k], basis[i], i) for i, row in enumerate(tab) if row[k] > 0
+        ]
+        assert ratios, "LP is unbounded"
+        i = min(ratios)[2]
+        basis[i] = k
+        fraction_pivot(rows, i, k)
+
+
+def fraction_polar_report(desc, f) -> PolarReport:
+    """`polar_interior_contains` with its LP solved by `fraction_max_margin`."""
+    with mock.patch.object(geometry, "_max_margin", fraction_max_margin):
+        return geometry.polar_interior_contains(desc, f)
 
 
 def cycle_laplacian(g: LabeledDigraph, cycle: Cycle) -> np.ndarray:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from crnlap import exact
 from crnlap.errors import SemanticError
 
-from oracles import det, primitive, rank, solve
+from oracles import det, fraction_rref, primitive, rank, solve
 
 
 def random_matrix(rng, rows, cols, lo=-4, hi=4):
@@ -90,6 +90,17 @@ class TestRrefProperties:
         if cs.size:
             assert np.linalg.matrix_rank(np.asarray(cs, dtype=float)) == len(pivots)
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(rational_matrices())
+    def test_rref_equals_fraction_gauss_jordan(self, m):
+        # the int-row pivot takes the Fraction oracle's steps: the same
+        # pivot columns and the same matrix, entry by entry, as Fractions
+        r, pivots = exact.rref(m)
+        want, want_pivots = fraction_rref(m)
+        assert pivots == want_pivots
+        assert r.shape == want.shape
+        assert all(type(a) is Fraction and a == b for a, b in zip(r.flat, want.flat))
+
 
 class TestNullspaceSolve:
     def test_nullspace_annihilates(self):
@@ -156,6 +167,19 @@ class TestDetInverse:
             want = -210 if odd == 0 else 210
             assert det(exact.matrix(rows)) == want
             assert exact.bareiss(rows) == want
+
+    def test_integer_row_one_positive_denominator(self):
+        row = [Fraction(1, 6), -2, 0.375, Fraction(-3, 4)]
+        assert exact.integer_row(row) == ([4, -48, 9, -18], 24)
+        assert exact.integer_row([]) == ([], 1)
+        assert exact.integer_row([np.int64(3), np.float64(0.5)]) == ([6, 1], 2)
+
+    def test_pivot_normalises_sign_and_lowest_terms(self):
+        # rows (0, -2/3, 4/3) and (1, 1/2, 1): pivoting on -2/3 leaves the
+        # unit row (0, 1, -2) over 1 and clears column 1 from the other
+        rows, dens = [[0, -2, 4], [2, 1, 2]], [3, 2]
+        exact.pivot(rows, dens, 0, 1)
+        assert (rows, dens) == ([[0, 1, -2], [1, 0, 2]], [1, 1])
 
     def test_integer_rows_one_positive_multiplier(self):
         m = exact.matrix([[Fraction(1, 6), Fraction(-3, 4)], [0, Fraction(5, 9)]])

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from crnlap import (
     solve_cbe,
     stratum_contains,
 )
-from crnlap import exact
+from crnlap import exact, geometry
 from crnlap.errors import FloatRangeError, PointNotInStratumError
 from crnlap.geometry import evaluation_cone, evaluation_order
 from crnlap.graph import default_chain_aux, make_aux_tree
@@ -36,6 +37,8 @@ from generators import (
 from oracles import (
     aux_incidence,
     bdi_member_by_orders,
+    fraction_polar_report,
+    fraction_simplex,
     polar_interior_by_rays,
     rank,
     rays_by_facet_subsets,
@@ -415,3 +418,58 @@ class TestOneConeAgainstOrders:
         in_s = s_basis @ np.asarray([rng.uniform(-1, 1) for _ in range(s_basis.shape[1])])
         for v in (f, -f, np.zeros_like(f), in_s, f * 1e9, f * 1e-9):
             assert bdi_report(net, x, v).member == bdi_member_by_orders(net, x, v)
+
+
+class TestIntTableauAgainstFractions:
+    """The Farkas LP on rows of ints over one denominator takes the steps of
+    the Fraction tableau, so every report field is the same."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["generic", "pair", "group", "component"]),
+        st.sampled_from(["integer", "thirds", "float"]),
+    )
+    def test_report_equals_fraction_oracle(self, seed, tie, y_kind):
+        rng = random.Random(seed)
+        net, x_star = random_planted_network(rng, n_species_max=4, n_vertices_max=7)
+        if tie == "generic":
+            x = random_positive_fractions(rng, net.n_species)
+        else:
+            x = _exact_tie_state(rng, net, x_star, tie)
+            if x is None:
+                return
+        if y_kind != "integer":
+            # Y / 3 at x^3 keeps every scaled monomial, ties included (up to
+            # rounding: the monomials of a fractional Y are floats)
+            y = [[Fraction(v, 3) for v in row] for row in net.complexes.tolist()]
+            if y_kind == "float":
+                y = [[float(v) for v in row] for row in y]
+            net = build_network(net.species, y, net.graph)
+            x = [v**3 for v in x]
+        desc = evaluation_cone(net, x)
+        f = np.asarray(mass_action_rhs(net, x), dtype=float)
+        subnormal = f.copy()
+        subnormal[rng.randrange(f.size)] = 5e-324
+        for v in (f, -f, np.zeros_like(f), f * 1e9, f * 1e-9, f * 1e-300, subnormal):
+            assert polar_interior_contains(desc, v) == fraction_polar_report(desc, v)
+
+    def test_artificial_basic_at_zero_leaves_by_negative_pivot(self):
+        # phase 1 ends with the second artificial basic at zero, and the
+        # first nonzero original entry of its row is -1/2: the drive-out
+        # pivot flips the row's sign, then phase 2 takes one degenerate step
+        a = [[Fraction(-1, 2), 0, 0], [0, Fraction(-1, 2), -1]]
+        b = [-2, 0]
+        c = [-1, 0, -1]
+        rows, dens = zip(*(exact.integer_row(row + [bi]) for row, bi in zip(a, b)))
+        entries = []
+        pivot = exact.pivot
+
+        def spy(rows, dens, i, k):
+            entries.append(Fraction(rows[i][k], dens[i]))
+            pivot(rows, dens, i, k)
+
+        with mock.patch.object(exact, "pivot", spy):
+            x = geometry._simplex(list(rows), list(dens), c)
+        assert Fraction(-1, 2) in entries
+        assert x == fraction_simplex(a, b, c) == [4, 0, 0]

@@ -340,6 +340,23 @@ class TestVerify:
         assert report.passed
         assert report.star_signs_ok
 
+    @pytest.mark.parametrize(
+        "core, ok",
+        [
+            ([[1, 0], [-1, 1]], True),
+            ([[1, 0], [-2, 3]], False),  # column 0 outweighs its diagonal
+            ([[1, -2], [0, 3]], False),  # row 0 outweighs its diagonal
+            ([[1, 1], [0, 1]], False),  # a positive off-diagonal entry
+            ([[0, 0], [0, 1]], False),  # a zero diagonal entry
+        ],
+    )
+    def test_star_signs_of_given_core(self, running_graph, core, ok):
+        # a positive diagonal, nonpositive off-diagonal entries, and each
+        # diagonal entry at least its row's and its column's other entries
+        aux = make_aux_tree(running_graph, "star", ["1"])
+        dec = dataclasses.replace(core_matrix(running_graph, aux), core=exact.matrix(core))
+        assert verify_core_decomposition(dec).star_signs_ok is ok
+
     def test_corrupted_core_fails_residual(self, running_graph):
         # the residual is computed from the core it is given: one unit more
         # at core[0, 0] adds I_aux e_0 e_0.T I_aux.T, whose entries are +-1
