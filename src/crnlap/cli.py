@@ -42,25 +42,18 @@ EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
 
 
-def jsonable(value):
-    """Recursively convert report values to JSON-serializable objects."""
+def _json_default(value):
+    """The report values json does not encode itself: exact numbers, and
+    numpy arrays and scalars."""
     if isinstance(value, Fraction):
         return number_to_json(value)
-    if isinstance(value, np.ndarray):
-        return [jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, dict):
-        return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
-    return value
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def emit(report: dict, out: str | None) -> None:
-    text = json.dumps(jsonable(report), indent=2, sort_keys=True)
+    text = json.dumps(report, indent=2, sort_keys=True, default=_json_default)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -284,7 +277,7 @@ def cmd_simulate(args) -> int:
     }
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(jsonable(trajectory), fh, indent=2, sort_keys=True)
+            json.dump(trajectory, fh, indent=2, sort_keys=True, default=_json_default)
             fh.write("\n")
         report["trajectory_file"] = args.out
     else:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import exact
 from .crn import ReactionNetwork, check_state, edge_flows
-from .errors import FloatRangeError, NoConvergenceError, NotACbeError
+from .errors import FloatRangeError, NoConvergenceError, NotACbeError, SemanticError
 from .graph import default_chain_aux, edge_ends
 
 logger = logging.getLogger(__name__)
@@ -94,7 +94,11 @@ def solve_cbe(net: ReactionNetwork) -> CbeResult:
 
 
 def cbe_manifold_sample(net: ReactionNetwork, x_star, count: int, seed: int):
-    """Points x = x_star o exp(w) with w random in span(S-perp basis)."""
+    """`count` points x = x_star o exp(w) with w random in span(S-perp
+    basis), drawn with numpy's generator seeded by `seed`; a negative count
+    or seed is a SemanticError."""
+    if count < 0 or seed < 0:
+        raise SemanticError(f"count and seed must be >= 0, got count={count!r}, seed={seed!r}")
     xs = require_cbe(net, x_star)
     w_basis = np.asarray(net.sperp_basis, dtype=float)
     rng = np.random.default_rng(seed)

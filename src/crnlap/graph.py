@@ -6,6 +6,10 @@ connected components are computed once at construction and kept in a
 canonical order (ascending minimal vertex id) so that block layouts are
 reproducible.  Products with an edge list's incidence matrix are gathers on
 its tail and head indices (`edge_ends`); no incidence matrix is formed.
+A cycle is stored once, as its vertex sequence, and its edges are derived
+from it.  An auxiliary tree is an edge list and a kind; `validate_aux_tree`
+is the one place that refuses an invalid one, and every function that
+takes a tree calls it, directly or through `core_matrix`.
 """
 
 from __future__ import annotations
@@ -184,14 +188,16 @@ def build_digraph(vertices: Sequence, edges: Iterable[tuple]) -> LabeledDigraph:
 
 @dataclass(frozen=True)
 class Cycle:
-    """Directed simple cycle; its smallest vertex leads."""
+    """Directed simple cycle, stored as its vertex sequence with the
+    smallest vertex first; its edges join each vertex to the next and the
+    last to the first."""
 
-    edges: tuple[Edge, ...]
-    vertices: frozenset[str]
+    vertex_seq: tuple[str, ...]
 
     @property
-    def vertex_seq(self) -> tuple[str, ...]:
-        return tuple(s for s, _ in self.edges)
+    def edges(self) -> tuple[Edge, ...]:
+        seq = self.vertex_seq
+        return tuple(zip(seq, seq[1:] + seq[:1]))
 
 
 def enumerate_cycles(g: LabeledDigraph) -> list[Cycle]:
@@ -217,8 +223,7 @@ def enumerate_cycles(g: LabeledDigraph) -> list[Cycle]:
     def walk(start: str, v: str, path: list[str], visited: set[str]) -> None:
         for d in out[v]:
             if d == start:
-                edges = tuple(zip(path, path[1:] + [start]))
-                cycles.append(Cycle(edges=edges, vertices=frozenset(path)))
+                cycles.append(Cycle(tuple(path)))
                 if len(cycles) > MAX_CYCLES:
                     raise DimensionTooLargeError(
                         f"more than MAX_CYCLES={MAX_CYCLES} simple cycles"
@@ -265,12 +270,6 @@ class AuxTree:
 
     edges: tuple[Edge, ...]
     kind: str
-
-
-@dataclass(frozen=True)
-class AuxTreeReport:
-    ok: bool
-    violation: str | None = None
 
 
 def make_aux_tree(g: LabeledDigraph, kind: str, spec) -> AuxTree:
@@ -324,11 +323,10 @@ def make_aux_tree(g: LabeledDigraph, kind: str, spec) -> AuxTree:
 
 
 def general_aux_tree(g: LabeledDigraph, edges: Iterable[Edge]) -> AuxTree:
-    """Wrap arbitrary edges as a general auxiliary tree (validated)."""
+    """Wrap arbitrary edges as a general auxiliary tree, grouped by
+    component; `validate_aux_tree` refuses edges that are not one."""
     aux = AuxTree(edges=tuple((str(a), str(b)) for a, b in edges), kind="general")
-    report = validate_aux_tree(g, aux)
-    if not report.ok:
-        raise InvalidAuxTreeError(report.violation)
+    validate_aux_tree(g, aux)
     return _grouped(g, aux)
 
 
@@ -339,31 +337,33 @@ def _grouped(g: LabeledDigraph, aux: AuxTree) -> AuxTree:
     return AuxTree(edges=tuple(edges), kind=aux.kind)
 
 
-def validate_aux_tree(g: LabeledDigraph, aux: AuxTree) -> AuxTreeReport:
+def validate_aux_tree(g: LabeledDigraph, aux: AuxTree) -> None:
     """Check all auxiliary-tree invariants against g's SCC partition.
 
-    Returns the first violated invariant as a report instead of raising.
+    Raises InvalidAuxTreeError naming the first violated invariant: the
+    kind, then each edge's endpoints, duplicate edges, components crossed,
+    and per component the edge count, acyclicity and the chain or star
+    shape.
     """
     if aux.kind not in ("chain", "star", "general"):
-        return AuxTreeReport(False, f"unknown aux tree kind {aux.kind!r}")
+        raise InvalidAuxTreeError(f"unknown aux tree kind {aux.kind!r}")
     for (a, b) in aux.edges:
         if a not in g.index or b not in g.index:
-            return AuxTreeReport(False, f"edge {a}->{b} has an unknown endpoint")
+            raise InvalidAuxTreeError(f"edge {a}->{b} has an unknown endpoint")
         if a == b:
-            return AuxTreeReport(False, f"self-loop {a}->{b}")
+            raise InvalidAuxTreeError(f"self-loop {a}->{b}")
     if len(set(aux.edges)) != len(aux.edges):
-        return AuxTreeReport(False, "duplicate aux edge")
+        raise InvalidAuxTreeError("duplicate aux edge")
     for (a, b) in aux.edges:
         if g.component_index[a] != g.component_index[b]:
-            return AuxTreeReport(False, f"edge {a}->{b} crosses components")
+            raise InvalidAuxTreeError(f"edge {a}->{b} crosses components")
     for ci in range(g.n_components):
         comp = g.scc_partition[ci]
         comp_edges = [(a, b) for (a, b) in aux.edges if a in comp]
         if len(comp_edges) != len(comp) - 1:
-            return AuxTreeReport(
-                False,
+            raise InvalidAuxTreeError(
                 f"component {sorted(comp)} has {len(comp_edges)} aux edges, "
-                f"expected {len(comp) - 1}",
+                f"expected {len(comp) - 1}"
             )
         # undirected acyclicity via union-find; count + acyclic => spanning tree
         parent = {v: v for v in comp}
@@ -377,31 +377,21 @@ def validate_aux_tree(g: LabeledDigraph, aux: AuxTree) -> AuxTreeReport:
         for (a, b) in comp_edges:
             ra, rb = find(a), find(b)
             if ra == rb:
-                return AuxTreeReport(
-                    False, f"aux edges contain an undirected cycle in {sorted(comp)}"
+                raise InvalidAuxTreeError(
+                    f"aux edges contain an undirected cycle in {sorted(comp)}"
                 )
             parent[ra] = rb
-        if aux.kind == "chain" and comp_edges:
-            out_deg: dict[str, int] = {}
-            in_deg: dict[str, int] = {}
-            for (a, b) in comp_edges:
-                out_deg[a] = out_deg.get(a, 0) + 1
-                in_deg[b] = in_deg.get(b, 0) + 1
-            if max(out_deg.values()) > 1 or max(in_deg.values()) > 1:
-                return AuxTreeReport(
-                    False, f"chain edges in {sorted(comp)} do not form a path"
-                )
-        if aux.kind == "star" and comp_edges:
-            targets = {b for (_, b) in comp_edges}
-            sources = [a for (a, _) in comp_edges]
-            if len(targets) != 1 or len(set(sources)) != len(sources):
-                return AuxTreeReport(
-                    False, f"star edges in {sorted(comp)} do not share a single root"
-                )
-            root = next(iter(targets))
-            if root in sources:
-                return AuxTreeReport(False, f"star root {root} is also a source")
-    return AuxTreeReport(True)
+        # the tree is a directed path iff no two edges share a tail or a
+        # head, and (with no self-loop) a star iff every edge has one head
+        tails, heads = {a for a, _ in comp_edges}, {b for _, b in comp_edges}
+        if aux.kind == "chain" and len(comp_edges) > min(len(tails), len(heads)):
+            raise InvalidAuxTreeError(
+                f"chain edges in {sorted(comp)} do not form a path"
+            )
+        if aux.kind == "star" and len(heads) > 1:
+            raise InvalidAuxTreeError(
+                f"star edges in {sorted(comp)} do not share a single root"
+            )
 
 
 def default_chain_aux(g: LabeledDigraph) -> AuxTree:

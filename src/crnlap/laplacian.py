@@ -51,7 +51,7 @@ from operator import mul
 import numpy as np
 
 from . import exact
-from .errors import FloatRangeError, InvalidAuxTreeError, NotStronglyConnectedError
+from .errors import FloatRangeError, NotStronglyConnectedError
 from .graph import (
     AuxTree,
     Cycle,
@@ -267,12 +267,6 @@ def _integer_scaling(g: LabeledDigraph, consts: TreeConstants) -> tuple[dict, li
     return labels, k_vals, [dens[c] * lens[c] for c in comps]
 
 
-def _require_aux(g: LabeledDigraph, aux: AuxTree) -> None:
-    report = validate_aux_tree(g, aux)
-    if not report.ok:
-        raise InvalidAuxTreeError(report.violation)
-
-
 def core_matrix(
     g: LabeledDigraph, aux: AuxTree, consts: TreeConstants | None = None
 ) -> CoreDecomposition:
@@ -297,7 +291,7 @@ def core_matrix(
     zeros are `exact.ZERO`.
     """
     _require_scc(g)
-    _require_aux(g, aux)
+    validate_aux_tree(g, aux)
     if consts is None:
         consts = tree_constants(g)
     labels, k_vals = g.labels, consts.values.tolist()
@@ -379,7 +373,7 @@ def verify_core_decomposition(
     floats always by its numerical rank.
     """
     core, g = d.core, d.graph
-    _require_aux(g, d.aux)
+    validate_aux_tree(g, d.aux)
 
     def scale():  # max |A_k diag K|: K_v times the sum of v's out-labels
         out = [0] * g.n_vertices
@@ -521,14 +515,16 @@ def cycle_decomposition(g: LabeledDigraph) -> CycleDecomposition:
     minors: dict[frozenset[str], int | float] = {}
     terms = []
     for cycle in enumerate_cycles(g):
-        ci = g.component_index[cycle.edges[0][0]]
-        minor = minors.get(cycle.vertices)
+        seq = cycle.vertex_seq
+        ci = g.component_index[seq[0]]
+        on_cycle = frozenset(seq)
+        minor = minors.get(on_cycle)
         if minor is None:
-            free = [v for v in g.component_vertices(ci) if v not in cycle.vertices]
-            minor = minors[cycle.vertices] = _off_cycle_minor(out, free, g.exact)
+            free = [v for v in g.component_vertices(ci) if v not in on_cycle]
+            minor = minors[on_cycle] = _off_cycle_minor(out, free, g.exact)
         coeff = minor
-        for e in cycle.edges:
-            coeff *= labels[e]
+        for a, b in zip(seq, seq[1:] + seq[:1]):
+            coeff *= out[a][b]
         if g.exact:
             coeff = Fraction(coeff, dens[ci] ** len(g.scc_partition[ci]))
         terms.append((cycle, coeff))

@@ -186,6 +186,8 @@ def simulate(
 ) -> Trajectory:
     """Adaptive Cash-Karp 5(4) integration of dx/dt = f_k(x) = N `edge_flows`.
 
+    The error test is |error| <= atol + rtol * x per species, so rtol and
+    atol must be finite, >= 0 and not both 0 (SemanticError otherwise).
     Steps whose stages or endpoint leave the positive orthant are rejected
     and retried with half the step.  The Lyapunov value is recorded per
     accepted step against a supplied or solved equilibrium (omitted when no
@@ -193,6 +195,11 @@ def simulate(
     """
     if not 0 < t_end < np.inf:
         raise SemanticError(f"t_end must be finite and positive, got {t_end!r}")
+    for name, tol in (("rtol", rtol), ("atol", atol)):
+        if not 0 <= tol < np.inf:
+            raise SemanticError(f"{name} must be finite and >= 0, got {tol!r}")
+    if rtol == atol == 0:
+        raise SemanticError("rtol and atol must not both be 0")
     x = np.asarray(check_state(x0, net.n_species), dtype=float)
     nf = np.asarray(net.reactions, dtype=float)
     kf = np.asarray(net.rates, dtype=float)

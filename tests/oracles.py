@@ -294,9 +294,10 @@ def forest_cycle_coefficient(g, cycle):
     """Cycle coefficient by backtracking: the sum, over the subgraphs in
     which the cycle is the only cycle and every vertex of its component has
     out-degree one, of edge-label products."""
-    ci = g.component_index[next(iter(cycle.vertices))]
+    on_cycle = set(cycle.vertex_seq)
+    ci = g.component_index[cycle.vertex_seq[0]]
     comp = g.scc_partition[ci]
-    free = [v for v in g.component_vertices(ci) if v not in cycle.vertices]
+    free = [v for v in g.component_vertices(ci) if v not in on_cycle]
     choices = {
         v: [(v, d) for (s, d) in g.edges if s == v and d in comp] for v in free
     }
@@ -313,7 +314,7 @@ def forest_cycle_coefficient(g, cycle):
                 return False
             seen.add(v)
             v = succ[v]
-        return v in cycle.vertices
+        return v in on_cycle
 
     def extend(i, succ, prod):
         nonlocal total

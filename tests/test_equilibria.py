@@ -13,7 +13,7 @@ from crnlap import (
     solve_cbe,
 )
 from crnlap.crn import scaled_monomials
-from crnlap.errors import NotACbeError
+from crnlap.errors import NotACbeError, SemanticError
 from conftest import PLANAR_Y, running_example_graph
 
 from generators import (
@@ -146,6 +146,11 @@ class TestManifoldSample:
 
     def test_count_zero(self, cycle3_net):
         assert cbe_manifold_sample(cycle3_net, [1, 1], 0, seed=3) == []
+
+    @pytest.mark.parametrize("count, seed", [(-1, 0), (2, -1)])
+    def test_rejects_negative_count_or_seed(self, cycle3_net, count, seed):
+        with pytest.raises(SemanticError, match="count and seed must be >= 0"):
+            cbe_manifold_sample(cycle3_net, [1, 1], count, seed=seed)
 
     def test_rejects_non_cbe(self, cycle3_net):
         with pytest.raises(NotACbeError):

@@ -23,9 +23,9 @@ from crnlap import (
     stratum_contains,
 )
 from crnlap import exact, geometry
-from crnlap.errors import FloatRangeError, PointNotInStratumError
+from crnlap.errors import FloatRangeError, InvalidAuxTreeError, PointNotInStratumError
 from crnlap.geometry import evaluation_cone, evaluation_order
-from crnlap.graph import default_chain_aux, make_aux_tree
+from crnlap.graph import AuxTree, default_chain_aux, make_aux_tree
 
 from generators import (
     random_planted_network,
@@ -85,6 +85,13 @@ class TestStratum:
         aux = default_chain_aux(cycle3_net.graph)
         # values at (2, 1): (8, 1, 2) -- violates the first inequality
         assert not stratum_contains(cycle3_net, aux, [2.0, 1.0])
+
+    def test_invalid_tree_refused(self, cycle3_net):
+        bad = AuxTree(edges=(("1", "2"), ("2", "1")), kind="general")
+        with pytest.raises(InvalidAuxTreeError, match="undirected cycle"):
+            stratum_contains(cycle3_net, bad, [0.5, 0.5])
+        with pytest.raises(InvalidAuxTreeError, match="undirected cycle"):
+            region_constraints(cycle3_net, bad, "cone")
 
     def test_cbe_on_every_stratum_boundary(self, triangle_net):
         res = solve_cbe(triangle_net)

@@ -17,6 +17,7 @@ from crnlap.errors import (
     BadOrderError,
     DimensionTooLargeError,
     DuplicateVertexError,
+    InvalidAuxTreeError,
     NonPositiveLabelError,
     SelfLoopError,
     UnknownEndpointError,
@@ -114,8 +115,9 @@ class TestCycles:
         rng = random.Random(11)
         for _ in range(25):
             g = random_scc_digraph(rng, n_max=6)
-            got = {frozenset(c.edges) for c in enumerate_cycles(g)}
-            assert got == brute_cycles(g)
+            cycles = enumerate_cycles(g)
+            assert {frozenset(c.edges) for c in cycles} == brute_cycles(g)
+            assert len(cycles) == len(brute_cycles(g))  # no cycle listed twice
 
     def test_enumerated_in_vertex_seq_order(self):
         # the walk itself closes cycles in order: no sort follows it
@@ -128,8 +130,8 @@ class TestCycles:
             cycles = enumerate_cycles(g)
             assert cycles == sorted(cycles, key=lambda c: c.vertex_seq)
             for c in cycles:
-                assert c.vertex_seq[0] == min(c.vertices)
-                assert c.vertices == frozenset(c.vertex_seq)
+                assert c.vertex_seq[0] == min(c.vertex_seq)
+                assert len(set(c.vertex_seq)) == len(c.vertex_seq)
                 assert c.edges == tuple(zip(c.vertex_seq, c.vertex_seq[1:] + c.vertex_seq[:1]))
 
     def test_complete_nine_exceeds_max_cycles(self):
@@ -243,7 +245,7 @@ class TestAuxTrees:
 
     def test_validate_ok_chain(self, running_graph):
         aux = make_aux_tree(running_graph, "chain", [["1", "2", "3"]])
-        assert validate_aux_tree(running_graph, aux).ok
+        validate_aux_tree(running_graph, aux)
 
     def test_cycle_is_not_a_tree(self, running_graph):
         from crnlap.graph import AuxTree
@@ -252,13 +254,12 @@ class TestAuxTrees:
             edges=(("1", "2"), ("2", "3"), ("3", "1")),
             kind="general",
         )
-        report = validate_aux_tree(running_graph, bad)
-        assert not report.ok
-        assert "aux edges" in report.violation or "cycle" in report.violation
+        with pytest.raises(InvalidAuxTreeError, match="aux edges|cycle"):
+            validate_aux_tree(running_graph, bad)
 
     def test_edges_outside_host_graph_allowed(self, running_graph):
         aux = general_aux_tree(running_graph, [("1", "3"), ("3", "2")])
-        assert validate_aux_tree(running_graph, aux).ok
+        validate_aux_tree(running_graph, aux)
 
     def test_generated_trees_always_validate(self):
         rng = random.Random(99)
@@ -268,4 +269,4 @@ class TestAuxTrees:
                 random_general_aux(rng, g),
                 random_star_aux(rng, g),
             ):
-                assert validate_aux_tree(g, aux).ok
+                validate_aux_tree(g, aux)

@@ -490,10 +490,49 @@ class TestVerify:
 
     def test_unknown_kind_refused(self, running_graph):
         aux = AuxTree(edges=(("1", "2"), ("2", "3")), kind="chian")
-        report = validate_aux_tree(running_graph, aux)
-        assert not report.ok and "chian" in report.violation
+        with pytest.raises(InvalidAuxTreeError, match="chian"):
+            validate_aux_tree(running_graph, aux)
         with pytest.raises(InvalidAuxTreeError):
             core_matrix(running_graph, aux)
+
+    @pytest.mark.parametrize(
+        "kind, edges, message",
+        [
+            ("chian", [("1", "2"), ("2", "3"), ("4", "5")],
+             "unknown aux tree kind 'chian'"),
+            ("general", [("1", "9"), ("2", "3"), ("4", "5")],
+             "edge 1->9 has an unknown endpoint"),
+            ("general", [("1", "1"), ("2", "3"), ("4", "5")], "self-loop 1->1"),
+            ("general", [("1", "2"), ("1", "2"), ("4", "5")], "duplicate aux edge"),
+            ("general", [("1", "2"), ("3", "4"), ("4", "5")],
+             "edge 3->4 crosses components"),
+            ("general", [("1", "2"), ("4", "5")],
+             r"component \['1', '2', '3'\] has 1 aux edges, expected 2"),
+            ("general", [("1", "2"), ("2", "1"), ("4", "5")],
+             r"aux edges contain an undirected cycle in \['1', '2', '3'\]"),
+            ("chain", [("1", "2"), ("1", "3"), ("4", "5")],
+             r"chain edges in \['1', '2', '3'\] do not form a path"),
+            ("star", [("2", "1"), ("3", "2"), ("5", "4")],
+             r"star edges in \['1', '2', '3'\] do not share a single root"),
+        ],
+        ids=["kind", "endpoint", "self-loop", "duplicate", "crossing", "count",
+             "undirected-cycle", "chain-path", "star-root"],
+    )
+    def test_each_violation_refused_with_its_message(self, kind, edges, message):
+        # two components, {1, 2, 3} and {4, 5}; every call that takes a
+        # tree refuses it with the validator's message
+        g = build_digraph(
+            [str(v) for v in range(1, 6)],
+            [("1", "2", 1), ("2", "3", 2), ("3", "1", 3), ("4", "5", 1), ("5", "4", 2)],
+        )
+        bad = AuxTree(edges=tuple(edges), kind=kind)
+        with pytest.raises(InvalidAuxTreeError, match=message):
+            validate_aux_tree(g, bad)
+        with pytest.raises(InvalidAuxTreeError, match=message):
+            core_matrix(g, bad)
+        dec = core_matrix(g, default_chain_aux(g))
+        with pytest.raises(InvalidAuxTreeError, match=message):
+            verify_core_decomposition(dataclasses.replace(dec, aux=bad))
 
 
 class TestCycleDecomposition:

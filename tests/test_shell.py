@@ -384,6 +384,30 @@ class TestCli:
         assert json.loads(proc.stderr)["error"]["type"] == "SemanticError"
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", "--x0", "0.5,1.5", "--t", "1", "--rtol", "-1"], "rtol"),
+            (["simulate", "--x0", "0.5,1.5", "--t", "1", "--atol=-1e-3"], "atol"),
+            (["simulate", "--x0", "0.5,1.5", "--t", "1", "--rtol", "nan"], "rtol"),
+            (["simulate", "--x0", "0.5,1.5", "--t", "1", "--rtol", "inf"], "rtol"),
+            (["simulate", "--x0", "0.5,1.5", "--t", "1", "--atol", "0", "--rtol", "0"],
+             "not both be 0"),
+            (["equilibria", "--samples", "-2"], "count=-2"),
+            (["equilibria", "--samples", "2", "--seed", "-1"], "seed=-1"),
+        ],
+        ids=["rtol-negative", "atol-negative", "rtol-nan", "rtol-inf", "both-zero",
+             "samples-negative", "seed-negative"],
+    )
+    def test_bad_numeric_option_exit_2(self, argv, message, tmp_path):
+        # a fresh process with numpy warnings as errors: the refusal comes
+        # before the integrator or the sampler runs
+        proc = _cli_process(tmp_path, json.loads(CYCLE3.read_text()), *argv)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        error = json.loads(proc.stderr)["error"]
+        assert error["type"] == "SemanticError" and message in error["message"]
+
+    @pytest.mark.parametrize(
         "argv, token",
         [
             (["certify", "--x", "abc,1"], "abc"),

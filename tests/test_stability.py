@@ -18,7 +18,7 @@ from crnlap import (
     simulate,
     solve_cbe,
 )
-from crnlap.errors import NotACbeError
+from crnlap.errors import NotACbeError, SemanticError
 
 from generators import (
     random_planted_network,
@@ -179,6 +179,26 @@ class TestBdiMembership:
 
 
 class TestSimulate:
+    @pytest.mark.parametrize(
+        "rtol, atol, message",
+        [
+            (-1.0, 1e-10, "rtol must be finite and >= 0"),
+            (1e-8, -1e-3, "atol must be finite and >= 0"),
+            (math.nan, 1e-10, "rtol must be finite"),
+            (math.inf, 1e-10, "rtol must be finite"),
+            (1e-8, math.inf, "atol must be finite"),
+            (0.0, 0.0, "rtol and atol must not both be 0"),
+        ],
+    )
+    def test_rejects_bad_tolerances(self, cycle3_net, rtol, atol, message):
+        with pytest.raises(SemanticError, match=message):
+            simulate(cycle3_net, [0.5, 1.5], 1.0, rtol=rtol, atol=atol)
+
+    @pytest.mark.parametrize("rtol, atol", [(1e-8, 0.0), (0.0, 1e-8)])
+    def test_one_zero_tolerance_accepted(self, cycle3_net, rtol, atol):
+        traj = simulate(cycle3_net, [0.5, 1.5], 1.0, rtol=rtol, atol=atol)
+        assert traj.times[-1] == 1.0 and traj.accepted > 0
+
     def test_cycle_converges_with_monotone_lyapunov(self, cycle3_net):
         traj = simulate(cycle3_net, [0.5, 0.5], 50.0)
         assert np.max(np.abs(traj.states[-1] - 1.0)) <= 1e-6
