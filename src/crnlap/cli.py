@@ -4,8 +4,8 @@ Subcommands: analyze, decompose, equilibria, certify, bdi-check, simulate.
 Reports go to stdout as deterministic JSON (sorted keys); errors go to
 stderr as structured JSON.  Exit codes: 0 success, 2 validation error
 (values outside the float64 range included), 3 infeasible analysis.
-Only the commands whose checks read it take `--tol`.  Set
-CRNLAP_LOG=debug|info|warning for log verbosity.
+Only the commands whose checks read it take `--tol`, and only `equilibria`
+takes `--seed`.  Set CRNLAP_LOG=debug|info|warning for log verbosity.
 """
 
 from __future__ import annotations
@@ -142,7 +142,8 @@ def cmd_analyze(args) -> int:
         "components": [sorted(c) for c in g.scc_partition],
         "weakly_reversible": net.is_weakly_reversible(),
         "laplacian": laplacian_matrix(g),
-        "stoichiometric_dim": int(net.s_basis.shape[1]),
+        # rank-nullity: dim S = n - dim S-perp
+        "stoichiometric_dim": net.n_species - net.sperp_basis.shape[1],
         "conservation_dim": int(net.sperp_basis.shape[1]),
     }
     if net.is_weakly_reversible():
@@ -233,16 +234,13 @@ def cmd_bdi_check(args) -> int:
     x = _parse_state(args.x)
     # no CBE: NoConvergenceError, exit 3; a given x* that is not one: exit 2
     require_cbe(net, _resolve_x_star(args, net))
-    if args.v:
-        v = np.asarray([float(t) for t in _parse_state(args.v)], dtype=float)
-    else:
-        v = np.asarray(mass_action_rhs(net, x), dtype=float)
+    v = _parse_state(args.v) if args.v else mass_action_rhs(net, x)
     bdi = bdi_report(net, x, v, tol=args.tol)
     report = {
         "command": "bdi-check",
         "mode": _mode_name(net),
         "x": [float(t) for t in x],
-        "v": v,
+        "v": np.asarray(v, dtype=float),
         "on_manifold": bdi.on_manifold,
         "member": bdi.member,
         "cone": None if bdi.cone is None else {"edges": bdi.cone[0], **asdict(bdi.cone[1])},
@@ -302,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
             default="auto",
             help="numeric mode for parsing document numbers",
         )
-        p.add_argument("--seed", type=int, default=0, help="seed for sampling")
         p.add_argument("--out", default=None, help="write the report to a file")
 
     p = sub.add_parser("analyze", help="components, tree constants, decomposition")
@@ -321,6 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equilibria", help="solve for a complex-balanced equilibrium")
     common(p)
     p.add_argument("--samples", type=int, default=0, help="manifold samples to draw")
+    p.add_argument("--seed", type=int, default=0, help="seed for sampling")
     p.set_defaults(func=cmd_equilibria)
 
     p = sub.add_parser("certify", help="Lyapunov decrease certificate at a state")

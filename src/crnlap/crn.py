@@ -44,9 +44,9 @@ class ReactionNetwork:
     """Chemical reaction network (graph, Y) with cached derived structure.
 
     `complexes` is the n x V matrix Y in dense vertex order; `tails`, `heads`,
-    `rates` (labels) and `reactions` (N = Y I_E) follow `graph.edges`.  Bases
-    of S are computed at construction (exactly when Y is rational); tree
-    constants are computed lazily on the first weakly-reversible query.
+    `rates` (labels) and `reactions` (N = Y I_E) follow `graph.edges`.  A
+    basis of S-perp = ker N.T is computed at construction (exactly when N
+    is rational); tree constants lazily on the first weakly-reversible query.
     """
 
     def __init__(self, species: Sequence[str], complexes, graph: LabeledDigraph):
@@ -76,9 +76,9 @@ class ReactionNetwork:
         self.rates = np.array(labels, dtype=object if graph.exact else float)
         m = self.reactions = y[:, self.heads] - y[:, self.tails]
         if exact.is_exact(m):
-            self.s_basis, self.sperp_basis = exact.column_space(m), exact.nullspace(m.T)
+            self.sperp_basis = exact.nullspace(m.T)
         else:
-            self.s_basis, self.sperp_basis = _float_column_space(m), _float_nullspace(m.T)
+            self.sperp_basis = _float_nullspace(m.T)
         self._consts: TreeConstants | None = None
         self._consts_lock = threading.Lock()
 
@@ -89,9 +89,8 @@ class ReactionNetwork:
             return np.zeros((0, 0), dtype=object)
         if any(len(r) != len(rows[0]) for r in rows):
             raise ShapeMismatchError("ragged complex matrix")
-        if any(isinstance(v, float) for row in rows for v in row):
-            return np.array([[float(v) for v in row] for row in rows], dtype=float)
-        return np.array(rows, dtype=object)
+        floats = any(isinstance(v, float) for row in rows for v in row)
+        return np.array(rows, dtype=float if floats else object)
 
     @property
     def n_species(self) -> int:
@@ -126,18 +125,8 @@ def _float_nullspace(m: np.ndarray) -> np.ndarray:
     if m.size == 0:
         return np.eye(m.shape[1])
     u, s, vt = np.linalg.svd(m)
-    cutoff = SVD_RANK_RTOL * (s[0] if s.size else 0.0)
-    r = int(np.sum(s > cutoff))
+    r = int(np.sum(s > SVD_RANK_RTOL * s[0]))  # s is not empty when m is not
     return vt[r:].T.copy()
-
-
-def _float_column_space(m: np.ndarray) -> np.ndarray:
-    if m.size == 0:
-        return np.zeros((m.shape[0], 0))
-    u, s, vt = np.linalg.svd(m)
-    cutoff = SVD_RANK_RTOL * (s[0] if s.size else 0.0)
-    r = int(np.sum(s > cutoff))
-    return u[:, :r].copy()
 
 
 def build_network(species, complexes, graph: LabeledDigraph) -> ReactionNetwork:

@@ -7,12 +7,12 @@ this package (dimensions ~10), where exact Gaussian elimination is cheap and
 the identities being verified are exact.  Elimination runs on Python ints:
 a rational row is a list of ints over one positive int denominator
 (`integer_row` forms it from ints, Fractions or floats, each at its exact
-value).  `pivot` is the one Gauss-Jordan step on such rows: `rref` (so
-`nullspace` and `column_space`), which converts to Fractions once when it
-returns, and `geometry`'s simplex share it.  Determinants are taken on
-integers: `integer_rows` clears a matrix's denominators with one positive
-multiplier, and `bareiss`, Bareiss fraction-free elimination, gives the
-determinant of an integer matrix.
+value).  `pivot` is the one Gauss-Jordan step on such rows: `rref`, which
+returns its reduced rows in that form, and `geometry`'s simplex share it;
+`nullspace` forms Fractions only for the entries of its basis.
+Determinants are taken on integers: `integer_rows` clears a matrix's
+denominators with one positive multiplier, and `bareiss`, Bareiss
+fraction-free elimination, gives the determinant of an integer matrix.
 `laplacian` uses it to decide the invertibility of core blocks built
 elsewhere and to take the off-cycle minors of cycle coefficients.
 
@@ -133,8 +133,9 @@ def _lowest_terms(rows: list[list[int]], dens: list[int], r: int) -> None:
         dens[r] //= g
 
 
-def rref(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form; returns (rref matrix, pivot column list)."""
+def rref(m: np.ndarray) -> tuple[list[list[int]], list[int], list[int]]:
+    """Reduced row echelon form as (rows, dens, pivot columns), row i being
+    the ints rows[i] over the positive denominator dens[i]."""
     rows, dens = [], []
     for values in m.tolist():
         row, den = integer_row(values)
@@ -149,27 +150,20 @@ def rref(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
             dens[r], dens[i] = dens[i], dens[r]
             pivot(rows, dens, r, col)
             pivots.append(col)
-    out = [[Fraction(v, d) if v else ZERO for v in row] for row, d in zip(rows, dens)]
-    return np.array(out, dtype=object).reshape(m.shape), pivots
+    return rows, dens, pivots
 
 
 def nullspace(m: np.ndarray) -> np.ndarray:
-    """Basis of ker(m) as columns of an ncols x dim matrix."""
+    """Basis of ker(m) as columns of an ncols x dim matrix of Fractions."""
     ncols = m.shape[1]
-    r, pivots = rref(m)
+    rows, dens, pivots = rref(m)
     free = [c for c in range(ncols) if c not in pivots]
     basis = zeros(ncols, len(free))
     for j, fc in enumerate(free):
         basis[fc, j] = ONE
         for i, pc in enumerate(pivots):
-            basis[pc, j] = -r[i, fc]
+            basis[pc, j] = Fraction(-rows[i][fc], dens[i])
     return basis
-
-
-def column_space(m: np.ndarray) -> np.ndarray:
-    """Basis of im(m): the pivot columns of m."""
-    _, pivots = rref(m)
-    return m[:, pivots].astype(object, copy=True)
 
 
 def integer_rows(m: np.ndarray) -> tuple[list[list[int]], int]:

@@ -182,7 +182,7 @@ def _max_margin(normals: np.ndarray, v: np.ndarray) -> tuple[list[Fraction], Fra
     With lambda = mu + (1 - t) 1 and mu, t >= 0 it is min t in standard form.
     """
     m = normals.shape[1]
-    _, selected = exact.rref(normals.T)
+    selected = exact.rref(normals.T)[2]
     values = normals.tolist()
     rows, dens = [], []
     for r in selected:

@@ -2,7 +2,8 @@
 
 Vertex ids are opaque strings mapped to dense indices in declaration order;
 all matrices produced here and downstream use that dense order.  Strongly
-connected components are computed once at construction and kept in a
+connected components are computed once at construction, each as the
+vertices that one vertex both reaches and is reached from, and kept in a
 canonical order (ascending minimal vertex id) so that block layouts are
 reproducible.  Products with an edge list's incidence matrix are gathers on
 its tail and head indices (`edge_ends`); no incidence matrix is formed.
@@ -39,12 +40,10 @@ MAX_CYCLES = 20_000
 
 def _coerce_label(value) -> Fraction | float:
     """Rational labels stay exact; floats switch the graph to float mode."""
-    if isinstance(value, bool):
-        raise NonPositiveLabelError(f"label {value!r} is not a number")
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
     if isinstance(value, float):
         return value
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return Fraction(value)
     raise NonPositiveLabelError(f"label {value!r} is not a number")
 
 
@@ -57,13 +56,12 @@ class LabeledDigraph:
     """
 
     def __init__(self, vertices: Sequence, edges: Iterable[tuple]):
-        ids = [str(v) for v in vertices]
-        if len(set(ids)) != len(ids):
-            seen = set()
-            dup = next(v for v in ids if v in seen or seen.add(v))
-            raise DuplicateVertexError(f"duplicate vertex id {dup!r}")
-        self.vertex_ids: tuple[str, ...] = tuple(ids)
-        self.index: dict[str, int] = {v: i for i, v in enumerate(ids)}
+        self.vertex_ids: tuple[str, ...] = tuple(str(v) for v in vertices)
+        self.index: dict[str, int] = {}
+        for i, v in enumerate(self.vertex_ids):
+            if v in self.index:
+                raise DuplicateVertexError(f"duplicate vertex id {v!r}")
+            self.index[v] = i
 
         edge_list: list[Edge] = []
         labels: dict[Edge, Fraction | float] = {}
@@ -88,14 +86,10 @@ class LabeledDigraph:
             labels = {e: float(k) for e, k in labels.items()}
         self.labels: dict[Edge, Fraction | float] = labels
 
-        self._out: list[list[int]] = [[] for _ in ids]
-        for s, d in self.edges:
-            self._out[self.index[s]].append(self.index[d])
         self.scc_partition: tuple[frozenset[str], ...] = self._compute_sccs()
-        self.component_index: dict[str, int] = {}
-        for ci, comp in enumerate(self.scc_partition):
-            for v in comp:
-                self.component_index[v] = ci
+        self.component_index: dict[str, int] = {
+            v: ci for ci, comp in enumerate(self.scc_partition) for v in comp
+        }
 
     # -- structure -------------------------------------------------------
 
@@ -127,55 +121,37 @@ class LabeledDigraph:
         )
 
     def _compute_sccs(self) -> tuple[frozenset[str], ...]:
-        n = self.n_vertices
-        index = [-1] * n
-        low = [0] * n
-        on_stack = [False] * n
-        stack: list[int] = []
+        """Per component: what the first unplaced vertex reaches among those reaching it."""
+        out: dict[str, list[str]] = {v: [] for v in self.vertex_ids}
+        ins: dict[str, list[str]] = {v: [] for v in self.vertex_ids}
+        for s, d in self.edges:
+            out[s].append(d)
+            ins[d].append(s)
+        unplaced = set(self.vertex_ids)
         comps: list[frozenset[str]] = []
-        counter = 0
-        for start in range(n):
-            if index[start] != -1:
-                continue
-            work: list[list[int]] = [[start, 0]]
-            while work:
-                v, ei = work[-1]
-                if ei == 0:
-                    index[v] = low[v] = counter
-                    counter += 1
-                    stack.append(v)
-                    on_stack[v] = True
-                advanced = False
-                while ei < len(self._out[v]):
-                    w = self._out[v][ei]
-                    ei += 1
-                    if index[w] == -1:
-                        work[-1][1] = ei
-                        work.append([w, 0])
-                        advanced = True
-                        break
-                    if on_stack[w]:
-                        low[v] = min(low[v], index[w])
-                if advanced:
-                    continue
-                work.pop()
-                if low[v] == index[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        comp.append(w)
-                        if w == v:
-                            break
-                    comps.append(frozenset(self.vertex_ids[i] for i in comp))
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[v])
-        comps.sort(key=lambda c: min(c))
+        for v in self.vertex_ids:
+            if v in unplaced:
+                comp = frozenset(_reach(out, v, _reach(ins, v, unplaced)))
+                unplaced -= comp
+                comps.append(comp)
+        comps.sort(key=min)
         return tuple(comps)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"LabeledDigraph({self.n_vertices} vertices, {self.n_edges} edges)"
+
+
+def _reach(adj: dict[str, list[str]], start: str, within: set[str]) -> set[str]:
+    """The vertices that `start` reaches along `adj` inside `within`.  A path
+    from start to a vertex that reaches it back stays in start's component,
+    so kept to the unplaced vertices, or to those reaching start, it misses none."""
+    seen, stack = {start}, [start]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w in within and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
 
 
 def build_digraph(vertices: Sequence, edges: Iterable[tuple]) -> LabeledDigraph:

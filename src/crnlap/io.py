@@ -11,13 +11,16 @@ Schema (UTF-8 JSON):
 
 Numbers may be JSON integers, decimal/fraction strings ("0.5", "3/4"), or
 {"num": p, "den": q} pairs -- all parsed exactly.  Raw JSON floats force
-float mode.  Serialization is canonical: integral rationals as ints,
-other rationals as num/den pairs, so parse o serialize is the identity.
+float mode; in float mode an exact number that float64 cannot hold, beyond
+its largest value or nonzero but rounding to 0, is refused.  Serialization
+is canonical: integral rationals as ints, other rationals as num/den pairs,
+so parse o serialize is the identity.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -65,9 +68,15 @@ def parse_number(value, path: str, mode: str = "auto") -> Number:
         out = Fraction(value["num"], value["den"])
     else:
         raise SchemaError(f"expected a number, got {type(value).__name__}", path)
-    if mode == "float":
-        return float(out)
-    return out
+    if mode != "float" or isinstance(out, float):
+        return out
+    try:
+        f = float(out)
+    except OverflowError:  # an exact value beyond float64
+        f = math.inf
+    if math.isinf(f) or (out and not f):
+        raise SemanticError(f"number {value!r} is outside the float64 range", path)
+    return f
 
 
 def number_to_json(value: Number):

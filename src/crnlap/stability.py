@@ -19,7 +19,7 @@ import numpy as np
 
 from .crn import ReactionNetwork, check_state, mass_action_rhs, scaled_monomials
 from .equilibria import is_cbe, require_cbe, solve_cbe
-from .errors import SemanticError, ShapeMismatchError, StepSizeUnderflowError
+from .errors import FloatRangeError, SemanticError, ShapeMismatchError, StepSizeUnderflowError
 from .geometry import PolarReport, evaluation_cone, monomial_order, polar_interior_contains
 from .graph import AuxTree, Edge, edge_ends
 from .laplacian import core_matrix
@@ -125,12 +125,16 @@ class BdiReport:
 def bdi_report(net: ReactionNetwork, x, v, tol: float | None = None) -> BdiReport:
     """Evaluate the inclusion at x for v.
 
-    Off the manifold (is_cbe at tolerance `tol`), v must lie in the
-    polar-cone interior of every stratum cone containing x.  Those cones
-    are the chain orders that break x's ties, and their union is the one
-    evaluation cone, so one polar check decides.
+    v is taken as float64: an exact entry beyond its range is refused
+    (FloatRangeError).  Off the manifold (is_cbe at tolerance `tol`), v
+    must lie in the polar-cone interior of every stratum cone containing
+    x.  Those cones are the chain orders that break x's ties, and their
+    union is the one evaluation cone, so one polar check decides.
     """
-    vv = np.asarray(v, dtype=float)
+    try:
+        vv = np.asarray(v, dtype=float)
+    except OverflowError:  # an exact entry beyond float64
+        raise FloatRangeError("v leaves the float64 range") from None
     if vv.shape != (net.n_species,) or not np.all(np.isfinite(vv)):
         raise ShapeMismatchError(f"v must have {net.n_species} finite entries")
     if is_cbe(net, x, tol=tol).balanced:

@@ -1,20 +1,21 @@
 """Independent brute-force oracles used to freeze expected test values.
 
 Everything here deliberately avoids the library's own algorithmic paths:
-reachability closure instead of Tarjan, subset enumeration instead of
-backtracking, cofactor determinants and forest backtracking instead of
-state reduction, edge sums instead of matrix products, facet-subset ray
-search instead of a Farkas linear program, Gaussian elimination instead of
-tree cuts, a dense triple product instead of edge cut-flows, one polar check
-per tie-breaking chain order instead of one on the union of their cones,
-dense incidence matrices instead of edge-end gathers, and the dense
-Laplacian applied to x^Y instead of edge flows (`dense_rhs`,
-`dense_balance`).
+transitive closure instead of per-component reachability searches, subset
+enumeration instead of backtracking, cofactor determinants and forest
+backtracking instead of state reduction, edge sums instead of matrix
+products, facet-subset ray search instead of a Farkas linear program,
+Gaussian elimination instead of tree cuts, a dense triple product instead of
+edge cut-flows, one polar check per tie-breaking chain order instead of one
+on the union of their cones, dense incidence matrices instead of edge-end
+gathers, and the dense Laplacian applied to x^Y instead of edge flows
+(`dense_rhs`, `dense_balance`).
 
 It also holds the exact linear algebra only tests use: `solve` (one
-particular solution of a x = b) and `rank` on top of `exact.rref`, `det`
-(Gaussian elimination on Fractions, where the library decides invertibility
-by Bareiss elimination on integers), and `cycle_laplacian` and
+particular solution of a x = b), `rank` and `column_space` (a basis of the
+image, such as S = im N) on top of `fraction_rref`, `det` (Gaussian
+elimination on Fractions, where the library decides invertibility by
+Bareiss elimination on integers), and `cycle_laplacian` and
 `cycle_reconstruction`, which sum the weighted cycle Laplacians of a cycle
 decomposition back into A_k diag K_k.
 
@@ -51,7 +52,12 @@ from crnlap.laplacian import CycleDecomposition, laplacian_matrix
 def rank(m: np.ndarray) -> int:
     if m.size == 0:
         return 0
-    return len(exact.rref(m)[1])
+    return len(fraction_rref(m)[1])
+
+
+def column_space(m: np.ndarray) -> np.ndarray:
+    """Basis of im(m): the pivot columns of m."""
+    return m[:, fraction_rref(m)[1]].astype(object, copy=True)
 
 
 def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
@@ -60,7 +66,7 @@ def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     aug = exact.zeros(nrows, ncols + 1)
     aug[:, :ncols] = a
     aug[:, ncols] = [Fraction(v) for v in b]
-    r, pivots = exact.rref(aug)
+    r, pivots = fraction_rref(aug)
     if ncols in pivots:
         return None
     x = exact.vector([0] * ncols)
@@ -487,7 +493,7 @@ def rays_by_facet_subsets(normals):
     r = rank(normals)
     if r == 0:
         return set()
-    basis = exact.column_space(normals)
+    basis = column_space(normals)
     a = normals.T @ basis  # m x r
     rays = set()
     for subset in itertools.combinations(range(m), r - 1):

@@ -51,6 +51,7 @@ from generators import (
     to_float_graph,
 )
 from oracles import (
+    column_space,
     cycle_reconstruction,
     edge_sum_rhs,
     forest_cycle_coefficient,
@@ -239,7 +240,7 @@ def test_criterion_5_cbe_machinery():
         xs = [float(v) for v in x_star]
         xp = random_positive_floats(rng, net.n_species)
         got = birch_intersect(net, xs, xp)
-        s_basis, sperp = net.s_basis, net.sperp_basis
+        s_basis, sperp = column_space(net.reactions), net.sperp_basis
         w = np.asarray(sperp, dtype=float)
         z = np.log(got / np.asarray(xs))
         if s_basis.shape[1]:
@@ -390,9 +391,9 @@ def test_criterion_8_dynamics(cycle3_net, xy_net):
 def test_criterion_9_cli_determinism(capsys):
     failures = []
     runs = [
-        ["analyze", str(SAMPLE_DIR / "triangle.json"), "--seed", "11"],
-        ["analyze", str(SAMPLE_DIR / "two_component.json"), "--seed", "11"],
-        ["certify", str(SAMPLE_DIR / "cycle3.json"), "--x", "0.5,0.5", "--seed", "11"],
+        ["analyze", str(SAMPLE_DIR / "triangle.json")],
+        ["analyze", str(SAMPLE_DIR / "two_component.json")],
+        ["certify", str(SAMPLE_DIR / "cycle3.json"), "--x", "0.5,0.5"],
         ["equilibria", str(SAMPLE_DIR / "cycle3.json"), "--samples", "3", "--seed", "11"],
     ]
     for argv in runs:

@@ -23,7 +23,7 @@ from generators import (
     random_planted_network,
     random_positive_floats,
 )
-from oracles import aux_incidence, cbe_feasible_multistart
+from oracles import aux_incidence, cbe_feasible_multistart, column_space
 
 
 def deficiency_one_net(k_values):
@@ -190,7 +190,7 @@ class TestBirchIntersect:
             net, x_star = random_planted_network(rng)
             xp = random_positive_floats(rng, net.n_species)
             got = birch_intersect(net, x_star, xp)
-            s, sperp = net.s_basis, net.sperp_basis
+            s, sperp = column_space(net.reactions), net.sperp_basis
             w = np.asarray(sperp, dtype=float)
             xs = np.asarray([float(v) for v in x_star])
             # on the manifold: log-deviation orthogonal to S

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from crnlap import exact
 from crnlap.errors import SemanticError
 
-from oracles import det, fraction_rref, primitive, rank, solve
+from oracles import column_space, det, fraction_rref, primitive, rank, solve
 
 
 def random_matrix(rng, rows, cols, lo=-4, hi=4):
@@ -23,11 +23,17 @@ def random_matrix(rng, rows, cols, lo=-4, hi=4):
     )
 
 
+def fractions(rows, dens, shape) -> np.ndarray:
+    """The matrix whose row i is the ints rows[i] over dens[i]."""
+    out = [[Fraction(v, d) for v in row] for row, d in zip(rows, dens)]
+    return np.array(out, dtype=object).reshape(shape)
+
+
 class TestRrefRank:
     def test_identity_fixed_point(self):
-        eye = exact.matrix([[int(i == j) for j in range(4)] for i in range(4)])
-        r, pivots = exact.rref(eye)
-        assert np.array_equal(r, eye)
+        eye = [[int(i == j) for j in range(4)] for i in range(4)]
+        rows, dens, pivots = exact.rref(exact.matrix(eye))
+        assert rows == eye and dens == [1] * 4
         assert pivots == [0, 1, 2, 3]
 
     def test_rank_matches_numpy(self):
@@ -65,8 +71,9 @@ class TestRrefProperties:
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(rational_matrices())
     def test_rref_nullspace_column_space(self, m):
-        r, pivots = exact.rref(m)
-        assert r.shape == m.shape and r.dtype == object
+        rows, dens, pivots = exact.rref(m)
+        assert len(rows) == len(dens) == m.shape[0] and all(d > 0 for d in dens)
+        r = fractions(rows, dens, m.shape)
         # reduced row echelon form: each pivot row leads with a 1 in its own
         # pivot column, which is zero in every other row; the rest are zero
         assert pivots == sorted(set(pivots))
@@ -85,7 +92,7 @@ class TestRrefProperties:
         ns = exact.nullspace(m)
         assert ns.shape == (m.shape[1], m.shape[1] - len(pivots))
         assert all(v == 0 for v in (m @ ns).flat)
-        cs = exact.column_space(m)
+        cs = column_space(m)
         assert cs.shape == (m.shape[0], len(pivots))
         if cs.size:
             assert np.linalg.matrix_rank(np.asarray(cs, dtype=float)) == len(pivots)
@@ -94,12 +101,30 @@ class TestRrefProperties:
     @given(rational_matrices())
     def test_rref_equals_fraction_gauss_jordan(self, m):
         # the int-row pivot takes the Fraction oracle's steps: the same
-        # pivot columns and the same matrix, entry by entry, as Fractions
-        r, pivots = exact.rref(m)
+        # pivot columns and the same matrix, entry by entry, as ints over
+        # one positive int denominator per row
+        rows, dens, pivots = exact.rref(m)
         want, want_pivots = fraction_rref(m)
         assert pivots == want_pivots
-        assert r.shape == want.shape
-        assert all(type(a) is Fraction and a == b for a, b in zip(r.flat, want.flat))
+        assert all(type(v) is int for row in rows for v in row)
+        assert all(type(d) is int and d > 0 for d in dens)
+        r = fractions(rows, dens, m.shape)
+        assert all(a == b for a, b in zip(r.flat, want.flat))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(rational_matrices())
+    def test_nullspace_equals_fraction_rref_basis(self, m):
+        # one basis vector per free column: 1 there, minus the reduced
+        # rows' entries in that column at the pivots, 0 elsewhere
+        want, pivots = fraction_rref(m)
+        free = [c for c in range(m.shape[1]) if c not in pivots]
+        ns = exact.nullspace(m)
+        assert ns.shape == (m.shape[1], len(free)) and ns.dtype == object
+        for j, fc in enumerate(free):
+            col = [Fraction(c == fc) for c in range(m.shape[1])]
+            for i, pc in enumerate(pivots):
+                col[pc] = -want[i, fc]
+            assert all(type(a) is Fraction and a == b for a, b in zip(ns[:, j], col))
 
 
 class TestNullspaceSolve:
@@ -198,11 +223,13 @@ class TestPrimitive:
 
 
 class TestColumnSpace:
+    """The oracle's basis of im(m), which tests take for S = im N."""
+
     def test_pivot_columns_span(self):
         rng = random.Random(66)
         for _ in range(20):
             m = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 5))
-            basis = exact.column_space(m)
+            basis = column_space(m)
             assert basis.shape[1] == rank(m)
             if basis.size and m.size:
                 stacked = np.hstack([basis, m])

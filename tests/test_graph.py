@@ -93,6 +93,31 @@ class TestSccPartition:
             g = build_digraph(ids, edges)
             assert list(g.scc_partition) == brute_sccs(g.vertex_ids, g.edges)
 
+    def test_partition_and_index_match_closure(self):
+        # strongly connected components, the same with edges added between
+        # them, and sparse random graphs, each with its ids declared in a
+        # shuffled order, so that declaration order and canonical order
+        # (by minimum id, "10" < "2") differ
+        rng = random.Random(19)
+        multi = not_wr = 0
+        for trial in range(600):
+            base = random_scc_digraph(rng, n_max=12)
+            ids = list(base.vertex_ids)
+            edges = list(base.edges)
+            if trial % 3 == 1:
+                edges += [(a, b) for a in ids for b in ids
+                          if a != b and (a, b) not in base.labels and rng.random() < 0.1]
+            elif trial % 3 == 2:
+                edges = [(a, b) for a in ids for b in ids if a != b and rng.random() < 0.15]
+            rng.shuffle(ids)
+            g = build_digraph(ids, [(a, b, 1) for a, b in edges])
+            want = brute_sccs(g.vertex_ids, g.edges)
+            assert list(g.scc_partition) == want
+            assert g.component_index == {v: ci for ci, comp in enumerate(want) for v in comp}
+            multi += len(want) > 1
+            not_wr += not g.has_strongly_connected_components()
+        assert multi >= 300 and not_wr >= 200
+
 
 class TestCycles:
     def test_running_example(self, running_graph):

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -18,7 +19,8 @@ from crnlap.io import (
 )
 
 from conftest import SAMPLE_DIR
-from oracles import bdi_member_by_orders, tie_chain_orders
+from generators import random_wr_network
+from oracles import bdi_member_by_orders, rank, tie_chain_orders
 
 TRIANGLE = SAMPLE_DIR / "triangle.json"
 CYCLE3 = SAMPLE_DIR / "cycle3.json"
@@ -147,6 +149,20 @@ class TestNumbers:
 
     def test_float_mode_coerces(self):
         assert parse_number({"num": 1, "den": 2}, "p", mode="float") == 0.5
+        assert parse_number("0", "p", mode="float") == 0.0
+        assert parse_number("1e-300", "p", mode="float") == 1e-300
+
+    @pytest.mark.parametrize(
+        "value", ["1e400", "-1e400", "1e-400", {"num": 1, "den": 10**400}, 10**400],
+        ids=["1e400", "-1e400", "1e-400", "pair-1e-400", "int-1e400"],
+    )
+    def test_float_mode_refuses_values_outside_float64(self, value):
+        # beyond float64, or nonzero but rounding to 0: refused with the
+        # path, not an OverflowError or a silent 0
+        with pytest.raises(SemanticError, match="outside the float64 range") as err:
+            parse_number(value, "edges[0].k", mode="float")
+        assert err.value.path == "edges[0].k"
+        assert parse_number(value, "p") != 0  # exact in auto mode
 
     def test_bad_pair(self):
         with pytest.raises(SchemaError):
@@ -384,28 +400,57 @@ class TestCli:
         assert json.loads(proc.stderr)["error"]["type"] == "SemanticError"
 
     @pytest.mark.parametrize(
-        "argv, message",
+        "doc, argv, kind, message",
         [
-            (["simulate", "--x0", "0.5,1.5", "--t", "1", "--rtol", "-1"], "rtol"),
-            (["simulate", "--x0", "0.5,1.5", "--t", "1", "--atol=-1e-3"], "atol"),
-            (["simulate", "--x0", "0.5,1.5", "--t", "1", "--rtol", "nan"], "rtol"),
-            (["simulate", "--x0", "0.5,1.5", "--t", "1", "--rtol", "inf"], "rtol"),
-            (["simulate", "--x0", "0.5,1.5", "--t", "1", "--atol", "0", "--rtol", "0"],
-             "not both be 0"),
-            (["equilibria", "--samples", "-2"], "count=-2"),
-            (["equilibria", "--samples", "2", "--seed", "-1"], "seed=-1"),
+            (None, ["simulate", "--x0", "0.5,1.5", "--t", "1", "--rtol", "-1"],
+             "SemanticError", "rtol"),
+            (None, ["simulate", "--x0", "0.5,1.5", "--t", "1", "--atol=-1e-3"],
+             "SemanticError", "atol"),
+            (None, ["simulate", "--x0", "0.5,1.5", "--t", "1", "--rtol", "nan"],
+             "SemanticError", "rtol"),
+            (None, ["simulate", "--x0", "0.5,1.5", "--t", "1", "--rtol", "inf"],
+             "SemanticError", "rtol"),
+            (None, ["simulate", "--x0", "0.5,1.5", "--t", "1", "--atol", "0", "--rtol", "0"],
+             "SemanticError", "not both be 0"),
+            (None, ["equilibria", "--samples", "-2"], "SemanticError", "count=-2"),
+            (None, ["equilibria", "--samples", "2", "--seed", "-1"],
+             "SemanticError", "seed=-1"),
+            # numbers that float64 cannot hold, in an option or a document
+            (None, ["bdi-check", "--x", "0.5,0.5", "--v", "1e400,1"],
+             "FloatRangeError", "v leaves the float64 range"),
+            (_dimer_doc("1e400"), ["analyze", "--mode", "float"],
+             "SemanticError", "outside the float64 range"),
+            (_dimer_doc("1e-400"), ["analyze", "--mode", "float"],
+             "SemanticError", "outside the float64 range"),
+            (dict(_dimer_doc("1"), vertices=[{"id": "1", "complex": {"A": "1e-400"}},
+                                             {"id": "2", "complex": {"A": 2}}]),
+             ["analyze", "--mode", "float"], "SemanticError", "outside the float64 range"),
         ],
         ids=["rtol-negative", "atol-negative", "rtol-nan", "rtol-inf", "both-zero",
-             "samples-negative", "seed-negative"],
+             "samples-negative", "seed-negative", "v-1e400", "k-1e400-float",
+             "k-1e-400-float", "complex-1e-400-float"],
     )
-    def test_bad_numeric_option_exit_2(self, argv, message, tmp_path):
+    def test_bad_numeric_option_exit_2(self, doc, argv, kind, message, tmp_path):
         # a fresh process with numpy warnings as errors: the refusal comes
         # before the integrator or the sampler runs
-        proc = _cli_process(tmp_path, json.loads(CYCLE3.read_text()), *argv)
+        proc = _cli_process(tmp_path, doc or json.loads(CYCLE3.read_text()), *argv)
         assert proc.returncode == 2 and proc.stdout == ""
         assert "Traceback" not in proc.stderr
         error = json.loads(proc.stderr)["error"]
-        assert error["type"] == "SemanticError" and message in error["message"]
+        assert error["type"] == kind and message in error["message"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["analyze"], ["decompose"], ["certify", "--x", "0.5,0.5"],
+         ["bdi-check", "--x", "0.5,0.5"], ["simulate", "--x0", "0.5,0.5", "--t", "1"]],
+        ids=["analyze", "decompose", "certify", "bdi-check", "simulate"],
+    )
+    def test_seed_only_where_read(self, argv, capsys):
+        # only equilibria samples; elsewhere --seed is an unknown option
+        with pytest.raises(SystemExit) as exit_:
+            run_command([argv[0], str(CYCLE3), *argv[1:], "--seed", "5"])
+        assert exit_.value.code == 2
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize(
         "argv, token",
@@ -518,13 +563,39 @@ class TestCli:
         code, _, err = self.run(["analyze", "/nonexistent/net.json"], capsys)
         assert code == 2
 
+    def test_stoichiometric_dim_is_rank_n(self, tmp_path, capsys):
+        # analyze reports dim S as n - dim S-perp (rank-nullity); both
+        # modes must give rank N, exact Gaussian elimination on Fractions
+        rng = random.Random(23)
+        path = tmp_path / "net.json"
+        deficient = 0
+        for _ in range(60):
+            net = random_wr_network(rng)
+            g = net.graph
+            doc = NetworkDocument(
+                species=list(net.species),
+                vertices=[(v, dict(zip(net.species, net.complexes[:, j])))
+                          for j, v in enumerate(g.vertex_ids)],
+                edges=[(a, b, g.labels[(a, b)]) for a, b in g.edges],
+            )
+            path.write_text(doc.serialize())
+            want = rank(net.reactions)
+            deficient += want < net.n_species
+            for mode in ("exact", "float"):
+                code, out, _ = self.run(["analyze", str(path), "--mode", mode], capsys)
+                report = json.loads(out)
+                assert code == 0 and report["mode"] == mode
+                assert report["stoichiometric_dim"] == want
+                assert report["conservation_dim"] == net.n_species - want
+        assert deficient >= 10  # S-perp is nontrivial on many of them
+
     def test_analyze_deterministic(self, capsys):
-        _, out1, _ = self.run(["analyze", str(TRIANGLE), "--seed", "5"], capsys)
-        _, out2, _ = self.run(["analyze", str(TRIANGLE), "--seed", "5"], capsys)
+        _, out1, _ = self.run(["analyze", str(TRIANGLE)], capsys)
+        _, out2, _ = self.run(["analyze", str(TRIANGLE)], capsys)
         assert out1 == out2
 
     def test_certify_deterministic(self, capsys):
-        argv = ["certify", str(CYCLE3), "--x", "0.7,1.3", "--seed", "5"]
+        argv = ["certify", str(CYCLE3), "--x", "0.7,1.3"]
         _, out1, _ = self.run(argv, capsys)
         _, out2, _ = self.run(argv, capsys)
         assert out1 == out2

@@ -18,7 +18,7 @@ from crnlap import (
     simulate,
     solve_cbe,
 )
-from crnlap.errors import NotACbeError, SemanticError
+from crnlap.errors import FloatRangeError, NotACbeError, SemanticError
 
 from generators import (
     random_planted_network,
@@ -165,6 +165,14 @@ class TestBdiMembership:
         f = mass_action_rhs(net, x)
         assert bdi_membership(net, [1, 1], x, f)
         assert bdi_member_by_orders(net, x, f)
+
+    def test_exact_v_beyond_float64_refused(self, cycle3_net):
+        # v is taken as float64: an exact entry it cannot hold is refused
+        # with FloatRangeError, not an OverflowError
+        x = [Fraction(1, 2), Fraction(1, 2)]
+        with pytest.raises(FloatRangeError, match="v leaves the float64 range"):
+            bdi_membership(cycle3_net, [1, 1], x, [Fraction(10**400), 1])
+        assert bdi_membership(cycle3_net, [1, 1], x, mass_action_rhs(cycle3_net, x))
 
     def test_embedding_random_sweep(self):
         rng = random.Random(55)
