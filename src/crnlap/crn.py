@@ -5,6 +5,12 @@ with a complex matrix Y (one exponent column per vertex).  The right-hand
 side of the mass-action ODE is Y A_k x^Y = N `edge_flows`, N = Y I_E; for
 weakly reversible networks it is also a sum of binomials through the core
 matrix decomposition.  Y I_E and I_aux.T (x^Y / K) are gathers on `edge_ends`.
+
+Exact networks keep Y, k, N and the S-perp basis as Fractions.  Their float
+evaluations read a `FloatView` instead: float64 copies converted once per
+network, lazily on first float use, checked (a value that float64 cannot
+hold is refused with FloatRangeError) and read-only.  Exact analysis never
+builds it, so it works on networks whose float view would be refused.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import math
 import sys
 import threading
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -40,6 +47,41 @@ def _coerce_complex_entry(v) -> Fraction | float:
     raise NegativeComplexEntryError(f"complex entry {v!r} is not a number")
 
 
+class FloatView:
+    """float64 copies of a network's Y, k, N and S-perp basis, for its float
+    evaluations.
+
+    Each array is built on first access and kept: with the values and the
+    layout np.asarray(..., dtype=float) gives, but refused (FloatRangeError)
+    where an exact entry lies beyond the largest float64 or is nonzero and
+    rounds to 0, and read-only (`exact.floats`).  The view keeps
+    the exact arrays, not the network, so the two form no reference cycle.
+    A concurrent first access may convert an array twice; the copies are
+    equal.  The tree constants' float copy is `TreeConstants.as_float`.
+    """
+
+    def __init__(self, net: ReactionNetwork):
+        self._y, self._k, self._n, self._w = (
+            net.complexes, net.rates, net.reactions, net.sperp_basis
+        )
+
+    @cached_property
+    def complexes(self) -> np.ndarray:
+        return exact.floats(self._y, "a complex entry")
+
+    @cached_property
+    def rates(self) -> np.ndarray:
+        return exact.floats(self._k, "a rate constant")
+
+    @cached_property
+    def reactions(self) -> np.ndarray:
+        return exact.floats(self._n, "a reaction vector entry")
+
+    @cached_property
+    def sperp_basis(self) -> np.ndarray:
+        return exact.floats(self._w, "an S-perp basis entry")
+
+
 class ReactionNetwork:
     """Chemical reaction network (graph, Y) with cached derived structure.
 
@@ -47,6 +89,10 @@ class ReactionNetwork:
     `rates` (labels) and `reactions` (N = Y I_E) follow `graph.edges`.  A
     basis of S-perp = ker N.T is computed at construction (exactly when N
     is rational); tree constants lazily on the first weakly-reversible query.
+    `floats` is the network's `FloatView`, whose arrays are converted on
+    first float use; in a float network they are read-only copies.  A
+    matrix with one raw float entry is taken as float64 throughout, and an
+    exact entry that float64 cannot hold is refused (FloatRangeError).
     """
 
     def __init__(self, species: Sequence[str], complexes, graph: LabeledDigraph):
@@ -81,6 +127,7 @@ class ReactionNetwork:
             self.sperp_basis = _float_nullspace(m.T)
         self._consts: TreeConstants | None = None
         self._consts_lock = threading.Lock()
+        self.floats = FloatView(self)
 
     @staticmethod
     def _coerce_complexes(complexes) -> np.ndarray:
@@ -89,8 +136,12 @@ class ReactionNetwork:
             return np.zeros((0, 0), dtype=object)
         if any(len(r) != len(rows[0]) for r in rows):
             raise ShapeMismatchError("ragged complex matrix")
-        floats = any(isinstance(v, float) for row in rows for v in row)
-        return np.array(rows, dtype=float if floats else object)
+        if not any(isinstance(v, float) for row in rows for v in row):
+            return np.array(rows, dtype=object)
+        return np.array(
+            [[v if isinstance(v, float) else exact.to_float(v, "a complex entry") for v in row]
+             for row in rows]
+        )
 
     @property
     def n_species(self) -> int:
@@ -162,8 +213,10 @@ def monomial_vector(net: ReactionNetwork, x) -> np.ndarray:
     """(x^Y)_i = prod_j x_j^{Y_ji}; exact for rational x and integer Y.
 
     Exact monomials that float64 cannot hold are refused (FloatRangeError),
-    since the certificate and the vector field are reported as floats."""
+    since the certificate and the vector field are reported as floats; so
+    is a complex matrix that float64 cannot hold, before any exact power."""
     xv = check_state(x, net.n_species)
+    yf = net.floats.complexes
     if exact.is_exact(xv) and net.integer_y:
         out = np.empty(net.graph.n_vertices, dtype=object)
         for i in range(net.graph.n_vertices):
@@ -176,23 +229,23 @@ def monomial_vector(net: ReactionNetwork, x) -> np.ndarray:
         if max(out, default=0) > sys.float_info.max:
             raise FloatRangeError("an exact monomial exceeds the float64 range")
         return out
-    xf = np.asarray(xv, dtype=float)
-    yf = np.asarray(net.complexes, dtype=float)
-    return np.exp(yf.T @ np.log(xf))
+    return np.exp(yf.T @ np.log(np.asarray(xv, dtype=float)))
 
 
 def edge_flows(net: ReactionNetwork, x) -> np.ndarray:
     """k o x^{y(tail)}: each reaction's rate at x; exact for rational k and x and integer Y."""
-    rates, mono = exact.common(net.rates, monomial_vector(net, x))
-    return rates * mono[net.tails]
+    mono = monomial_vector(net, x)
+    if exact.is_exact(mono) and net.graph.exact:
+        return net.rates * mono[net.tails]
+    return net.floats.rates * np.asarray(mono, dtype=float)[net.tails]
 
 
 def mass_action_rhs(net: ReactionNetwork, x) -> np.ndarray:
     """f_k(x) = Y A_k x^Y = N `edge_flows`, in species coordinates; a float
     f_k(x) that overflows is refused (FloatRangeError)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        n, flows = exact.common(net.reactions, edge_flows(net, x))
-        f = n @ flows
+        flows = edge_flows(net, x)  # exact flows need an exact Y, so an exact N
+        f = (net.reactions if exact.is_exact(flows) else net.floats.reactions) @ flows
     if exact.is_exact(f):  # an object matmul over no edges gives int 0s
         f = f + exact.ZERO
     elif not np.all(np.isfinite(f)):
@@ -210,7 +263,8 @@ def binomial_rhs(net: ReactionNetwork, aux: AuxTree, x) -> tuple[np.ndarray, np.
     net.require_weakly_reversible()
     scaled = scaled_monomials(net, x)
     dec = core_matrix(net.graph, aux, consts=net.tree_constants())
-    y, core, scaled = exact.common(net.complexes, dec.core, scaled)
+    core, scaled = exact.common(dec.core, scaled)  # exact ones need an exact Y
+    y = net.complexes if exact.is_exact(core) else net.floats.complexes
     tails, heads = edge_ends(net.graph, aux.edges)
     binomials = scaled[heads] - scaled[tails]
     value = -((y[:, heads] - y[:, tails]) @ (core @ binomials))
@@ -222,5 +276,7 @@ def binomial_rhs(net: ReactionNetwork, aux: AuxTree, x) -> tuple[np.ndarray, np.
 def scaled_monomials(net: ReactionNetwork, x) -> np.ndarray:
     """Per-vertex values x^{y(i)} / K_i used by evaluation orders."""
     consts = net.tree_constants()
-    mono, k = exact.common(monomial_vector(net, x), consts.values)
-    return mono / k
+    mono = monomial_vector(net, x)
+    if exact.is_exact(mono) and net.graph.exact:
+        return mono / consts.values
+    return np.asarray(mono, dtype=float) / consts.as_float()

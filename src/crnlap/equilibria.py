@@ -10,7 +10,6 @@ strictly convex minimization.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from . import exact
 from .crn import ReactionNetwork, check_state, edge_flows
-from .errors import FloatRangeError, NoConvergenceError, NotACbeError, SemanticError
+from .errors import NoConvergenceError, NotACbeError, SemanticError
 from .graph import default_chain_aux, edge_ends
 
 logger = logging.getLogger(__name__)
@@ -37,7 +36,8 @@ class CbeCheck(NamedTuple):
 def is_cbe(net: ReactionNetwork, x, tol: float | None = None) -> CbeCheck:
     """Test A_k x^Y = 0 (each edge flow added at its head and subtracted at
     its tail), relative to the largest single edge flow; float monomials or
-    flows that overflow are refused (FloatRangeError)."""
+    flows that overflow, and an exact residual or largest flow that float64
+    cannot hold, are refused (FloatRangeError)."""
     with np.errstate(over="ignore", invalid="ignore"):
         flows = edge_flows(net, x)
         balance = np.zeros(net.graph.n_vertices, dtype=flows.dtype)
@@ -45,10 +45,11 @@ def is_cbe(net: ReactionNetwork, x, tol: float | None = None) -> CbeCheck:
         np.subtract.at(balance, net.tails, flows)
         residual = np.max(np.abs(balance), initial=0)
         scale = np.max(flows, initial=0)
-    if not (math.isfinite(residual) and math.isfinite(scale)):
-        raise FloatRangeError("complex-balance flows leave the float64 range")
+    # floats that overflowed, and exact values that float64 cannot hold
+    residual_f = exact.to_float(residual, "the complex-balance residual")
+    scale_f = exact.to_float(scale, "the largest edge flow")
     balanced = residual <= exact.tolerance(flows, CBE_RTOL, lambda: scale, tol)
-    return CbeCheck(bool(balanced), float(residual), float(scale))
+    return CbeCheck(bool(balanced), residual_f, scale_f)
 
 
 def require_cbe(net: ReactionNetwork, x_star) -> np.ndarray:
@@ -77,7 +78,7 @@ def solve_cbe(net: ReactionNetwork) -> CbeResult:
     if not heads.size:
         witness = np.ones(net.n_species)
         return CbeResult(status="found", witness=witness, log_residual=0.0)
-    yf = np.asarray(net.complexes, dtype=float)
+    yf = net.floats.complexes
     lhs = (yf[:, heads] - yf[:, tails]).T
     ln_k = np.log(net.tree_constants().as_float())
     rhs = ln_k[heads] - ln_k[tails]
@@ -100,7 +101,7 @@ def cbe_manifold_sample(net: ReactionNetwork, x_star, count: int, seed: int):
     if count < 0 or seed < 0:
         raise SemanticError(f"count and seed must be >= 0, got count={count!r}, seed={seed!r}")
     xs = require_cbe(net, x_star)
-    w_basis = np.asarray(net.sperp_basis, dtype=float)
+    w_basis = net.floats.sperp_basis
     rng = np.random.default_rng(seed)
     samples = []
     for _ in range(count):  # with no conservation laws w is 0
@@ -122,7 +123,7 @@ def birch_intersect(
     """
     xs = require_cbe(net, x_star)
     xp = np.asarray(check_state(x_prime, net.n_species), dtype=float)
-    w = np.asarray(net.sperp_basis, dtype=float)
+    w = net.floats.sperp_basis
     d = w.shape[1]
     if d == 0:
         return xs.copy()

@@ -22,8 +22,10 @@ of them to float64, so one expression serves both modes.  Comparisons take
 their tolerance from `tolerance`: 0 on exact values, so exact checks test
 equality, and otherwise the caller's `tol` or the site's named float
 constant, relative to a scale.  A `tol` that is not finite and >= 0 is
-refused (`check_tol`), and exact values that must become positive finite
-float64 values and do not are refused (`positive_floats`).
+refused (`check_tol`).  Exact values that float64 cannot hold, beyond its
+largest value or nonzero but rounding to 0, are refused where they become
+floats (`to_float`, `floats`), and so are exact values that must become
+positive finite float64 values and do not (`positive_floats`).
 """
 
 from __future__ import annotations
@@ -81,6 +83,32 @@ def tolerance(values: np.ndarray, default: float, scale, tol: float | None = Non
     if is_exact(values):
         return 0
     return (default if tol is None else tol) * scale()
+
+
+def to_float(value, what: str) -> float:
+    """float(value), refused (FloatRangeError) where float64 cannot hold it:
+    not finite, beyond the largest float64, or nonzero and rounding to 0;
+    `what` names the value in the message."""
+    try:
+        f = float(value)
+    except OverflowError:  # an exact value beyond float64
+        f = math.inf
+    if not math.isfinite(f) or (value and not f):
+        raise FloatRangeError(f"{what} is outside the float64 range")
+    return f
+
+
+def floats(values: np.ndarray, what: str) -> np.ndarray:
+    """A read-only float64 copy of an array, with the values and the memory
+    layout np.asarray(values, dtype=float) gives (a matrix product's
+    rounding depends on the layout); an exact entry `to_float` refuses is
+    refused."""
+    if is_exact(values):
+        for v in values.flat:
+            to_float(v, what)
+    out = np.array(values, dtype=float)
+    out.flags.writeable = False
+    return out
 
 
 def positive_floats(values, what: str) -> np.ndarray:

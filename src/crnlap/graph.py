@@ -21,6 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import exact
 from .errors import (
     BadOrderError,
     DimensionTooLargeError,
@@ -52,7 +53,9 @@ class LabeledDigraph:
 
     Immutable after construction.  The SCC partition is computed eagerly;
     `exact` is True when every label is rational (int or Fraction), in which
-    case downstream matrix computations run in exact arithmetic.
+    case downstream matrix computations run in exact arithmetic; otherwise
+    every label is taken as float64, and an exact one that float64 cannot
+    hold is refused (FloatRangeError).
     """
 
     def __init__(self, vertices: Sequence, edges: Iterable[tuple]):
@@ -82,8 +85,11 @@ class LabeledDigraph:
             labels[(s, d)] = k
         self.edges: tuple[Edge, ...] = tuple(edge_list)
         self.exact: bool = all(isinstance(k, Fraction) for k in labels.values())
-        if not self.exact:
-            labels = {e: float(k) for e, k in labels.items()}
+        if not self.exact:  # one float label makes the exact ones floats, checked
+            labels = {
+                (s, d): k if isinstance(k, float) else exact.to_float(k, f"label {s}->{d}")
+                for (s, d), k in labels.items()
+            }
         self.labels: dict[Edge, Fraction | float] = labels
 
         self.scc_partition: tuple[frozenset[str], ...] = self._compute_sccs()

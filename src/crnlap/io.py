@@ -20,16 +20,17 @@ so parse o serialize is the identity.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import exact
 from .crn import ReactionNetwork
 from .errors import (
     CrnlapError,
     DuplicateComplexError,
     DuplicateEdgeError,
     DuplicateVertexError,
+    FloatRangeError,
     NegativeComplexEntryError,
     NonPositiveLabelError,
     SchemaError,
@@ -71,12 +72,9 @@ def parse_number(value, path: str, mode: str = "auto") -> Number:
     if mode != "float" or isinstance(out, float):
         return out
     try:
-        f = float(out)
-    except OverflowError:  # an exact value beyond float64
-        f = math.inf
-    if math.isinf(f) or (out and not f):
-        raise SemanticError(f"number {value!r} is outside the float64 range", path)
-    return f
+        return exact.to_float(out, f"number {value!r}")
+    except FloatRangeError as e:
+        raise SemanticError(str(e), path) from None
 
 
 def number_to_json(value: Number):
@@ -193,6 +191,8 @@ def document_to_network(doc: NetworkDocument) -> ReactionNetwork:
         NonPositiveLabelError,
     ) as e:
         raise SemanticError(str(e), "edges")
+    except FloatRangeError:
+        raise
     except CrnlapError as e:
         raise SemanticError(str(e), "")
     complexes = [

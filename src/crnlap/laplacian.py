@@ -97,8 +97,14 @@ class TreeConstants:
 
     def as_float(self) -> np.ndarray:
         """The constants as float64, refused (FloatRangeError) unless each is
-        a positive finite float64 value."""
-        return exact.positive_floats(self.values, "tree constants")
+        a positive finite float64 value; converted on the first call and
+        kept, read-only."""
+        out = self.__dict__.get("_floats")
+        if out is None:
+            out = exact.positive_floats(self.values, "tree constants")
+            out.flags.writeable = False
+            object.__setattr__(self, "_floats", out)  # a cache, not a field
+        return out
 
 
 def _reduce(w: list[list]) -> list | None:

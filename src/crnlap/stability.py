@@ -30,11 +30,12 @@ SIGN_RTOL = 1e-12
 MANIFOLD_V_TOL = 1e-12
 
 
-def _lyapunov(x: np.ndarray, xs: np.ndarray) -> float:
-    """sum x*_i phi(x_i/x*_i), phi(r) = r ln r - r + 1 >= 0, as x ln(x/x*) - x + x*
-    with ln(x/x*) = ln x - ln x* (no ratio to over- or underflow), each term
+def _lyapunov(x: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """sum x*_i phi(x_i/x*_i), phi(r) = r ln r - r + 1 >= 0, over the last
+    axis of x (one state, or states stacked), as x ln(x/x*) - x + x* with
+    ln(x/x*) = ln x - ln x* (no ratio to over- or underflow), each term
     clamped at 0, where rounding near x* would take it below."""
-    return float(np.sum(np.maximum(x * (np.log(x) - np.log(xs)) - x + xs, 0.0)))
+    return np.sum(np.maximum(x * (np.log(x) - np.log(xs)) - x + xs, 0.0), axis=-1)
 
 
 def lyapunov_value(x, x_star) -> float:
@@ -42,7 +43,7 @@ def lyapunov_value(x, x_star) -> float:
     entries = list(x)
     xv = np.asarray(check_state(entries, len(entries)), dtype=float)
     xs = np.asarray(check_state(list(x_star), len(entries)), dtype=float)
-    return _lyapunov(xv, xs)
+    return float(_lyapunov(xv, xs))
 
 
 def lyapunov_derivative(net: ReactionNetwork, x, x_star) -> float:
@@ -77,7 +78,7 @@ def decrease_certificate(net: ReactionNetwork, x, x_star) -> StabilityCertificat
     dec = core_matrix(net.graph, aux, consts=net.tree_constants())
     core = np.asarray(dec.core, dtype=float)
     tails, heads = edge_ends(net.graph, aux.edges)
-    yf = np.asarray(net.complexes, dtype=float)
+    yf = net.floats.complexes
     z = np.log(xv / xs)
     scaled = np.asarray(scaled_monomials(net, x), dtype=float)
     a = (yf[:, heads] - yf[:, tails]).T @ z
@@ -193,9 +194,12 @@ def simulate(
     The error test is |error| <= atol + rtol * x per species, so rtol and
     atol must be finite, >= 0 and not both 0 (SemanticError otherwise).
     Steps whose stages or endpoint leave the positive orthant are rejected
-    and retried with half the step.  The Lyapunov value is recorded per
-    accepted step against a supplied or solved equilibrium (omitted when no
-    complex-balanced equilibrium exists).
+    and retried with half the step.  Stage 0 is x itself, which is positive,
+    so its f_k(x) is evaluated once per accepted state, not per retry.  Each
+    state is a distinct array.  The Lyapunov values, one per state, are
+    computed after the last step against a supplied or solved equilibrium
+    (omitted when no complex-balanced equilibrium exists).  Y, k and N come
+    from the network's float view.
     """
     if not 0 < t_end < np.inf:
         raise SemanticError(f"t_end must be finite and positive, got {t_end!r}")
@@ -205,9 +209,8 @@ def simulate(
     if rtol == atol == 0:
         raise SemanticError("rtol and atol must not both be 0")
     x = np.asarray(check_state(x0, net.n_species), dtype=float)
-    nf = np.asarray(net.reactions, dtype=float)
-    kf = np.asarray(net.rates, dtype=float)
-    yt = np.asarray(net.complexes, dtype=float)[:, net.tails].T
+    yt = net.floats.complexes[:, net.tails].T
+    nf, kf = net.floats.reactions, net.floats.rates
 
     def rhs(state: np.ndarray) -> np.ndarray:
         return nf @ (kf * np.exp(yt @ np.log(state)))
@@ -221,41 +224,41 @@ def simulate(
             xs = sol.witness
 
     times = [0.0]
-    states = [x.copy()]
-    lyapunov = [_lyapunov(x, xs)] if xs is not None else None
+    states = [x]
     t = 0.0
     h = min(t_end, max(1e-6, t_end * 1e-3))
     h_min = 1e-14 * max(t_end, 1.0)
     accepted = rejected = 0
     k = np.zeros((6, x.size))
+    k[0] = rhs(x)
     for _ in range(max_steps):
         if t >= t_end:
             break
         h = min(h, t_end - t)
         if h < h_min:
             raise StepSizeUnderflowError(f"step size underflow at t={t:.6g}")
-        for i in range(6):
+        for i in range(1, 6):
             # only this step's stages: a stale row never enters as 0 * inf
             xi = x + h * (_CK_A[i, :i] @ k[:i])
-            if np.any(xi <= 0.0):
+            if np.count_nonzero(xi <= 0.0):  # np.any's NaN rule, at less cost
                 x5 = xi  # a stage left the orthant: rejected below, as an endpoint would be
                 break
             k[i] = rhs(xi)
         else:
             x5 = x + h * (_CK_B5 @ k)
-        if not np.all(x5 > 0.0):
+        if np.count_nonzero(x5 > 0.0) < x5.size:
             rejected += 1
             h /= 2
             continue
-        err = float(np.max(np.abs(h * (_CK_E @ k)) / (atol + rtol * np.maximum(x, x5))))
+        err = float((np.abs(h * (_CK_E @ k)) / (atol + rtol * np.maximum(x, x5))).max())
         if err <= 1.0:
             t += h
             x = x5
             accepted += 1
             times.append(t)
-            states.append(x.copy())
-            if lyapunov is not None:
-                lyapunov.append(_lyapunov(x, xs))
+            states.append(x)
+            if t < t_end:  # the last state starts no step
+                k[0] = rhs(x)
             factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
             h *= factor
         else:
@@ -264,6 +267,7 @@ def simulate(
     else:
         raise StepSizeUnderflowError(f"max_steps={max_steps} exhausted at t={t:.6g}")
     logger.debug("simulate: %d accepted, %d rejected steps", accepted, rejected)
+    lyapunov = None if xs is None else _lyapunov(np.array(states), xs).tolist()
     return Trajectory(
         times=times, states=states, lyapunov=lyapunov, accepted=accepted, rejected=rejected
     )

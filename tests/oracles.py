@@ -19,6 +19,11 @@ Bareiss elimination on integers), and `cycle_laplacian` and
 `cycle_reconstruction`, which sum the weighted cycle Laplacians of a cycle
 decomposition back into A_k diag K_k.
 
+`reference_simulate` is the integrator loop as it was before stage 0 was
+taken as x itself: it evaluates every stage, stage 0 included, on each
+attempt, converts Y, k and N on each call, and records the Lyapunov value
+step by step.  A trajectory of `simulate` must equal its trajectory exactly.
+
 The Farkas LP and reduced row echelon form have Fraction oracles too, where
 the library pivots rows of ints over one denominator: `fraction_rref`,
 `fraction_max_margin` (the same two-phase Bland's-rule tableau, on
@@ -36,7 +41,9 @@ from unittest import mock
 import numpy as np
 
 from crnlap import exact, geometry
-from crnlap.crn import monomial_vector
+from crnlap.crn import check_state, monomial_vector
+from crnlap.equilibria import solve_cbe
+from crnlap.errors import SemanticError, StepSizeUnderflowError
 from crnlap.geometry import (
     POLAR_LINEALITY_RTOL,
     POLAR_STRICT_RTOL,
@@ -47,6 +54,7 @@ from crnlap.geometry import (
 )
 from crnlap.graph import Cycle, LabeledDigraph, make_aux_tree
 from crnlap.laplacian import CycleDecomposition, laplacian_matrix
+from crnlap.stability import _CK_A, _CK_B5, _CK_E, Trajectory, _lyapunov
 
 
 def rank(m: np.ndarray) -> int:
@@ -599,3 +607,79 @@ def fd_gradient(fn, x, h: float = 1e-6):
         e[i] = h
         grad[i] = (fn(x + e) - fn(x - e)) / (2 * h)
     return grad
+
+
+def reference_simulate(
+    net, x0, t_end: float, rtol: float = 1e-8, atol: float = 1e-10, x_star=None,
+    max_steps: int = 200_000,
+) -> Trajectory:
+    """Cash-Karp 5(4) with every stage evaluated on every attempt: the same
+    pair, controller and positivity guard as `simulate`."""
+    if not 0 < t_end < np.inf:
+        raise SemanticError(f"t_end must be finite and positive, got {t_end!r}")
+    for name, tol in (("rtol", rtol), ("atol", atol)):
+        if not 0 <= tol < np.inf:
+            raise SemanticError(f"{name} must be finite and >= 0, got {tol!r}")
+    if rtol == atol == 0:
+        raise SemanticError("rtol and atol must not both be 0")
+    x = np.asarray(check_state(x0, net.n_species), dtype=float)
+    nf = np.asarray(net.reactions, dtype=float)
+    kf = np.asarray(net.rates, dtype=float)
+    yt = np.asarray(net.complexes, dtype=float)[:, net.tails].T
+
+    def rhs(state: np.ndarray) -> np.ndarray:
+        return nf @ (kf * np.exp(yt @ np.log(state)))
+
+    xs = None
+    if x_star is not None:
+        xs = np.asarray(check_state(x_star, net.n_species), dtype=float)
+    elif net.is_weakly_reversible():
+        sol = solve_cbe(net)
+        if sol.status == "found":
+            xs = sol.witness
+
+    times = [0.0]
+    states = [x.copy()]
+    lyapunov = [float(_lyapunov(x, xs))] if xs is not None else None
+    t = 0.0
+    h = min(t_end, max(1e-6, t_end * 1e-3))
+    h_min = 1e-14 * max(t_end, 1.0)
+    accepted = rejected = 0
+    k = np.zeros((6, x.size))
+    for _ in range(max_steps):
+        if t >= t_end:
+            break
+        h = min(h, t_end - t)
+        if h < h_min:
+            raise StepSizeUnderflowError(f"step size underflow at t={t:.6g}")
+        for i in range(6):
+            xi = x + h * (_CK_A[i, :i] @ k[:i])
+            if np.any(xi <= 0.0):
+                x5 = xi
+                break
+            k[i] = rhs(xi)
+        else:
+            x5 = x + h * (_CK_B5 @ k)
+        if not np.all(x5 > 0.0):
+            rejected += 1
+            h /= 2
+            continue
+        err = float(np.max(np.abs(h * (_CK_E @ k)) / (atol + rtol * np.maximum(x, x5))))
+        if err <= 1.0:
+            t += h
+            x = x5
+            accepted += 1
+            times.append(t)
+            states.append(x.copy())
+            if lyapunov is not None:
+                lyapunov.append(float(_lyapunov(x, xs)))
+            factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+            h *= factor
+        else:
+            rejected += 1
+            h *= min(1.0, max(0.2, 0.9 * err ** -0.2))
+    else:
+        raise StepSizeUnderflowError(f"max_steps={max_steps} exhausted at t={t:.6g}")
+    return Trajectory(
+        times=times, states=states, lyapunov=lyapunov, accepted=accepted, rejected=rejected
+    )

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 import threading
 from fractions import Fraction
 
@@ -16,13 +17,14 @@ from crnlap import (
 )
 from crnlap.errors import (
     DuplicateComplexError,
+    FloatRangeError,
     NegativeComplexEntryError,
     NonPositiveStateError,
     NotWeaklyReversibleError,
     ShapeMismatchError,
 )
 from crnlap.graph import default_chain_aux
-from crnlap.laplacian import laplacian_matrix
+from crnlap.laplacian import core_matrix, laplacian_matrix, verify_core_decomposition
 
 from generators import (
     random_general_aux,
@@ -244,3 +246,105 @@ class TestLazyConstants:
         for t in threads:
             t.join()
         assert all(r is results[0] for r in results)
+
+
+def _dimer(k12, y2=2):
+    """A <-> 2A (or A <-> y2 A) with the label k12 on 1 -> 2."""
+    g = build_digraph(["1", "2"], [("1", "2", k12), ("2", "1", 1)])
+    return build_network(["A"], [[1, y2]], g)
+
+
+class TestFloatView:
+    NAMES = ("complexes", "rates", "reactions", "sperp_basis")
+
+    def test_built_once_read_only_and_equal_to_asarray(self, two_component_net):
+        net = two_component_net
+        view = net.floats
+        assert net.floats is view
+        for name in self.NAMES:
+            arr = getattr(view, name)
+            assert getattr(view, name) is arr  # converted once
+            ref = np.asarray(getattr(net, name), dtype=float)
+            # same values and layout: matrix products round alike
+            assert np.array_equal(arr, ref) and arr.strides == ref.strides
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 1.0
+        consts = net.tree_constants()
+        assert consts.as_float() is consts.as_float()
+        assert consts.as_float().tolist() == [float(k) for k in consts.values]
+        with pytest.raises(ValueError):
+            consts.as_float()[0] = 1.0
+
+    def test_concurrent_first_access_equal_copies(self, two_component_net):
+        # a race on first access may convert twice, never to different values
+        net, results = two_component_net, []
+        barrier = threading.Barrier(8, timeout=10)
+
+        def grab():
+            barrier.wait()
+            results.append([getattr(net.floats, n) for n in self.NAMES]
+                           + [net.tree_constants().as_float()])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=grab) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and len(results) == 8
+        for got in results:
+            assert all(np.array_equal(a, b) for a, b in zip(got, results[0]))
+        assert net.floats.rates is net.floats.rates
+
+    def test_float_network_arrays_are_copies(self):
+        net = _dimer(0.5)
+        assert net.floats.rates is not net.rates
+        assert net.floats.rates.tolist() == net.rates.tolist()
+        net.rates[0] = 0.25  # the network's own arrays stay writable
+        assert net.floats.rates[0] == 0.5
+
+    def test_lazy_exact_analysis_where_the_view_refuses(self):
+        # exact analysis never builds the view: a label beyond float64 is
+        # refused only by float evaluations
+        net = _dimer(Fraction(10**400))
+        assert net.tree_constants().values.tolist() == [1, 10**400]
+        dec = core_matrix(net.graph, default_chain_aux(net.graph), consts=net.tree_constants())
+        assert verify_core_decomposition(dec).passed
+        with pytest.raises(FloatRangeError, match="a rate constant is outside"):
+            net.floats.rates
+        for call in (
+            lambda: mass_action_rhs(net, [0.5]),
+            lambda: is_cbe(net, [Fraction(1, 2)]),
+            lambda: net.tree_constants().as_float(),
+        ):
+            with pytest.raises(FloatRangeError):
+                call()
+        assert net.floats.complexes.tolist() == [[1.0, 2.0]]
+
+    def test_complex_entry_beyond_float64_refused_before_exact_powers(self):
+        # x^(10^400) is never formed: the exact path needs Y as float64 too
+        net = _dimer(1, y2=10**400)
+        assert net.tree_constants().values.tolist() == [1, 1]
+        with pytest.raises(FloatRangeError, match="a complex entry is outside"):
+            monomial_vector(net, [Fraction(1, 2)])
+
+    @pytest.mark.parametrize(
+        "labels",
+        [(0.5, Fraction(10**400)), (0.5, Fraction(1, 10**400))],
+        ids=["1e400", "1e-400"],
+    )
+    def test_mixed_labels_checked(self, labels):
+        # one float label makes the others floats; one float64 cannot hold is refused
+        with pytest.raises(FloatRangeError, match="label 2->1 is outside"):
+            build_digraph(["1", "2"], [("1", "2", labels[0]), ("2", "1", labels[1])])
+
+    @pytest.mark.parametrize("entry", [Fraction(10**400), Fraction(1, 10**400)], ids=["1e400", "1e-400"])
+    def test_mixed_complexes_checked(self, entry):
+        g = build_digraph(["1", "2"], [("1", "2", 1), ("2", "1", 1)])
+        with pytest.raises(FloatRangeError, match="a complex entry is outside"):
+            build_network(["A"], [[1.0, entry]], g)
+        assert build_network(["A"], [[1.0, Fraction(1, 2)]], g).complexes.tolist() == [[1.0, 0.5]]

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crnlap import exact
-from crnlap.errors import SemanticError
+from crnlap.errors import FloatRangeError, SemanticError
 
 from oracles import column_space, det, fraction_rref, primitive, rank, solve
 
@@ -260,3 +260,32 @@ class TestNumberRules:
         for values in (exact.vector([1]), np.array([1.0])):
             with pytest.raises(SemanticError):
                 exact.tolerance(values, 1e-12, lambda: 1.0, tol=tol)
+
+    @pytest.mark.parametrize(
+        "value", [10**400, -(10**400), Fraction(1, 10**400), float("inf"), float("nan")],
+        ids=["1e400", "-1e400", "1e-400", "inf", "nan"],
+    )
+    def test_to_float_refuses_what_float64_cannot_hold(self, value):
+        with pytest.raises(FloatRangeError, match="x is outside the float64 range"):
+            exact.to_float(value, "x")
+
+    def test_to_float_keeps_what_float64_holds(self):
+        assert exact.to_float(Fraction(1, 3), "x") == 1 / 3
+        assert exact.to_float(0, "x") == 0.0
+        assert exact.to_float(Fraction(10**300), "x") == 1e300
+
+    def test_floats_keeps_values_and_layout_of_asarray(self):
+        # a matrix product's rounding depends on the layout: the copy of a
+        # column-major object array is column-major, as np.asarray makes it
+        m = exact.matrix([[1, Fraction(1, 3)], [Fraction(2, 7), 5], [0, 1]])[:, [1, 0]]
+        out = exact.floats(m, "x")
+        ref = np.asarray(m, dtype=float)
+        assert np.array_equal(out, ref) and out.strides == ref.strides
+        assert not out.flags.writeable
+        f = np.array([0.5, 2.0])
+        assert exact.floats(f, "x") is not f and np.array_equal(exact.floats(f, "x"), f)
+
+    def test_floats_refuses_one_entry(self):
+        m = exact.matrix([[1, 2], [Fraction(1, 10**400), 3]])
+        with pytest.raises(FloatRangeError, match="an entry is outside"):
+            exact.floats(m, "an entry")

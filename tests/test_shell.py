@@ -49,6 +49,12 @@ def _dimer_doc(k: str) -> dict:
     }
 
 
+def _complex_doc(a1, a2) -> dict:
+    """A <-> 2A with unit labels, its complexes' A entries replaced by a1 and a2."""
+    return dict(_dimer_doc("1"), vertices=[{"id": "1", "complex": {"A": a1}},
+                                          {"id": "2", "complex": {"A": a2}}])
+
+
 DEGREE_300_DOC = {
     "species": ["A", "B"],
     "vertices": [
@@ -438,6 +444,49 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         error = json.loads(proc.stderr)["error"]
         assert error["type"] == kind and message in error["message"]
+
+    @pytest.mark.parametrize(
+        "doc, argv, message",
+        [
+            (_dimer_doc("1e400"), ["simulate", "--x0", "0.5", "--t", "1"], "a rate constant"),
+            (_dimer_doc("1e400"), ["certify", "--x", "0.5", "--x-star", "1"],
+             "complex-balance residual"),
+            (_dimer_doc("1e400"), ["bdi-check", "--x", "0.5", "--x-star", "1"],
+             "complex-balance residual"),
+            (_complex_doc(2, "1e400"), ["equilibria"], "a complex entry"),
+            (_complex_doc(2, "1e400"), ["certify", "--x", "0.5"], "a complex entry"),
+            (_complex_doc(2, "1e400"), ["certify", "--x", "0.5", "--x-star", "1"],
+             "a complex entry"),
+            (_complex_doc(2, "1e400"), ["simulate", "--x0", "0.5", "--t", "1"], "a complex entry"),
+            (_complex_doc(2, "1e400"), ["bdi-check", "--x", "0.5"], "a complex entry"),
+            (dict(_dimer_doc("1e400"), edges=[{"from": "1", "to": "2", "k": 0.5},
+                                              {"from": "2", "to": "1", "k": "1e400"}]),
+             ["analyze"], "label 2->1"),
+            (dict(_dimer_doc("1e400"), edges=[{"from": "1", "to": "2", "k": 0.5},
+                                              {"from": "2", "to": "1", "k": "1e-400"}]),
+             ["analyze"], "label 2->1"),
+            (_complex_doc(1.0, "1e400"), ["analyze"], "a complex entry"),
+        ],
+        ids=["simulate-k-1e400", "certify-k-1e400", "bdi-k-1e400", "equilibria-y-1e400",
+             "certify-y-1e400", "certify-y-1e400-x-star", "simulate-y-1e400", "bdi-y-1e400",
+             "analyze-mixed-k-1e400", "analyze-mixed-k-1e-400", "analyze-mixed-y-1e400"],
+    )
+    def test_float_view_refusals_exit_2(self, doc, argv, message, tmp_path):
+        # exact numbers that float64 cannot hold, met on a float path: one
+        # JSON FloatRangeError, before any overflow, and no traceback
+        proc = _cli_process(tmp_path, doc, *argv)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        error = json.loads(proc.stderr)["error"]
+        assert error["type"] == "FloatRangeError"
+        assert f"{message} is outside the float64 range" in error["message"]
+
+    @pytest.mark.parametrize("doc", [_dimer_doc("1e400"), None], ids=["k-1e400", "y-1e400"])
+    def test_exact_analyze_beyond_float64(self, doc, tmp_path):
+        # the float view is lazy: exact analysis never converts
+        proc = _cli_process(tmp_path, doc or _complex_doc(2, "1e400"), "analyze")
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert json.loads(proc.stdout)["mode"] == "exact"
 
     @pytest.mark.parametrize(
         "argv",

@@ -24,7 +24,7 @@ from generators import (
     random_planted_network,
     random_positive_floats,
 )
-from oracles import bdi_member_by_orders, fd_gradient, tie_chain_orders
+from oracles import bdi_member_by_orders, fd_gradient, reference_simulate, tie_chain_orders
 
 
 class TestLyapunovValue:
@@ -273,3 +273,47 @@ class TestSimulate:
         assert all(np.all(s > 0) for s in traj.states)
         assert traj.rejected >= 3
         assert abs(traj.states[-1][0] - 1e-4) <= 1e-6
+
+
+def _assert_same_trajectory(got, want):
+    assert got.times == want.times
+    assert [s.tolist() for s in got.states] == [s.tolist() for s in want.states]
+    assert got.lyapunov == want.lyapunov
+    assert (got.accepted, got.rejected) == (want.accepted, want.rejected)
+
+
+class TestSimulateAgainstReference:
+    """`simulate` evaluates stage 0 once per accepted state and the Lyapunov
+    values after the loop; `reference_simulate` evaluates every stage on every
+    attempt and L step by step.  The trajectories must be equal bit for bit."""
+
+    def test_planted_networks(self):
+        rng = random.Random(57)
+        for _ in range(32):
+            net, x_star = random_planted_network(rng, 3, 6)
+            x0 = random_positive_floats(rng, net.n_species)
+            got = simulate(net, x0, 0.5, x_star=x_star)
+            _assert_same_trajectory(got, reference_simulate(net, x0, 0.5, x_star=x_star))
+            assert len({id(s) for s in got.states}) == len(got.states)
+
+    def test_positivity_guard_rejections(self):
+        g = build_digraph(["A", "0"], [("A", "0", 10**4), ("0", "A", 1)])
+        net = build_network(["A"], [[1, 0]], g)
+        got = simulate(net, [1.0], 1.0)
+        assert got.rejected >= 3
+        _assert_same_trajectory(got, reference_simulate(net, [1.0], 1.0))
+
+    def test_near_boundary_start(self, cycle3_net):
+        got = simulate(cycle3_net, [1e-3, 10.0], 30.0, x_star=[1, 1])
+        _assert_same_trajectory(got, reference_simulate(cycle3_net, [1e-3, 10.0], 30.0, x_star=[1, 1]))
+
+    def test_without_x_star(self, triangle_net):
+        # the equilibrium is solved, or absent off weakly reversible networks
+        got = simulate(triangle_net, [0.001, 10.0], 30.0)
+        assert got.lyapunov is not None
+        _assert_same_trajectory(got, reference_simulate(triangle_net, [0.001, 10.0], 30.0))
+        g = build_digraph(["1", "2"], [("1", "2", Fraction(3, 2))])
+        net = build_network(["A", "B"], [[1, 0], [0, 1]], g)
+        got = simulate(net, [1.0, 0.5], 2.0)
+        assert got.lyapunov is None
+        _assert_same_trajectory(got, reference_simulate(net, [1.0, 0.5], 2.0))
