@@ -6,6 +6,15 @@ side of the mass-action ODE is Y A_k x^Y = N `edge_flows`, N = Y I_E; for
 weakly reversible networks it is also a sum of binomials through the core
 matrix decomposition.  Y I_E and I_aux.T (x^Y / K) are gathers on `edge_ends`.
 
+`evaluate` checks a state x once and forms a frozen `State`: x, ln x, x^Y,
+the edge flows and, on first use, x^Y / K.  The exact/float choice is made
+there: x^Y is exact for rational x and integer Y, the flows and x^Y / K when
+k is exact too.  The functions that evaluate x take a State in its place,
+so one call evaluates x once.  `equilibria.require_cbe` keeps one slot per
+network: the last x* that passed its balance test, keyed on its entries and
+their types (a float x* and an equal Fraction are tested differently), and
+set only after a pass.
+
 Exact networks keep Y, k, N and the S-perp basis as Fractions.  Their float
 evaluations read a `FloatView` instead: float64 copies converted once per
 network, lazily on first float use, checked (a value that float64 cannot
@@ -18,6 +27,7 @@ from __future__ import annotations
 import math
 import sys
 import threading
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -128,6 +138,7 @@ class ReactionNetwork:
         self._consts: TreeConstants | None = None
         self._consts_lock = threading.Lock()
         self.floats = FloatView(self)
+        self._cbe = (None, None)  # require_cbe's (key, x* as float64) of its last pass
 
     @staticmethod
     def _coerce_complexes(complexes) -> np.ndarray:
@@ -190,61 +201,84 @@ def check_state(x, n: int) -> np.ndarray:
     vals = list(x)
     if len(vals) != n:
         raise NonPositiveStateError(f"state has {len(vals)} entries, expected {n}")
-    coerced = []
-    rational = True
     for v in vals:
-        if isinstance(v, (int, Fraction)) and not isinstance(v, bool):
-            coerced.append(Fraction(v))
-        elif isinstance(v, float):
-            if not math.isfinite(v):
-                raise NonPositiveStateError(f"state entry {v!r} is not finite")
-            coerced.append(v)
-            rational = False
-        else:
+        if isinstance(v, bool) or not isinstance(v, (int, Fraction, float)):
             raise NonPositiveStateError(f"state entry {v!r} is not a number")
-        if coerced[-1] <= 0:
+        if isinstance(v, float) and not math.isfinite(v):
+            raise NonPositiveStateError(f"state entry {v!r} is not finite")
+        if v <= 0:
             raise NonPositiveStateError("state entries must be strictly positive")
     # an exact entry must stay positive and finite as a float64
-    floats = exact.positive_floats(coerced, "state entries")
-    return np.array(coerced, dtype=object) if rational else floats
+    floats = exact.positive_floats(vals, "state entries")
+    if any(isinstance(v, float) for v in vals):
+        return floats
+    return np.array([Fraction(v) for v in vals], dtype=object)
+
+
+@dataclass(frozen=True, eq=False)
+class State:
+    """A state x of `net` as `evaluate` forms it: x checked (Fractions when
+    rational, otherwise float64), ln x, x^Y and the edge flows k o x^{y(tail)}."""
+
+    net: ReactionNetwork
+    x: np.ndarray
+    ln_x: np.ndarray
+    monomials: np.ndarray
+    flows: np.ndarray
+
+    @cached_property
+    def scaled(self) -> np.ndarray:
+        """x^{y(i)} / K_i, exact when the flows are; needs weak reversibility."""
+        consts = self.net.tree_constants()
+        if exact.is_exact(self.flows):
+            return self.monomials / consts.values
+        return np.asarray(self.monomials, dtype=float) / consts.as_float()
+
+
+def evaluate(net: ReactionNetwork, x) -> State:
+    """The `State` of x on net; a State of net is returned as it is.
+
+    Exact monomials that float64 cannot hold are refused (FloatRangeError),
+    as the certificate and the vector field are reported as floats, and so,
+    before any exact power, is a complex matrix that float64 cannot hold.
+    Float monomials and flows may overflow to inf; their readers decide."""
+    if isinstance(x, State) and x.net is net:
+        return x
+    xv = check_state(x, net.n_species)
+    ln_x = np.log(np.asarray(xv, dtype=float))
+    yf = net.floats.complexes
+    with np.errstate(over="ignore", invalid="ignore"):
+        if exact.is_exact(xv) and net.integer_y:
+            mono = np.array([
+                math.prod((v ** int(e) for v, e in zip(xv, col) if e), start=exact.ONE)
+                for col in net.complexes.T
+            ], dtype=object)
+            if max(mono, default=0) > sys.float_info.max:
+                raise FloatRangeError("an exact monomial exceeds the float64 range")
+        else:
+            mono = np.exp(yf.T @ ln_x)
+        if exact.is_exact(mono) and net.graph.exact:
+            flows = net.rates * mono[net.tails]
+        else:
+            flows = net.floats.rates * np.asarray(mono, dtype=float)[net.tails]
+    return State(net, xv, ln_x, mono, flows)
 
 
 def monomial_vector(net: ReactionNetwork, x) -> np.ndarray:
-    """(x^Y)_i = prod_j x_j^{Y_ji}; exact for rational x and integer Y.
-
-    Exact monomials that float64 cannot hold are refused (FloatRangeError),
-    since the certificate and the vector field are reported as floats; so
-    is a complex matrix that float64 cannot hold, before any exact power."""
-    xv = check_state(x, net.n_species)
-    yf = net.floats.complexes
-    if exact.is_exact(xv) and net.integer_y:
-        out = np.empty(net.graph.n_vertices, dtype=object)
-        for i in range(net.graph.n_vertices):
-            p = Fraction(1)
-            for j in range(net.n_species):
-                e = int(net.complexes[j, i])
-                if e:
-                    p *= Fraction(xv[j]) ** e
-            out[i] = p
-        if max(out, default=0) > sys.float_info.max:
-            raise FloatRangeError("an exact monomial exceeds the float64 range")
-        return out
-    return np.exp(yf.T @ np.log(np.asarray(xv, dtype=float)))
+    """(x^Y)_i = prod_j x_j^{Y_ji}, as `evaluate` forms it."""
+    return evaluate(net, x).monomials
 
 
 def edge_flows(net: ReactionNetwork, x) -> np.ndarray:
-    """k o x^{y(tail)}: each reaction's rate at x; exact for rational k and x and integer Y."""
-    mono = monomial_vector(net, x)
-    if exact.is_exact(mono) and net.graph.exact:
-        return net.rates * mono[net.tails]
-    return net.floats.rates * np.asarray(mono, dtype=float)[net.tails]
+    """k o x^{y(tail)}: each reaction's rate at x, as `evaluate` forms it."""
+    return evaluate(net, x).flows
 
 
 def mass_action_rhs(net: ReactionNetwork, x) -> np.ndarray:
     """f_k(x) = Y A_k x^Y = N `edge_flows`, in species coordinates; a float
     f_k(x) that overflows is refused (FloatRangeError)."""
+    flows = evaluate(net, x).flows  # exact flows need an exact Y, so an exact N
     with np.errstate(over="ignore", invalid="ignore"):
-        flows = edge_flows(net, x)  # exact flows need an exact Y, so an exact N
         f = (net.reactions if exact.is_exact(flows) else net.floats.reactions) @ flows
     if exact.is_exact(f):  # an object matmul over no edges gives int 0s
         f = f + exact.ZERO
@@ -260,7 +294,6 @@ def binomial_rhs(net: ReactionNetwork, aux: AuxTree, x) -> tuple[np.ndarray, np.
     diag(1/K) x^Y equals the mass-action right-hand side, and binomials is
     the vector of scaled monomial differences along the aux edges.
     """
-    net.require_weakly_reversible()
     scaled = scaled_monomials(net, x)
     dec = core_matrix(net.graph, aux, consts=net.tree_constants())
     core, scaled = exact.common(dec.core, scaled)  # exact ones need an exact Y
@@ -275,8 +308,4 @@ def binomial_rhs(net: ReactionNetwork, aux: AuxTree, x) -> tuple[np.ndarray, np.
 
 def scaled_monomials(net: ReactionNetwork, x) -> np.ndarray:
     """Per-vertex values x^{y(i)} / K_i used by evaluation orders."""
-    consts = net.tree_constants()
-    mono = monomial_vector(net, x)
-    if exact.is_exact(mono) and net.graph.exact:
-        return mono / consts.values
-    return np.asarray(mono, dtype=float) / consts.as_float()
+    return evaluate(net, x).scaled

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import exact
-from .crn import ReactionNetwork, check_state, edge_flows
+from .crn import ReactionNetwork, check_state, evaluate
 from .errors import NoConvergenceError, NotACbeError, SemanticError
 from .graph import default_chain_aux, edge_ends
 
@@ -38,8 +38,8 @@ def is_cbe(net: ReactionNetwork, x, tol: float | None = None) -> CbeCheck:
     its tail), relative to the largest single edge flow; float monomials or
     flows that overflow, and an exact residual or largest flow that float64
     cannot hold, are refused (FloatRangeError)."""
+    flows = evaluate(net, x).flows
     with np.errstate(over="ignore", invalid="ignore"):
-        flows = edge_flows(net, x)
         balance = np.zeros(net.graph.n_vertices, dtype=flows.dtype)
         np.add.at(balance, net.heads, flows)
         np.subtract.at(balance, net.tails, flows)
@@ -53,10 +53,17 @@ def is_cbe(net: ReactionNetwork, x, tol: float | None = None) -> CbeCheck:
 
 
 def require_cbe(net: ReactionNetwork, x_star) -> np.ndarray:
-    xs = check_state(x_star, net.n_species)
-    if not is_cbe(net, x_star).balanced:
-        raise NotACbeError("x_star is not a complex-balanced equilibrium")
-    return np.asarray(xs, dtype=float)
+    """x_star as a read-only float64 array, refused (NotACbeError) unless
+    balanced (`is_cbe`); kept in the network's slot until another passes."""
+    values = list(x_star)
+    key = [(type(v), v) for v in values]  # a float x* and an equal Fraction differ
+    slot = net._cbe
+    if slot[0] != key:
+        state = evaluate(net, values)
+        if not is_cbe(net, state).balanced:
+            raise NotACbeError("x_star is not a complex-balanced equilibrium")
+        slot = net._cbe = (key, exact.floats(state.x, "x_star"))
+    return slot[1]
 
 
 @dataclass(frozen=True)

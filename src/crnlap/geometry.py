@@ -24,7 +24,7 @@ import numpy as np
 
 from . import exact
 from .exact import ONE, ZERO
-from .crn import ReactionNetwork, mass_action_rhs, scaled_monomials
+from .crn import ReactionNetwork, evaluate, mass_action_rhs, scaled_monomials
 from .errors import InvalidAuxTreeError, PointNotInStratumError
 from .graph import AuxTree, Edge, edge_ends, make_aux_tree, validate_aux_tree
 
@@ -40,7 +40,6 @@ def evaluation_order(net: ReactionNetwork, x) -> list[list[list[str]]]:
     Vertices are sorted by value, ties by vertex id; a vertex joins the
     previous group when its value ties with that group's last one.
     """
-    net.require_weakly_reversible()
     values = scaled_monomials(net, x)
     g = net.graph
     orders = []
@@ -261,6 +260,7 @@ def recession_polar_check(net: ReactionNetwork, aux: AuxTree, x) -> bool:
     net.require_weakly_reversible()
     if aux.kind != "chain":
         raise InvalidAuxTreeError("recession check requires a chain aux tree")
+    x = evaluate(net, x)
     if not stratum_contains(net, aux, x):
         raise PointNotInStratumError("x does not satisfy the stratum inequalities")
     desc = region_constraints(net, aux, "cone")

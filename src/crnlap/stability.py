@@ -8,6 +8,7 @@ through the chain-core identity
 with a = (Y I_aux).T ln(x/x*) >= 0 and b = I_aux.T diag(1/K) x^Y >= 0 on the
 stratum picked by the monomial evaluation order, and A_core nonnegative with
 positive diagonal.  The sign pattern alone certifies strict decrease.
+ln(x/x*) is taken as ln x - ln x*, so no ratio x/x* over- or underflows.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crn import ReactionNetwork, check_state, mass_action_rhs, scaled_monomials
+from .crn import ReactionNetwork, check_state, evaluate, mass_action_rhs
 from .equilibria import is_cbe, require_cbe, solve_cbe
 from .errors import FloatRangeError, SemanticError, ShapeMismatchError, StepSizeUnderflowError
 from .geometry import PolarReport, evaluation_cone, monomial_order, polar_interior_contains
@@ -47,11 +48,11 @@ def lyapunov_value(x, x_star) -> float:
 
 
 def lyapunov_derivative(net: ReactionNetwork, x, x_star) -> float:
-    """d/dt L = ln(x/x*) . f_k(x); negative away from the CBE manifold."""
+    """d/dt L = (ln x - ln x*) . f_k(x); negative away from the CBE manifold."""
     xs = require_cbe(net, x_star)
-    xv = np.asarray(check_state(x, net.n_species), dtype=float)
-    f = np.asarray(mass_action_rhs(net, x), dtype=float)
-    return float(np.log(xv / xs) @ f)
+    state = evaluate(net, x)
+    f = np.asarray(mass_action_rhs(net, state), dtype=float)
+    return float((state.ln_x - np.log(xs)) @ f)
 
 
 @dataclass(frozen=True)
@@ -73,14 +74,14 @@ def decrease_certificate(net: ReactionNetwork, x, x_star) -> StabilityCertificat
     property of the system.
     """
     xs = require_cbe(net, x_star)
-    xv = np.asarray(check_state(x, net.n_species), dtype=float)
-    aux = monomial_order(net, x)
+    state = evaluate(net, x)
+    aux = monomial_order(net, state)
     dec = core_matrix(net.graph, aux, consts=net.tree_constants())
     core = np.asarray(dec.core, dtype=float)
     tails, heads = edge_ends(net.graph, aux.edges)
     yf = net.floats.complexes
-    z = np.log(xv / xs)
-    scaled = np.asarray(scaled_monomials(net, x), dtype=float)
+    z = state.ln_x - np.log(xs)
+    scaled = np.asarray(state.scaled, dtype=float)
     a = (yf[:, heads] - yf[:, tails]).T @ z
     b = scaled[heads] - scaled[tails]
     value = float(-(a @ core @ b)) if a.size else 0.0
@@ -103,7 +104,7 @@ def decrease_certificate(net: ReactionNetwork, x, x_star) -> StabilityCertificat
     elif signs_ok and value < 0:
         verdict = "strict_decrease"
     if verdict == "failure":
-        logger.warning("certificate failure at x=%s (value=%r)", xv, value)
+        logger.warning("certificate failure at x=%s (value=%r)", state.x, value)
     return StabilityCertificate(
         aux=aux, a=a, b=b, core=core, value=value, verdict=verdict, witness_edge=witness
     )
@@ -138,10 +139,11 @@ def bdi_report(net: ReactionNetwork, x, v, tol: float | None = None) -> BdiRepor
         raise FloatRangeError("v leaves the float64 range") from None
     if vv.shape != (net.n_species,) or not np.all(np.isfinite(vv)):
         raise ShapeMismatchError(f"v must have {net.n_species} finite entries")
-    if is_cbe(net, x, tol=tol).balanced:
+    state = evaluate(net, x)
+    if is_cbe(net, state, tol=tol).balanced:
         member = bool(np.max(np.abs(vv), initial=0.0) <= MANIFOLD_V_TOL)
         return BdiReport(on_manifold=True, member=member, cone=None)
-    desc = evaluation_cone(net, x)
+    desc = evaluation_cone(net, state)
     polar = polar_interior_contains(desc, vv)
     return BdiReport(on_manifold=False, member=polar.contains, cone=(desc.edges, polar))
 

@@ -24,6 +24,14 @@ taken as x itself: it evaluates every stage, stage 0 included, on each
 attempt, converts Y, k and N on each call, and records the Lyapunov value
 step by step.  A trajectory of `simulate` must equal its trajectory exactly.
 
+`reference_certificate`, `reference_bdi_report`, `reference_is_cbe` and
+`reference_birch` are the certificate, BDI report, balance test and Birch
+step as they were before a state was evaluated once per call: every
+function re-checks x and forms x^Y again (`reference_monomials`), and x* is
+checked again on each call (`reference_require_cbe`).  The one change is
+that the certificate takes ln(x/x*) as ln x - ln x*.  Their results must
+equal the library's bit for bit.
+
 The Farkas LP and reduced row echelon form have Fraction oracles too, where
 the library pivots rows of ints over one denominator: `fraction_rref`,
 `fraction_max_margin` (the same two-phase Bland's-rule tableau, on
@@ -34,16 +42,23 @@ by `fraction_max_margin`.
 from __future__ import annotations
 
 import itertools
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from unittest import mock
 
 import numpy as np
 
-from crnlap import exact, geometry
+from crnlap import equilibria, exact, geometry
 from crnlap.crn import check_state, monomial_vector
-from crnlap.equilibria import solve_cbe
-from crnlap.errors import SemanticError, StepSizeUnderflowError
+from crnlap.equilibria import CBE_RTOL, CbeCheck, solve_cbe
+from crnlap.errors import (
+    FloatRangeError,
+    NotACbeError,
+    SemanticError,
+    ShapeMismatchError,
+    StepSizeUnderflowError,
+)
 from crnlap.geometry import (
     POLAR_LINEALITY_RTOL,
     POLAR_STRICT_RTOL,
@@ -52,9 +67,19 @@ from crnlap.geometry import (
     polar_interior_contains,
     region_constraints,
 )
-from crnlap.graph import Cycle, LabeledDigraph, make_aux_tree
-from crnlap.laplacian import CycleDecomposition, laplacian_matrix
-from crnlap.stability import _CK_A, _CK_B5, _CK_E, Trajectory, _lyapunov
+from crnlap.graph import Cycle, LabeledDigraph, edge_ends, make_aux_tree
+from crnlap.laplacian import CycleDecomposition, core_matrix, laplacian_matrix
+from crnlap.stability import (
+    _CK_A,
+    _CK_B5,
+    _CK_E,
+    MANIFOLD_V_TOL,
+    SIGN_RTOL,
+    BdiReport,
+    StabilityCertificate,
+    Trajectory,
+    _lyapunov,
+)
 
 
 def rank(m: np.ndarray) -> int:
@@ -683,3 +708,135 @@ def reference_simulate(
     return Trajectory(
         times=times, states=states, lyapunov=lyapunov, accepted=accepted, rejected=rejected
     )
+
+
+# -- the evaluation path with each state evaluated on every call ---------------
+
+
+def reference_monomials(net, x) -> np.ndarray:
+    """x^Y, exact for rational x and integer Y, checked and formed anew."""
+    xv = check_state(x, net.n_species)
+    yf = net.floats.complexes
+    if exact.is_exact(xv) and net.integer_y:
+        out = np.empty(net.graph.n_vertices, dtype=object)
+        for i in range(net.graph.n_vertices):
+            p = Fraction(1)
+            for j in range(net.n_species):
+                e = int(net.complexes[j, i])
+                if e:
+                    p *= Fraction(xv[j]) ** e
+            out[i] = p
+        if max(out, default=0) > sys.float_info.max:
+            raise FloatRangeError("an exact monomial exceeds the float64 range")
+        return out
+    return np.exp(yf.T @ np.log(np.asarray(xv, dtype=float)))
+
+
+def reference_flows(net, x) -> np.ndarray:
+    mono = reference_monomials(net, x)
+    if exact.is_exact(mono) and net.graph.exact:
+        return net.rates * mono[net.tails]
+    return net.floats.rates * np.asarray(mono, dtype=float)[net.tails]
+
+
+def reference_scaled(net, x) -> np.ndarray:
+    consts = net.tree_constants()
+    mono = reference_monomials(net, x)
+    if exact.is_exact(mono) and net.graph.exact:
+        return mono / consts.values
+    return np.asarray(mono, dtype=float) / consts.as_float()
+
+
+def reference_is_cbe(net, x, tol=None) -> CbeCheck:
+    with np.errstate(over="ignore", invalid="ignore"):
+        flows = reference_flows(net, x)
+        balance = np.zeros(net.graph.n_vertices, dtype=flows.dtype)
+        np.add.at(balance, net.heads, flows)
+        np.subtract.at(balance, net.tails, flows)
+        residual = np.max(np.abs(balance), initial=0)
+        scale = np.max(flows, initial=0)
+    residual_f = exact.to_float(residual, "the complex-balance residual")
+    scale_f = exact.to_float(scale, "the largest edge flow")
+    balanced = residual <= exact.tolerance(flows, CBE_RTOL, lambda: scale, tol)
+    return CbeCheck(bool(balanced), residual_f, scale_f)
+
+
+def reference_require_cbe(net, x_star) -> np.ndarray:
+    xs = check_state(x_star, net.n_species)
+    if not reference_is_cbe(net, x_star).balanced:
+        raise NotACbeError("x_star is not a complex-balanced equilibrium")
+    return np.asarray(xs, dtype=float)
+
+
+def reference_evaluation_order(net, x) -> list:
+    net.require_weakly_reversible()
+    values = reference_scaled(net, x)
+    g = net.graph
+    orders = []
+    for ci in range(g.n_components):
+        groups: list[list[str]] = []
+        for v in sorted(g.component_vertices(ci), key=lambda v: (values[g.index[v]], v)):
+            if groups and geometry._tied(values, g.index[groups[-1][-1]], g.index[v]):
+                groups[-1].append(v)
+            else:
+                groups.append([v])
+        orders.append(groups)
+    return orders
+
+
+def reference_certificate(net, x, x_star) -> StabilityCertificate:
+    xs = reference_require_cbe(net, x_star)
+    xv = np.asarray(check_state(x, net.n_species), dtype=float)
+    chains = [[v for grp in groups for v in grp] for groups in reference_evaluation_order(net, x)]
+    aux = make_aux_tree(net.graph, "chain", chains)
+    dec = core_matrix(net.graph, aux, consts=net.tree_constants())
+    core = np.asarray(dec.core, dtype=float)
+    tails, heads = edge_ends(net.graph, aux.edges)
+    yf = net.floats.complexes
+    z = np.log(xv) - np.log(xs)  # np.log(xv / xs) before ln x - ln x*
+    scaled = np.asarray(reference_scaled(net, x), dtype=float)
+    a = (yf[:, heads] - yf[:, tails]).T @ z
+    b = scaled[heads] - scaled[tails]
+    value = float(-(a @ core @ b)) if a.size else 0.0
+
+    scale_a = float(np.max(np.abs(yf.T @ z))) if a.size else 0.0
+    scale_b = float(np.max(scaled)) if b.size else 0.0
+    signs_ok = bool(np.all(a >= -SIGN_RTOL * max(scale_a, 1e-300))) and bool(
+        np.all(b >= -SIGN_RTOL * max(scale_b, 1e-300))
+    )
+    b_zero = bool(np.all(np.abs(b) <= SIGN_RTOL * scale_b)) if b.size else True
+    witness = None
+    for j, e in enumerate(aux.edges):
+        if b[j] > SIGN_RTOL * scale_b and a[j] > SIGN_RTOL * max(scale_a, 1e-300):
+            witness = e
+            break
+    verdict = "failure"
+    if signs_ok and b_zero:
+        verdict = "equilibrium"
+    elif signs_ok and value < 0:
+        verdict = "strict_decrease"
+    return StabilityCertificate(
+        aux=aux, a=a, b=b, core=core, value=value, verdict=verdict, witness_edge=witness
+    )
+
+
+def reference_bdi_report(net, x, v, tol=None) -> BdiReport:
+    vv = np.asarray(v, dtype=float)
+    if vv.shape != (net.n_species,) or not np.all(np.isfinite(vv)):
+        raise ShapeMismatchError(f"v must have {net.n_species} finite entries")
+    if reference_is_cbe(net, x, tol=tol).balanced:
+        member = bool(np.max(np.abs(vv), initial=0.0) <= MANIFOLD_V_TOL)
+        return BdiReport(on_manifold=True, member=member, cone=None)
+    edges = tuple(
+        (i, j) for groups in reference_evaluation_order(net, x)
+        for lower, upper in zip(groups, groups[1:]) for i in lower for j in upper
+    )
+    desc = geometry._edge_cone(net, edges)
+    polar = polar_interior_contains(desc, vv)
+    return BdiReport(on_manifold=False, member=polar.contains, cone=(desc.edges, polar))
+
+
+def reference_birch(net, x_star, x_prime) -> np.ndarray:
+    """`birch_intersect` with x* checked by `reference_require_cbe`."""
+    with mock.patch.object(equilibria, "require_cbe", reference_require_cbe):
+        return equilibria.birch_intersect(net, x_star, x_prime)

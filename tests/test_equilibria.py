@@ -1,11 +1,13 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from crnlap import (
     birch_intersect,
+    equilibria,
     build_digraph,
     build_network,
     cbe_manifold_sample,
@@ -49,6 +51,49 @@ class TestIsCbe:
         rng = random.Random(0)
         for _ in range(5):
             assert is_cbe(net, random_positive_floats(rng, 2)).balanced
+
+
+class TestRequireCbeSlot:
+    """require_cbe keeps the last x* that passed on the network."""
+
+    NEAR_ONE = 1.0000000000000011  # balanced on X <-> 2X as a float, not exactly
+
+    @pytest.fixture
+    def tests_run(self, monkeypatch):
+        calls = []
+        real = equilibria.is_cbe
+        monkeypatch.setattr(equilibria, "is_cbe", lambda *a, **k: calls.append(a) or real(*a, **k))
+        return calls
+
+    def test_float_pass_does_not_admit_the_equal_fraction(self, dimer_net):
+        assert equilibria.require_cbe(dimer_net, [self.NEAR_ONE]).tolist() == [self.NEAR_ONE]
+        with pytest.raises(NotACbeError):
+            equilibria.require_cbe(dimer_net, [Fraction(self.NEAR_ONE)])
+        assert equilibria.require_cbe(dimer_net, [self.NEAR_ONE]).tolist() == [self.NEAR_ONE]
+
+    def test_fraction_rejected_before_the_float_passes(self, dimer_net):
+        with pytest.raises(NotACbeError):
+            equilibria.require_cbe(dimer_net, [Fraction(self.NEAR_ONE)])
+        assert equilibria.require_cbe(dimer_net, [self.NEAR_ONE]).tolist() == [self.NEAR_ONE]
+        with pytest.raises(NotACbeError):
+            equilibria.require_cbe(dimer_net, [Fraction(self.NEAR_ONE)])
+
+    def test_rejected_x_star_tested_each_time(self, dimer_net, tests_run):
+        for _ in range(3):
+            with pytest.raises(NotACbeError):
+                equilibria.require_cbe(dimer_net, [2.0])
+        assert len(tests_run) == 3
+
+    def test_same_x_star_tested_once(self, dimer_net, tests_run):
+        first = equilibria.require_cbe(dimer_net, [1])
+        assert equilibria.require_cbe(dimer_net, [1]) is first
+        assert len(tests_run) == 1
+        assert not first.flags.writeable
+
+    def test_second_x_star_tested_again(self, xy_net, tests_run):
+        for x_star in ([1, 1], [2, 2], [1, 1]):
+            assert equilibria.require_cbe(xy_net, x_star).tolist() == [float(v) for v in x_star]
+        assert len(tests_run) == 3
 
 
 class TestSolveCbe:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import subprocess
@@ -312,6 +313,16 @@ class TestCli:
         proc = _cli_process(tmp_path, doc, *argv)
         assert proc.returncode == 2 and proc.stdout == ""
         assert json.loads(proc.stderr)["error"]["type"] == "FloatRangeError"
+
+    def test_certify_log_ratio_beyond_float_range(self, tmp_path):
+        # x / x* = 1e-350 underflows to 0; ln x - ln x* does not
+        proc = _cli_process(tmp_path, _dimer_doc(1e150), "certify", "--mode", "float",
+                            "--x", "1e-200", "--x-star", "1e150")
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert "Infinity" not in proc.stdout and "NaN" not in proc.stdout
+        report = json.loads(proc.stdout)
+        assert report["a"] == [math.log(1e150) - math.log(1e-200)]
+        assert math.isfinite(report["value"]) and report["verdict"] == "strict_decrease"
 
     def test_bdi_check(self, capsys):
         code, out, _ = self.run(["bdi-check", str(CYCLE3), "--x", "0.5,0.5"], capsys)

@@ -7,24 +7,45 @@ import pytest
 
 from crnlap import (
     bdi_membership,
+    bdi_report,
     birch_intersect,
     build_digraph,
     build_network,
+    crn,
     decrease_certificate,
+    equilibria,
+    geometry,
     is_cbe,
     lyapunov_derivative,
     lyapunov_value,
     mass_action_rhs,
     simulate,
     solve_cbe,
+    stability,
 )
+from crnlap.crn import edge_flows, monomial_vector, scaled_monomials
 from crnlap.errors import FloatRangeError, NotACbeError, SemanticError
 
 from generators import (
     random_planted_network,
     random_positive_floats,
+    random_positive_fractions,
+    to_float_graph,
 )
-from oracles import bdi_member_by_orders, fd_gradient, reference_simulate, tie_chain_orders
+from oracles import (
+    bdi_member_by_orders,
+    fd_gradient,
+    reference_bdi_report,
+    reference_birch,
+    reference_certificate,
+    reference_flows,
+    reference_is_cbe,
+    reference_monomials,
+    reference_require_cbe,
+    reference_scaled,
+    reference_simulate,
+    tie_chain_orders,
+)
 
 
 class TestLyapunovValue:
@@ -317,3 +338,158 @@ class TestSimulateAgainstReference:
         got = simulate(net, [1.0, 0.5], 2.0)
         assert got.lyapunov is None
         _assert_same_trajectory(got, reference_simulate(net, [1.0, 0.5], 2.0))
+
+
+def _dimer_1e150():
+    """A <-> 2A with float labels 1e150 and 1: x* = 1e150."""
+    g = build_digraph(["1", "2"], [("1", "2", 1e150), ("2", "1", 1.0)])
+    return build_network(["A"], [[1, 2]], g)
+
+
+class TestLogRatioBeyondFloatRange:
+    """ln(x/x*) is ln x - ln x*: at x = 1e-200, x* = 1e150 the ratio
+    underflows to 0, and its log would be -inf."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_certificate_finite(self):
+        cert = decrease_certificate(_dimer_1e150(), [1e-200], [1e150])
+        ln_ratio = math.log(1e-200) - math.log(1e150)
+        assert cert.a.tolist() == [-ln_ratio]  # aux edge 2 -> 1: y(1) - y(2) = -1
+        assert math.isfinite(cert.value) and cert.value < 0
+        assert cert.verdict == "strict_decrease"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_lyapunov_derivative_finite(self):
+        net = _dimer_1e150()
+        f = float(mass_action_rhs(net, [1e-200])[0])
+        got = lyapunov_derivative(net, [1e-200], [1e150])
+        assert got == (math.log(1e-200) - math.log(1e150)) * f
+        assert math.isfinite(got) and got < 0
+
+
+def _assert_same_certificate(got, want):
+    assert got.aux == want.aux
+    for name in ("a", "b", "core"):
+        assert getattr(got, name).tolist() == getattr(want, name).tolist()
+    assert (got.value, got.verdict, got.witness_edge) == (
+        want.value, want.verdict, want.witness_edge
+    )
+
+
+def _assert_same_evaluation(net, x, x_star):
+    """The library against the per-call evaluation path of `oracles`."""
+    for fn, ref in (
+        (monomial_vector, reference_monomials),
+        (edge_flows, reference_flows),
+        (scaled_monomials, reference_scaled),
+    ):
+        got, want = fn(net, x), ref(net, x)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    want = reference_require_cbe(net, x_star)
+    assert equilibria.require_cbe(net, x_star).tolist() == want.tolist()
+    _assert_same_certificate(
+        decrease_certificate(net, x, x_star), reference_certificate(net, x, x_star)
+    )
+    f = np.asarray(mass_action_rhs(net, x), dtype=float)
+    for v in (f, -f):
+        assert bdi_report(net, x, v) == reference_bdi_report(net, x, v)
+    for state in (x, x_star):
+        assert is_cbe(net, state) == reference_is_cbe(net, state)
+    assert birch_intersect(net, x_star, x).tolist() == reference_birch(net, x_star, x).tolist()
+    ln_ratio = np.log(np.asarray(x, dtype=float)) - np.log(np.asarray(x_star, dtype=float))
+    assert lyapunov_derivative(net, x, x_star) == float(ln_ratio @ f)
+
+
+class TestEvaluationAgainstReference:
+    """With each state evaluated once per call and x* checked once per
+    network, results equal those of the path that evaluates x and checks x*
+    on every call, bit for bit."""
+
+    def test_planted_networks(self):
+        rng = random.Random(59)
+        multi_component = 0
+        for _ in range(24):
+            net, x_star = random_planted_network(rng, 3, 6)
+            multi_component += net.graph.n_components > 1
+            xs_float = [float(v) for v in x_star]
+            float_net = build_network(
+                net.species, net.complexes.tolist(), to_float_graph(net.graph)
+            )
+            for nt, xs in ((net, x_star), (net, xs_float), (float_net, xs_float)):
+                for x in (
+                    random_positive_fractions(rng, net.n_species),
+                    random_positive_floats(rng, net.n_species),
+                    xs,
+                ):
+                    _assert_same_evaluation(nt, x, xs)
+        assert multi_component
+
+    def test_two_component_tie(self, two_component_net):
+        # x^y(4) / K_4 = x^y(5) / K_5 at x = (2, 0.5): a tie that fills {4, 5}
+        net = two_component_net
+        float_net = build_network(
+            net.species, net.complexes.tolist(), to_float_graph(net.graph)
+        )
+        for nt in (net, float_net):
+            for x in ([2, Fraction(1, 2)], [2.0, 0.5]):
+                _assert_same_evaluation(nt, x, [1, 1])
+                assert geometry.evaluation_order(nt, x)[1] == [["4", "5"]]
+
+
+def _count_evaluations(monkeypatch) -> list:
+    """The x of each state record `crn.evaluate` builds, wherever it is bound."""
+    built = []
+    real = crn.evaluate
+
+    def counting(net, x):
+        if not isinstance(x, crn.State):
+            built.append(x)
+        return real(net, x)
+
+    for mod in (crn, equilibria, geometry, stability):
+        if hasattr(mod, "evaluate"):
+            monkeypatch.setattr(mod, "evaluate", counting)
+    return built
+
+
+class TestOneEvaluationPerState:
+    def test_certificate_evaluates_x_once(self, cycle3_net, monkeypatch):
+        built = _count_evaluations(monkeypatch)
+        decrease_certificate(cycle3_net, [0.5, 0.5], [1, 1])
+        assert built == [[1, 1], [0.5, 0.5]]  # x* only while the slot is empty
+        built.clear()
+        decrease_certificate(cycle3_net, [0.5, 0.5], [1, 1])
+        assert built == [[0.5, 0.5]]
+
+    def test_bdi_report_evaluates_x_once(self, two_component_net, monkeypatch):
+        built = _count_evaluations(monkeypatch)
+        for x in ([0.5, 0.5], [2, 0.5], [1, 1]):  # strict order, a tie, the manifold
+            built.clear()
+            bdi_report(two_component_net, x, [1.0, -1.0])
+            assert built == [x]
+
+    def test_is_cbe_evaluates_x_once(self, cycle3_net, monkeypatch):
+        built = _count_evaluations(monkeypatch)
+        is_cbe(cycle3_net, [0.5, 0.5])
+        assert built == [[0.5, 0.5]]
+
+    def test_state_of_another_network_refused(self, cycle3_net, triangle_net):
+        state = crn.evaluate(cycle3_net, [0.5, 0.5])
+        assert crn.evaluate(cycle3_net, state) is state
+        with pytest.raises(TypeError):
+            is_cbe(triangle_net, state)
+
+    def test_repeated_require_cbe_tests_once(self, triangle_net, monkeypatch):
+        # equilibria.is_cbe as require_cbe calls it; bdi_report's test of x
+        # goes through the name stability binds, which this leaves alone
+        calls = []
+        real = equilibria.is_cbe
+        monkeypatch.setattr(equilibria, "is_cbe", lambda *a, **k: calls.append(a) or real(*a, **k))
+        x_star = list(solve_cbe(triangle_net).witness)
+        first = equilibria.require_cbe(triangle_net, x_star)
+        decrease_certificate(triangle_net, [0.5, 1.5], x_star)
+        bdi_membership(triangle_net, x_star, [0.5, 1.5], [1.0, 0.0])
+        birch_intersect(triangle_net, x_star, [0.5, 1.5])
+        assert len(calls) == 1
+        assert equilibria.require_cbe(triangle_net, x_star) is first
+        assert not first.flags.writeable
