@@ -29,8 +29,8 @@ from .crn import (
     ReactionNetwork,
     binomial_rhs,
     build_network,
+    evaluate,
     mass_action_rhs,
-    monomial_vector,
 )
 from .equilibria import (
     CbeResult,

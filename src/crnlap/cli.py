@@ -1,9 +1,11 @@
 """Command-line interface: JSON reports over network document files.
 
 Subcommands: analyze, decompose, equilibria, certify, bdi-check, simulate.
-Reports go to stdout as deterministic JSON (sorted keys); errors go to
-stderr as structured JSON.  Exit codes: 0 success, 2 validation error
-(values outside the float64 range included), 3 infeasible analysis.
+Reports go to stdout as deterministic JSON (sorted keys); a library record
+(a dataclass) is written as its fields.  Errors go to stderr as structured
+JSON.  Exit codes: 0 success, 2 validation error (values outside the
+float64 range, and a file that cannot be read or written, included), 3
+infeasible analysis.
 Only the commands whose checks read it take `--tol`, and only `equilibria`
 takes `--seed`.  Set CRNLAP_LOG=debug|info|warning for log verbosity.
 """
@@ -11,22 +13,21 @@ takes `--seed`.  Set CRNLAP_LOG=debug|info|warning for log verbosity.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
 
 from . import __version__, exact
-from .crn import ReactionNetwork, mass_action_rhs
+from .crn import ReactionNetwork, evaluate, mass_action_rhs
 from .equilibria import cbe_manifold_sample, is_cbe, require_cbe, solve_cbe
 from .errors import (
     CrnlapError,
     NoConvergenceError,
-    SchemaError,
     SemanticError,
     StepSizeUnderflowError,
 )
@@ -42,9 +43,17 @@ EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
 
 
+def _fields(record) -> dict:
+    """A library record as {field name: value}; a cache kept beside its
+    fields (such as `TreeConstants._floats`) is left out."""
+    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+
+
 def _json_default(value):
-    """The report values json does not encode itself: exact numbers, and
-    numpy arrays and scalars."""
+    """The report values json does not encode itself: library records,
+    exact numbers, and numpy arrays and scalars."""
+    if dataclasses.is_dataclass(value):
+        return _fields(value)
     if isinstance(value, Fraction):
         return number_to_json(value)
     if isinstance(value, (np.ndarray, np.generic)):
@@ -105,10 +114,6 @@ def _parse_aux(spec: str, graph) -> AuxTree:
     return make_aux_tree(graph, "star", roots)
 
 
-def _aux_report(aux: AuxTree) -> dict:
-    return {"kind": aux.kind, "edges": [[a, b] for a, b in aux.edges]}
-
-
 def _mode_name(net) -> str:
     return "exact" if net.exact else "float"
 
@@ -117,19 +122,9 @@ def _decomposition_report(net, aux, tol) -> dict:
     # off weakly reversible networks core_matrix raises NotStronglyConnectedError
     consts = net.tree_constants() if net.is_weakly_reversible() else None
     dec = core_matrix(net.graph, aux, consts=consts)
-    checks = verify_core_decomposition(dec, tol=tol)
-    return {
-        "aux": _aux_report(aux),
-        "core": dec.core,
-        "residual": checks.residual,
-        "checks": {
-            "residual_ok": checks.residual_ok,
-            "invertible": checks.invertible,
-            "chain_signs_ok": checks.chain_signs_ok,
-            "star_signs_ok": checks.star_signs_ok,
-            "passed": checks.passed,
-        },
-    }
+    verified = verify_core_decomposition(dec, tol=tol)
+    checks = {**_fields(verified), "passed": verified.passed}
+    return {"aux": aux, "core": dec.core, "residual": checks.pop("residual"), "checks": checks}
 
 
 def cmd_analyze(args) -> int:
@@ -182,14 +177,13 @@ def cmd_equilibria(args) -> int:
         "log_residual": result.log_residual,
     }
     if result.status == "found":
-        check = is_cbe(net, list(result.witness), tol=args.tol)
+        witness = evaluate(net, result.witness)  # one record for both balance tests
+        check = is_cbe(net, witness, tol=args.tol)
         report["witness"] = result.witness
         report["balance_residual"] = check.residual
         report["balance_scale"] = check.scale
         if args.samples:
-            samples = cbe_manifold_sample(
-                net, list(result.witness), args.samples, args.seed
-            )
+            samples = cbe_manifold_sample(net, witness, args.samples, args.seed)
             report["manifold_samples"] = samples
     emit(report, args.out)
     return EXIT_OK if result.status == "found" else EXIT_INFEASIBLE
@@ -216,13 +210,7 @@ def cmd_certify(args) -> int:
         "mode": _mode_name(net),
         "x": [float(v) for v in x],
         "x_star": [float(v) for v in x_star],
-        "aux": _aux_report(cert.aux),
-        "a": cert.a,
-        "b": cert.b,
-        "core": cert.core,
-        "value": cert.value,
-        "verdict": cert.verdict,
-        "witness_edge": list(cert.witness_edge) if cert.witness_edge else None,
+        **_fields(cert),
         "lyapunov_value": lyapunov_value(x, x_star),
     }
     emit(report, args.out)
@@ -234,8 +222,9 @@ def cmd_bdi_check(args) -> int:
     x = _parse_state(args.x)
     # no CBE: NoConvergenceError, exit 3; a given x* that is not one: exit 2
     require_cbe(net, _resolve_x_star(args, net))
-    v = _parse_state(args.v) if args.v else mass_action_rhs(net, x)
-    bdi = bdi_report(net, x, v, tol=args.tol)
+    state = x if args.v else evaluate(net, x)  # the default v and the check share it
+    v = _parse_state(args.v) if args.v else mass_action_rhs(net, state)
+    bdi = bdi_report(net, state, v, tol=args.tol)
     report = {
         "command": "bdi-check",
         "mode": _mode_name(net),
@@ -243,7 +232,7 @@ def cmd_bdi_check(args) -> int:
         "v": np.asarray(v, dtype=float),
         "on_manifold": bdi.on_manifold,
         "member": bdi.member,
-        "cone": None if bdi.cone is None else {"edges": bdi.cone[0], **asdict(bdi.cone[1])},
+        "cone": None if bdi.cone is None else {"edges": bdi.cone[0], **_fields(bdi.cone[1])},
     }
     emit(report, args.out)
     return EXIT_OK
@@ -256,13 +245,6 @@ def cmd_simulate(args) -> int:
     traj = simulate(
         net, x0, args.t, rtol=args.rtol, atol=args.atol, x_star=x_star
     )
-    trajectory = {
-        "times": traj.times,
-        "states": traj.states,
-        "lyapunov": traj.lyapunov,
-        "accepted": traj.accepted,
-        "rejected": traj.rejected,
-    }
     report = {
         "command": "simulate",
         "mode": _mode_name(net),
@@ -275,11 +257,11 @@ def cmd_simulate(args) -> int:
     }
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(trajectory, fh, indent=2, sort_keys=True, default=_json_default)
+            json.dump(traj, fh, indent=2, sort_keys=True, default=_json_default)
             fh.write("\n")
         report["trajectory_file"] = args.out
     else:
-        report["trajectory"] = trajectory
+        report["trajectory"] = traj
     emit(report, None)
     return EXIT_OK
 
@@ -354,17 +336,15 @@ def run_command(argv) -> int:
     try:
         exact.check_tol(getattr(args, "tol", None))
         return args.func(args)
-    except (SchemaError, SemanticError) as e:
-        emit_error(type(e).__name__, str(e), getattr(e, "path", ""))
-        return EXIT_VALIDATION
     except (NoConvergenceError, StepSizeUnderflowError) as e:
         emit_error(type(e).__name__, str(e))
         return EXIT_INFEASIBLE
-    except FileNotFoundError as e:
-        emit_error("FileNotFound", str(e))
-        return EXIT_VALIDATION
     except CrnlapError as e:
-        emit_error(type(e).__name__, str(e))
+        emit_error(type(e).__name__, str(e), getattr(e, "path", ""))
+        return EXIT_VALIDATION
+    except (OSError, UnicodeDecodeError) as e:  # reading the document or writing --out
+        kind = "FileNotFound" if isinstance(e, FileNotFoundError) else type(e).__name__
+        emit_error(kind, str(e))
         return EXIT_VALIDATION
 
 

@@ -2,18 +2,19 @@
 
 A network couples a labeled digraph (vertices = complexes, edges = reactions)
 with a complex matrix Y (one exponent column per vertex).  The right-hand
-side of the mass-action ODE is Y A_k x^Y = N `edge_flows`, N = Y I_E; for
+side of the mass-action ODE is Y A_k x^Y = N (k o x^{y(tail)}), N = Y I_E; for
 weakly reversible networks it is also a sum of binomials through the core
 matrix decomposition.  Y I_E and I_aux.T (x^Y / K) are gathers on `edge_ends`.
 
-`evaluate` checks a state x once and forms a frozen `State`: x, ln x, x^Y,
-the edge flows and, on first use, x^Y / K.  The exact/float choice is made
-there: x^Y is exact for rational x and integer Y, the flows and x^Y / K when
-k is exact too.  The functions that evaluate x take a State in its place,
-so one call evaluates x once.  `equilibria.require_cbe` keeps one slot per
-network: the last x* that passed its balance test, keyed on its entries and
-their types (a float x* and an equal Fraction are tested differently), and
-set only after a pass.
+`evaluate` checks a state x once and forms a frozen `State`, which is how
+an evaluation is read: `x`, `ln_x`, x^Y (`monomials`), the edge flows
+k o x^{y(tail)} (`flows`) and, on first use, x^Y / K (`scaled`).  The
+exact/float choice is made there: x^Y is exact for rational x and integer
+Y, the flows and x^Y / K when k is exact too.  The functions that evaluate
+x take a State in its place, so one call evaluates x once.
+`equilibria.require_cbe` keeps one slot per network: the last x* that
+passed its balance test, keyed on its entries and their types (a float x*
+and an equal Fraction are tested differently), and set only after a pass.
 
 Exact networks keep Y, k, N and the S-perp basis as Fractions.  Their float
 evaluations read a `FloatView` instead: float64 copies converted once per
@@ -102,7 +103,8 @@ class ReactionNetwork:
     `floats` is the network's `FloatView`, whose arrays are converted on
     first float use; in a float network they are read-only copies.  A
     matrix with one raw float entry is taken as float64 throughout, and an
-    exact entry that float64 cannot hold is refused (FloatRangeError).
+    entry that float64 cannot hold (beyond its range, NaN or infinite) is
+    refused (FloatRangeError).
     """
 
     def __init__(self, species: Sequence[str], complexes, graph: LabeledDigraph):
@@ -149,10 +151,7 @@ class ReactionNetwork:
             raise ShapeMismatchError("ragged complex matrix")
         if not any(isinstance(v, float) for row in rows for v in row):
             return np.array(rows, dtype=object)
-        return np.array(
-            [[v if isinstance(v, float) else exact.to_float(v, "a complex entry") for v in row]
-             for row in rows]
-        )
+        return np.array([[exact.to_float(v, "a complex entry") for v in row] for row in rows])
 
     @property
     def n_species(self) -> int:
@@ -264,18 +263,8 @@ def evaluate(net: ReactionNetwork, x) -> State:
     return State(net, xv, ln_x, mono, flows)
 
 
-def monomial_vector(net: ReactionNetwork, x) -> np.ndarray:
-    """(x^Y)_i = prod_j x_j^{Y_ji}, as `evaluate` forms it."""
-    return evaluate(net, x).monomials
-
-
-def edge_flows(net: ReactionNetwork, x) -> np.ndarray:
-    """k o x^{y(tail)}: each reaction's rate at x, as `evaluate` forms it."""
-    return evaluate(net, x).flows
-
-
 def mass_action_rhs(net: ReactionNetwork, x) -> np.ndarray:
-    """f_k(x) = Y A_k x^Y = N `edge_flows`, in species coordinates; a float
+    """f_k(x) = Y A_k x^Y = N `State.flows`, in species coordinates; a float
     f_k(x) that overflows is refused (FloatRangeError)."""
     flows = evaluate(net, x).flows  # exact flows need an exact Y, so an exact N
     with np.errstate(over="ignore", invalid="ignore"):
@@ -294,7 +283,7 @@ def binomial_rhs(net: ReactionNetwork, aux: AuxTree, x) -> tuple[np.ndarray, np.
     diag(1/K) x^Y equals the mass-action right-hand side, and binomials is
     the vector of scaled monomial differences along the aux edges.
     """
-    scaled = scaled_monomials(net, x)
+    scaled = evaluate(net, x).scaled
     dec = core_matrix(net.graph, aux, consts=net.tree_constants())
     core, scaled = exact.common(dec.core, scaled)  # exact ones need an exact Y
     y = net.complexes if exact.is_exact(core) else net.floats.complexes
@@ -304,8 +293,3 @@ def binomial_rhs(net: ReactionNetwork, aux: AuxTree, x) -> tuple[np.ndarray, np.
     if exact.is_exact(value):  # an object matmul over no aux edges gives int 0s
         value = value + exact.ZERO
     return value, binomials
-
-
-def scaled_monomials(net: ReactionNetwork, x) -> np.ndarray:
-    """Per-vertex values x^{y(i)} / K_i used by evaluation orders."""
-    return evaluate(net, x).scaled

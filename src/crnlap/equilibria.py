@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import exact
-from .crn import ReactionNetwork, check_state, evaluate
+from .crn import ReactionNetwork, State, check_state, evaluate
 from .errors import NoConvergenceError, NotACbeError, SemanticError
 from .graph import default_chain_aux, edge_ends
 
@@ -53,13 +53,15 @@ def is_cbe(net: ReactionNetwork, x, tol: float | None = None) -> CbeCheck:
 
 
 def require_cbe(net: ReactionNetwork, x_star) -> np.ndarray:
-    """x_star as a read-only float64 array, refused (NotACbeError) unless
-    balanced (`is_cbe`); kept in the network's slot until another passes."""
-    values = list(x_star)
+    """x_star (its entries, or a `State` of net) as a read-only float64
+    array, refused (NotACbeError) unless balanced (`is_cbe`); kept in the
+    network's slot until another passes."""
+    given = isinstance(x_star, State)
+    values = list(x_star.x if given else x_star)
     key = [(type(v), v) for v in values]  # a float x* and an equal Fraction differ
     slot = net._cbe
     if slot[0] != key:
-        state = evaluate(net, values)
+        state = evaluate(net, x_star if given else values)
         if not is_cbe(net, state).balanced:
             raise NotACbeError("x_star is not a complex-balanced equilibrium")
         slot = net._cbe = (key, exact.floats(state.x, "x_star"))

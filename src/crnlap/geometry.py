@@ -24,7 +24,7 @@ import numpy as np
 
 from . import exact
 from .exact import ONE, ZERO
-from .crn import ReactionNetwork, evaluate, mass_action_rhs, scaled_monomials
+from .crn import ReactionNetwork, evaluate, mass_action_rhs
 from .errors import InvalidAuxTreeError, PointNotInStratumError
 from .graph import AuxTree, Edge, edge_ends, make_aux_tree, validate_aux_tree
 
@@ -40,7 +40,7 @@ def evaluation_order(net: ReactionNetwork, x) -> list[list[list[str]]]:
     Vertices are sorted by value, ties by vertex id; a vertex joins the
     previous group when its value ties with that group's last one.
     """
-    values = scaled_monomials(net, x)
+    values = evaluate(net, x).scaled
     g = net.graph
     orders = []
     for ci in range(g.n_components):
@@ -63,7 +63,7 @@ def monomial_order(net: ReactionNetwork, x) -> AuxTree:
 def stratum_contains(net: ReactionNetwork, aux: AuxTree, x) -> bool:
     """True when all binomial inequalities of the stratum hold at x."""
     validate_aux_tree(net.graph, aux)
-    values = scaled_monomials(net, x)
+    values = evaluate(net, x).scaled
     tails, heads = edge_ends(net.graph, aux.edges)
     floor = -exact.tolerance(values, STRATUM_RTOL, lambda: np.max(values, initial=0))
     return bool(np.all(values[heads] - values[tails] >= floor))

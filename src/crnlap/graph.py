@@ -54,8 +54,8 @@ class LabeledDigraph:
     Immutable after construction.  The SCC partition is computed eagerly;
     `exact` is True when every label is rational (int or Fraction), in which
     case downstream matrix computations run in exact arithmetic; otherwise
-    every label is taken as float64, and an exact one that float64 cannot
-    hold is refused (FloatRangeError).
+    every label is taken as float64, and one that float64 cannot hold
+    (beyond its range, NaN or infinite) is refused (FloatRangeError).
     """
 
     def __init__(self, vertices: Sequence, edges: Iterable[tuple]):
@@ -85,10 +85,9 @@ class LabeledDigraph:
             labels[(s, d)] = k
         self.edges: tuple[Edge, ...] = tuple(edge_list)
         self.exact: bool = all(isinstance(k, Fraction) for k in labels.values())
-        if not self.exact:  # one float label makes the exact ones floats, checked
+        if not self.exact:  # one float label makes every label a float, checked
             labels = {
-                (s, d): k if isinstance(k, float) else exact.to_float(k, f"label {s}->{d}")
-                for (s, d), k in labels.items()
+                (s, d): exact.to_float(k, f"label {s}->{d}") for (s, d), k in labels.items()
             }
         self.labels: dict[Edge, Fraction | float] = labels
 

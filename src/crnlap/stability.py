@@ -191,7 +191,7 @@ def simulate(
     x_star=None,
     max_steps: int = 200_000,
 ) -> Trajectory:
-    """Adaptive Cash-Karp 5(4) integration of dx/dt = f_k(x) = N `edge_flows`.
+    """Adaptive Cash-Karp 5(4) integration of dx/dt = f_k(x) = N (k o x^{y(tail)}).
 
     The error test is |error| <= atol + rtol * x per species, so rtol and
     atol must be finite, >= 0 and not both 0 (SemanticError otherwise).

@@ -160,11 +160,11 @@ def plant_cbe(rng: random.Random, net: ReactionNetwork):
     Builds a positive integer circulation (one cycle through every edge) and
     sets k_e = circulation_e / x*^{y(source(e))}; then A_k (x*)^Y = 0 exactly.
     """
-    from crnlap.crn import monomial_vector
+    from crnlap.crn import evaluate
 
     g = net.graph
     x_star = random_positive_fractions(rng, net.n_species, hi=4)
-    psi = monomial_vector(net, x_star)
+    psi = evaluate(net, x_star).monomials
     circulation = {e: 0 for e in g.edges}
     for (s, d) in g.edges:
         circulation[(s, d)] += 1

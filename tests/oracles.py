@@ -50,7 +50,7 @@ from unittest import mock
 import numpy as np
 
 from crnlap import equilibria, exact, geometry
-from crnlap.crn import check_state, monomial_vector
+from crnlap.crn import check_state, evaluate
 from crnlap.equilibria import CBE_RTOL, CbeCheck, solve_cbe
 from crnlap.errors import (
     FloatRangeError,
@@ -486,14 +486,15 @@ def edge_sum_rhs(net, x, exact_mode: bool):
 
 def dense_rhs(net, x) -> np.ndarray:
     """f_k(x) = Y (A_k x^Y) with the dense n x n Laplacian."""
-    y, a, mono = exact.common(net.complexes, laplacian_matrix(net.graph), monomial_vector(net, x))
+    mono = evaluate(net, x).monomials
+    y, a, mono = exact.common(net.complexes, laplacian_matrix(net.graph), mono)
     return y @ (a @ mono)
 
 
 def dense_balance(net, x):
     """(max |A_k x^Y|, max off-diagonal A_k[d, s] x^{y(s)}): the complex-balance
     residual and the largest edge flow, read off the dense Laplacian."""
-    a, mono = exact.common(laplacian_matrix(net.graph), monomial_vector(net, x))
+    a, mono = exact.common(laplacian_matrix(net.graph), evaluate(net, x).monomials)
     n = len(mono)
     flows = [a[d, s] * mono[s] for d in range(n) for s in range(n) if d != s and a[d, s]]
     return max(np.abs(a @ mono), default=0), max(flows, default=0)

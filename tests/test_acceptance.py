@@ -177,10 +177,10 @@ def _field_scale(net_f, xf, rhs_f) -> float:
     """Natural magnitude of the vector-field sum: the result can cancel to
     zero (equilibria), so relative tolerances are taken against the largest
     per-reaction contribution |k x^{y(src)}| * span(y)."""
-    from crnlap.crn import monomial_vector
+    from crnlap.crn import evaluate
 
     g = net_f.graph
-    mono = np.asarray(monomial_vector(net_f, xf), dtype=float)
+    mono = np.asarray(evaluate(net_f, xf).monomials, dtype=float)
     yf = np.asarray(net_f.complexes, dtype=float)
     flow = max(
         (float(g.labels[e]) * mono[g.index[e[0]]] for e in g.edges), default=0.0

@@ -12,8 +12,8 @@ from crnlap import (
     build_digraph,
     build_network,
     is_cbe,
+    evaluate,
     mass_action_rhs,
-    monomial_vector,
 )
 from crnlap.errors import (
     DuplicateComplexError,
@@ -72,12 +72,12 @@ class TestBuildNetwork:
 
 class TestMonomialVector:
     def test_all_ones(self, triangle_net):
-        assert monomial_vector(triangle_net, [1, 1]).tolist() == [1, 1, 1]
+        assert evaluate(triangle_net, [1, 1]).monomials.tolist() == [1, 1, 1]
 
     def test_half_half(self, cycle3_net):
-        mono = monomial_vector(cycle3_net, [0.5, 0.5])
+        mono = evaluate(cycle3_net, [0.5, 0.5]).monomials
         assert np.allclose(mono, [0.125, 0.25, 0.5])
-        mono_exact = monomial_vector(cycle3_net, [Fraction(1, 2), Fraction(1, 2)])
+        mono_exact = evaluate(cycle3_net, [Fraction(1, 2), Fraction(1, 2)]).monomials
         assert mono_exact.tolist() == [
             Fraction(1, 8),
             Fraction(1, 4),
@@ -88,14 +88,14 @@ class TestMonomialVector:
         rng = random.Random(0)
         for _ in range(5):
             x = random_positive_floats(rng, 2)
-            mono = monomial_vector(two_component_net, x)
+            mono = evaluate(two_component_net, x).monomials
             assert mono[3] == pytest.approx(1.0)  # vertex 4 has the zero complex
 
     def test_rejects_non_positive_state(self, cycle3_net):
         with pytest.raises(NonPositiveStateError):
-            monomial_vector(cycle3_net, [0.0, 1.0])
+            evaluate(cycle3_net, [0.0, 1.0])
         with pytest.raises(NonPositiveStateError):
-            monomial_vector(cycle3_net, [1.0])
+            evaluate(cycle3_net, [1.0])
 
 
 class TestMassActionRhs:
@@ -210,7 +210,7 @@ class TestBinomialRhs:
                 # relative to the size of the terms of Y A_k x^Y
                 yf = np.asarray(net.complexes, dtype=float)
                 af = np.asarray(laplacian_matrix(g), dtype=float)
-                monos = monomial_vector(mixed, [float(v) for v in q])
+                monos = evaluate(mixed, [float(v) for v in q]).monomials
                 terms = np.abs(yf) @ (np.abs(af) @ monos)
                 assert np.all(np.abs(value - f) <= 1e-12 * np.max(terms))
 
@@ -330,7 +330,7 @@ class TestFloatView:
         net = _dimer(1, y2=10**400)
         assert net.tree_constants().values.tolist() == [1, 1]
         with pytest.raises(FloatRangeError, match="a complex entry is outside"):
-            monomial_vector(net, [Fraction(1, 2)])
+            evaluate(net, [Fraction(1, 2)])
 
     @pytest.mark.parametrize(
         "labels",

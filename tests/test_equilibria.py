@@ -14,7 +14,7 @@ from crnlap import (
     is_cbe,
     solve_cbe,
 )
-from crnlap.crn import scaled_monomials
+from crnlap.crn import evaluate
 from crnlap.errors import NotACbeError, SemanticError
 from conftest import PLANAR_Y, running_example_graph
 
@@ -170,7 +170,7 @@ class TestSolveCbe:
             for _ in range(3):
                 aux = random_general_aux(rng, net.graph)
                 scaled = np.asarray(
-                    scaled_monomials(net, list(res.witness)), dtype=float
+                    evaluate(net, list(res.witness)).scaled, dtype=float
                 )
                 binomials = np.asarray(aux_incidence(net.graph, aux), dtype=float).T @ scaled
                 assert np.max(np.abs(binomials), initial=0.0) <= 1e-10 * np.max(scaled)

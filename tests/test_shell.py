@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from crnlap import bdi_membership, bdi_report, mass_action_rhs
-from crnlap.cli import run_command
+from crnlap.cli import _json_default, run_command
 from crnlap.errors import SchemaError, SemanticError
 from crnlap.io import (
     NetworkDocument,
@@ -29,17 +29,22 @@ TWO_COMPONENT = SAMPLE_DIR / "two_component.json"
 SRC = SAMPLE_DIR.parent / "src"
 
 
-def _cli_process(tmp_path, doc: dict, cmd: str, *args: str):
-    """`crnlap cmd <doc> args` in a fresh interpreter where a numpy
-    RuntimeWarning is an error, so a refusal must come before any overflow."""
-    p = tmp_path / "doc.json"
-    p.write_text(json.dumps(doc))
+def _cli(*argv: str):
+    """`crnlap argv` in a fresh interpreter where a numpy RuntimeWarning is
+    an error, so a refusal must come before any overflow."""
     path = os.pathsep.join(q for q in (str(SRC), os.environ.get("PYTHONPATH")) if q)
     return subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "crnlap.cli", cmd, str(p), *args],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "crnlap.cli", *argv],
         capture_output=True, text=True, timeout=30,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def _cli_process(tmp_path, doc: dict, cmd: str, *args: str):
+    """`crnlap cmd <doc> args` in a fresh interpreter (`_cli`)."""
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    return _cli(cmd, str(p), *args)
 
 
 def _dimer_doc(k: str) -> dict:
@@ -50,10 +55,33 @@ def _dimer_doc(k: str) -> dict:
     }
 
 
+def _one_way_doc(k) -> dict:
+    """A -> 2A alone, labeled k: not weakly reversible."""
+    doc = _dimer_doc(k)
+    return dict(doc, edges=doc["edges"][:1])
+
+
 def _complex_doc(a1, a2) -> dict:
     """A <-> 2A with unit labels, its complexes' A entries replaced by a1 and a2."""
     return dict(_dimer_doc("1"), vertices=[{"id": "1", "complex": {"A": a1}},
                                           {"id": "2", "complex": {"A": a2}}])
+
+
+# a deficiency-one instance whose generic rates admit no CBE
+DEFICIENCY_ONE_DOC = {
+    "species": ["X"],
+    "vertices": [
+        {"id": "1", "complex": {}},
+        {"id": "2", "complex": {"X": 1}},
+        {"id": "3", "complex": {"X": 2}},
+    ],
+    "edges": [
+        {"from": "1", "to": "2", "k": 1},
+        {"from": "2", "to": "1", "k": 3},
+        {"from": "2", "to": "3", "k": 1},
+        {"from": "3", "to": "1", "k": 5},
+    ],
+}
 
 
 DEGREE_300_DOC = {
@@ -240,23 +268,8 @@ class TestCli:
         code, out, _ = self.run(["equilibria", str(CYCLE3)], capsys)
         assert code == 0
         assert json.loads(out)["status"] == "found"
-        # deficiency-one instance with generic rates has no CBE
-        doc = {
-            "species": ["X"],
-            "vertices": [
-                {"id": "1", "complex": {}},
-                {"id": "2", "complex": {"X": 1}},
-                {"id": "3", "complex": {"X": 2}},
-            ],
-            "edges": [
-                {"from": "1", "to": "2", "k": 1},
-                {"from": "2", "to": "1", "k": 3},
-                {"from": "2", "to": "3", "k": 1},
-                {"from": "3", "to": "1", "k": 5},
-            ],
-        }
         p = tmp_path / "def1.json"
-        p.write_text(json.dumps(doc))
+        p.write_text(json.dumps(DEFICIENCY_ONE_DOC))
         code, out, _ = self.run(["equilibria", str(p)], capsys)
         assert code == 3
         assert json.loads(out)["status"] == "infeasible"
@@ -477,14 +490,22 @@ class TestCli:
                                               {"from": "2", "to": "1", "k": "1e-400"}]),
              ["analyze"], "label 2->1"),
             (_complex_doc(1.0, "1e400"), ["analyze"], "a complex entry"),
+            # json reads NaN and Infinity as raw floats: refused where they enter
+            (_one_way_doc(math.nan), ["analyze"], "label 1->2"),
+            (_one_way_doc(math.inf), ["analyze"], "label 1->2"),
+            (_complex_doc(1, math.nan), ["analyze"], "a complex entry"),
+            (_complex_doc(1, math.inf), ["analyze"], "a complex entry"),
+            (_complex_doc(1, math.inf), ["equilibria"], "a complex entry"),
         ],
         ids=["simulate-k-1e400", "certify-k-1e400", "bdi-k-1e400", "equilibria-y-1e400",
              "certify-y-1e400", "certify-y-1e400-x-star", "simulate-y-1e400", "bdi-y-1e400",
-             "analyze-mixed-k-1e400", "analyze-mixed-k-1e-400", "analyze-mixed-y-1e400"],
+             "analyze-mixed-k-1e400", "analyze-mixed-k-1e-400", "analyze-mixed-y-1e400",
+             "analyze-k-nan", "analyze-k-inf", "analyze-y-nan", "analyze-y-inf",
+             "equilibria-y-inf"],
     )
     def test_float_view_refusals_exit_2(self, doc, argv, message, tmp_path):
-        # exact numbers that float64 cannot hold, met on a float path: one
-        # JSON FloatRangeError, before any overflow, and no traceback
+        # numbers that float64 cannot hold, met on a float path: one JSON
+        # FloatRangeError, before any overflow, and no traceback
         proc = _cli_process(tmp_path, doc, *argv)
         assert proc.returncode == 2 and proc.stdout == ""
         assert "Traceback" not in proc.stderr
@@ -666,6 +687,123 @@ class TestCli:
         )
         assert code == 0
         assert json.loads(out)["mode"] == "float"
+
+
+# the top-level keys of each report, and of the records nested in them
+DECOMPOSITION_KEYS = {"aux", "core", "residual", "checks"}
+CHECKS_KEYS = {"residual_ok", "invertible", "chain_signs_ok", "star_signs_ok", "passed"}
+AUX_KEYS = {"edges", "kind"}
+TRAJECTORY_KEYS = {"times", "states", "lyapunov", "accepted", "rejected"}
+CONE_KEYS = {"edges", "contains", "lineality_products", "multipliers", "margin"}
+SIMULATE_KEYS = {"command", "mode", "t_end", "final_time", "final_state", "final_lyapunov",
+                 "accepted", "rejected"}
+ANALYZE_KEYS = {"command", "mode", "species", "components", "weakly_reversible", "laplacian",
+                "stoichiometric_dim", "conservation_dim"}
+EQUILIBRIA_KEYS = {"command", "mode", "status", "log_residual"}
+FOUND_KEYS = EQUILIBRIA_KEYS | {"witness", "balance_residual", "balance_scale"}
+
+
+class TestReportRecords:
+    """Reports serialize library records by field: a field added to a record
+    would enter a report, so each command's keys are pinned."""
+
+    def run(self, argv, capsys):
+        code = run_command(argv)
+        return code, json.loads(capsys.readouterr().out)
+
+    def test_record_encodes_its_fields_only(self, triangle_net):
+        consts = triangle_net.tree_constants()
+        consts.as_float()  # fills the cache kept beside the field
+        assert set(json.loads(json.dumps(consts, default=_json_default))) == {"values"}
+
+    def test_analyze_keys(self, tmp_path, capsys):
+        code, report = self.run(["analyze", str(TRIANGLE)], capsys)
+        assert code == 0
+        assert set(report) == ANALYZE_KEYS | {"tree_constants", "decomposition"}
+        assert set(report["tree_constants"]) == {"enumeration", "minors"}
+        dec = report["decomposition"]
+        assert set(dec) == DECOMPOSITION_KEYS
+        assert set(dec["checks"]) == CHECKS_KEYS and set(dec["aux"]) == AUX_KEYS
+        p = tmp_path / "one_way.json"
+        p.write_text(json.dumps(_one_way_doc(1)))
+        code, report = self.run(["analyze", str(p)], capsys)
+        assert code == 0 and set(report) == ANALYZE_KEYS
+
+    @pytest.mark.parametrize("aux", [None, "star:root=1;root=4"])
+    def test_decompose_keys(self, aux, capsys):
+        argv = ["decompose", str(TWO_COMPONENT)] + (["--aux", aux] if aux else [])
+        code, report = self.run(argv, capsys)
+        assert code == 0
+        assert set(report) == {"command", "mode"} | DECOMPOSITION_KEYS
+        assert set(report["checks"]) == CHECKS_KEYS and set(report["aux"]) == AUX_KEYS
+        assert report["aux"]["kind"] == ("star" if aux else "chain")
+        assert all(len(e) == 2 for e in report["aux"]["edges"])
+
+    def test_equilibria_keys(self, tmp_path, capsys):
+        code, report = self.run(["equilibria", str(TWO_COMPONENT)], capsys)
+        assert code == 0 and set(report) == FOUND_KEYS
+        argv = ["equilibria", str(TWO_COMPONENT), "--samples", "2"]
+        code, report = self.run(argv, capsys)
+        assert code == 0 and set(report) == FOUND_KEYS | {"manifold_samples"}
+        p = tmp_path / "def1.json"
+        p.write_text(json.dumps(DEFICIENCY_ONE_DOC))
+        code, report = self.run(["equilibria", str(p)], capsys)
+        assert code == 3 and set(report) == EQUILIBRIA_KEYS
+
+    def test_certify_keys(self, capsys):
+        code, report = self.run(["certify", str(CYCLE3), "--x", "0.5,0.5"], capsys)
+        assert code == 0
+        assert set(report) == {"command", "mode", "x", "x_star", "aux", "a", "b", "core",
+                               "value", "verdict", "witness_edge", "lyapunov_value"}
+        assert set(report["aux"]) == AUX_KEYS and len(report["witness_edge"]) == 2
+
+    @pytest.mark.parametrize("x, on_manifold", [("0.5,0.5", False), ("1,1", True)])
+    def test_bdi_check_keys(self, x, on_manifold, capsys):
+        code, report = self.run(["bdi-check", str(CYCLE3), "--x", x], capsys)
+        assert code == 0 and report["on_manifold"] is on_manifold
+        assert set(report) == {"command", "mode", "x", "v", "on_manifold", "member", "cone"}
+        if on_manifold:
+            assert report["cone"] is None
+        else:
+            assert set(report["cone"]) == CONE_KEYS
+
+    def test_simulate_keys(self, tmp_path, capsys):
+        argv = ["simulate", str(CYCLE3), "--x0", "0.5,1.5", "--t", "1"]
+        code, report = self.run(argv, capsys)
+        assert code == 0 and set(report) == SIMULATE_KEYS | {"trajectory"}
+        assert set(report["trajectory"]) == TRAJECTORY_KEYS
+        out = tmp_path / "traj.json"
+        code, written = self.run(argv + ["--out", str(out)], capsys)
+        assert code == 0 and set(written) == SIMULATE_KEYS | {"trajectory_file"}
+        assert json.loads(out.read_text()) == report["trajectory"]
+
+
+class TestUnusablePaths:
+    @pytest.mark.parametrize(
+        "case, kind",
+        [
+            ("network-is-directory", "IsADirectoryError"),
+            ("not-utf-8", "UnicodeDecodeError"),
+            ("out-is-directory", "IsADirectoryError"),
+            ("simulate-out-is-directory", "IsADirectoryError"),
+            ("missing", "FileNotFound"),
+        ],
+    )
+    def test_unusable_path_exit_2(self, case, kind, tmp_path):
+        doc = tmp_path / "latin-1.json"
+        doc.write_bytes(b'{"species": ["\xe9"], "vertices": [], "edges": []}')
+        argv = {
+            "network-is-directory": ["analyze", str(tmp_path)],
+            "not-utf-8": ["analyze", str(doc)],
+            "out-is-directory": ["analyze", str(CYCLE3), "--out", str(tmp_path)],
+            "simulate-out-is-directory": ["simulate", str(CYCLE3), "--x0", "0.5,1.5",
+                                          "--t", "1", "--out", str(tmp_path)],
+            "missing": ["analyze", str(tmp_path / "missing.json")],
+        }[case]
+        proc = _cli(*argv)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stderr)["error"]["type"] == kind
 
 
 class TestReadme:

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ from crnlap import (
     birch_intersect,
     build_digraph,
     build_network,
+    cli,
     crn,
     decrease_certificate,
     equilibria,
@@ -23,7 +25,6 @@ from crnlap import (
     solve_cbe,
     stability,
 )
-from crnlap.crn import edge_flows, monomial_vector, scaled_monomials
 from crnlap.errors import FloatRangeError, NotACbeError, SemanticError
 
 from generators import (
@@ -32,6 +33,7 @@ from generators import (
     random_positive_fractions,
     to_float_graph,
 )
+from conftest import SAMPLE_DIR
 from oracles import (
     bdi_member_by_orders,
     fd_gradient,
@@ -378,12 +380,13 @@ def _assert_same_certificate(got, want):
 
 def _assert_same_evaluation(net, x, x_star):
     """The library against the per-call evaluation path of `oracles`."""
-    for fn, ref in (
-        (monomial_vector, reference_monomials),
-        (edge_flows, reference_flows),
-        (scaled_monomials, reference_scaled),
+    state = crn.evaluate(net, x)
+    for name, ref in (
+        ("monomials", reference_monomials),
+        ("flows", reference_flows),
+        ("scaled", reference_scaled),
     ):
-        got, want = fn(net, x), ref(net, x)
+        got, want = getattr(state, name), ref(net, x)
         assert got.dtype == want.dtype and got.tolist() == want.tolist()
     want = reference_require_cbe(net, x_star)
     assert equilibria.require_cbe(net, x_star).tolist() == want.tolist()
@@ -446,7 +449,7 @@ def _count_evaluations(monkeypatch) -> list:
             built.append(x)
         return real(net, x)
 
-    for mod in (crn, equilibria, geometry, stability):
+    for mod in (crn, equilibria, geometry, stability, cli):
         if hasattr(mod, "evaluate"):
             monkeypatch.setattr(mod, "evaluate", counting)
     return built
@@ -493,3 +496,29 @@ class TestOneEvaluationPerState:
         assert len(calls) == 1
         assert equilibria.require_cbe(triangle_net, x_star) is first
         assert not first.flags.writeable
+
+    def test_require_cbe_takes_a_state(self, triangle_net, monkeypatch):
+        x_star = list(solve_cbe(triangle_net).witness)
+        state = crn.evaluate(triangle_net, x_star)
+        built = _count_evaluations(monkeypatch)
+        got = equilibria.require_cbe(triangle_net, state)
+        assert built == []  # the record is tested, not built again
+        assert got.tolist() == [float(v) for v in x_star]
+
+
+class TestCliEvaluations:
+    """Each CLI command builds one record per state it reads."""
+
+    def test_equilibria_samples_evaluate_witness_once(self, monkeypatch, capsys):
+        built = _count_evaluations(monkeypatch)
+        path = str(SAMPLE_DIR / "two_component.json")
+        assert cli.run_command(["equilibria", path, "--samples", "2"]) == 0
+        witness = json.loads(capsys.readouterr().out)["witness"]
+        assert len(built) == 1 and list(built[0]) == witness
+
+    def test_bdi_check_default_v_evaluates_x_once(self, monkeypatch, capsys):
+        built = _count_evaluations(monkeypatch)
+        path = str(SAMPLE_DIR / "cycle3.json")
+        assert cli.run_command(["bdi-check", path, "--x", "0.5,0.5"]) == 0
+        assert json.loads(capsys.readouterr().out)["member"] is True
+        assert built[1:] == [[Fraction(1, 2), Fraction(1, 2)]]  # x* first, then x once
