@@ -28,15 +28,21 @@ I_aux.T it touches; in rational mode, on ints, where an exactly zero
 residual proves the core invertible, and Bareiss elimination, one block
 per component, runs only on a core with a nonzero residual.
 
-Tree constants come from Grassmann-Taksar-Heyman state reduction on a
-component's rate matrix (matrix-tree theorem).  The reduction only adds,
-multiplies and divides positive numbers, so it is exact on Fractions and,
-with no cancellation to lose digits to, accurate entry by entry on floats.
-Each cycle coefficient is the cycle's label product times the principal
-minor of -A_k on the vertices off the cycle (all-minors matrix-tree
-theorem), taken once per vertex set: on floats as the product of the same
-reduction's pivots, and in rational mode as the Bareiss determinant of the
-component's labels scaled to ints, as for the core.
+Exact tree constants come from fraction-free (Bareiss) elimination on
+a component's labels scaled to ints by D_c, the lcm of their denominators:
+by Sylvester's identity every entry it forms is a minor of the out-rate
+matrix, so each of its divisions is exact, and each constant is then one
+Fraction over D_c^(n_c - 1).  Float tree constants, and only they, come
+from Grassmann-Taksar-Heyman state reduction on the component's rate matrix
+(matrix-tree theorem), which only adds, multiplies and divides positive
+numbers, so with no cancellation to lose digits to it is accurate entry by
+entry on floats.  Each cycle coefficient is the cycle's label product
+times the principal minor of -A_k on the vertices off the cycle
+(all-minors matrix-tree theorem), taken once per vertex set: on floats as
+the product of the same reduction's pivots, and in rational mode as the
+Bareiss determinant of the component's labels scaled to ints, as for the
+core.  A graph's int labels are formed once and kept with it, and a tree
+constant vector's ints once per graph and kept with it.
 """
 
 from __future__ import annotations
@@ -91,6 +97,8 @@ class TreeConstants:
     """Per-vertex sums, over spanning in-trees rooted there, of label products.
 
     Spans the kernel of the Laplacian on each strongly connected component.
+    Their float and int forms are formed on first use and kept, so the
+    values `tree_constants` returns are read-only.
     """
 
     values: np.ndarray  # dense vertex order; Fractions in exact mode
@@ -107,8 +115,8 @@ class TreeConstants:
         return out
 
 
-def _reduce(w: list[list]) -> list | None:
-    """Pivots of Grassmann-Taksar-Heyman state reduction on one block.
+def _reduce(w: list[list[float]]) -> list[float] | None:
+    """Pivots of Grassmann-Taksar-Heyman state reduction on one float block.
 
     w[i][j] is the rate i->j (zero for no edge; the diagonal is never read)
     and every vertex must reach vertex 0.  Vertices are censored from last
@@ -116,41 +124,39 @@ def _reduce(w: list[list]) -> list | None:
     i->k->j adds w[i][k] w[k][j] / s_k to w[i][j] (w is overwritten).
     Returns [1, s_1, ..., s_{n-1}], whose product is the principal minor of
     -A_k without vertex 0.  Only sums, products and quotients of positive
-    numbers occur, so the result is exact on Fractions, and on floats each
-    pivot's relative error grows with n but not with the spread of rates,
-    provided no step leaves the normal float64 range.  On floats that is
-    checked on every quotient w[i][k] / s_k and its product with the least
-    rate it scales (which bounds the terms it adds); None where one fails.
+    numbers occur, so each pivot's relative error grows with n but not with
+    the spread of rates, provided no step leaves the normal float64 range.
+    That is checked on every quotient w[i][k] / s_k and its product with the
+    least rate it scales (which bounds the terms it adds); None where one
+    fails.  Exact blocks are eliminated on ints instead (`_fraction_free`).
     """
     n, tiny = len(w), sys.float_info.min
-    guard = any(isinstance(x, float) for x in w[-1])  # False for one vertex
-    pivots = [Fraction(1)] * n  # pivots[0] stays the unit
+    pivots = [1.0] * n  # pivots[0] stays the unit
     for k in range(n - 1, 0, -1):
         row_k = w[k][:k]
         s = pivots[k] = sum(row_k)
-        low = min(filter(None, row_k)) if guard else 0
+        low = min(filter(None, row_k))
         for i in range(k):
             if w[i][k]:
                 f = w[i][k] / s
-                if guard and not (tiny <= f < inf and tiny <= f * low):
+                if not (tiny <= f < inf and tiny <= f * low):
                     return None
                 for j in range(k):
                     w[i][j] += f * w[k][j]
     return pivots
 
 
-def _kirchhoff(w: list[list]) -> list:
-    """Tree constants of one block: `_reduce`, then back substitution.
+def _kirchhoff(w: list[list[float]]) -> list[float]:
+    """Float tree constants of one block: `_reduce`, then back substitution.
 
     The product of the pivots is K of vertex 0 (matrix-tree theorem), and
-    K_k = sum_{i<k} K_i w[i][k] / s_k gives the others.  On floats every
-    partial product of the pivots, back-substitution sum and K is checked
-    to lie in the normal float64 range; where one of these or a check of
-    `_reduce` fails, the block is reduced on the exact values of its rates
-    instead (`_exactly`).
+    K_k = sum_{i<k} K_i w[i][k] / s_k gives the others.  Every partial
+    product of the pivots, back-substitution sum and K is checked to lie in
+    the normal float64 range; where one of these or a check of `_reduce`
+    fails, the block's tree constants are taken from the exact values of
+    its rates instead (`_exactly`).
     """
     n, tiny = len(w), sys.float_info.min
-    guard = any(isinstance(x, float) for x in w[-1])
     rates = [row[:] for row in w]
     pivots = _reduce(w)
     if pivots is None:
@@ -161,46 +167,99 @@ def _kirchhoff(w: list[list]) -> list:
         steps.append(sum(consts[i] * w[i][k] for i in range(k)))
         consts.append(steps[-1] / pivots[k])
     checked = steps[1:] + consts  # positive: their sum is inf or NaN if one is
-    if guard and not (tiny <= min(checked) and sum(checked) < inf):
+    if not (tiny <= min(checked) and sum(checked) < inf):
         return _exactly(rates)
     return consts
 
 
-def _exactly(w: list[list]) -> list:
+def _fraction_free(w: list[list[int]]) -> list[int]:
+    """Tree constants of one block of integer rates w[i][j] (i->j; zero for
+    no edge and on the diagonal), every vertex reaching vertex 0.
+
+    K_v is the principal minor without v of the out-rate matrix M:
+    M[i][i] is the out-rate sum of i and M[i][j] = -w[i][j].  Vertices are
+    eliminated from last to first, Bareiss-style: for i < k, row i becomes
+    (P_k row_i - M[i][k] row_k) / P_{k+1} on the columns below k, where P_k
+    is the pivot M[k][k] and P_n = 1.  By Sylvester's identity every entry
+    formed is a minor of M, so each division is exact, and P_k is the
+    principal minor on {k, ..., n-1}, positive as each of those vertices
+    reaches vertex 0; the last, P_1, is K_0.  Before step k the rows on
+    {0, ..., k} are P_{k+1} times the out-rate matrix of the chain censored
+    to those vertices, which K annihilates from the left, so back
+    substitution gives K_k = -sum_{i<k} K_i M[i][k] / P_k, exact as the
+    quotient is an integer minor.
+    """
+    n = len(w)
+    m = [[-x for x in row] for row in w]
+    for i, row in enumerate(m):
+        row[i] = sum(w[i])
+    cols, pivots, prev = [[]] * n, [1] * n, 1
+    for k in range(n - 1, 0, -1):
+        top, p = m[k][:k], m[k][k]
+        cols[k] = [row[k] for row in m[:k]]
+        for row, f in zip(m, cols[k]):
+            if f:
+                row[:k] = [(p * v - f * u) // prev for v, u in zip(row, top)]
+            else:  # only rescaled; its zeros, most of a sparse block, stay 0
+                row[:k] = [p * v // prev if v else 0 for v in row[:k]]
+        pivots[k] = prev = p
+    consts = [prev]
+    for k in range(1, n):
+        consts.append(-sum(map(mul, consts, cols[k])) // pivots[k])
+    return consts
+
+
+def _exactly(w: list[list[float]]) -> list[float]:
     """Float tree constants of a float block from the exact values of its
-    rates, each rounded once: inf where it overflows or a rate is not finite."""
+    rates, each rounded once: inf where it overflows or a rate is not finite.
+    The rates are scaled to ints by d, the lcm of their denominators, so
+    each constant is an int of `_fraction_free` over d^(n-1)."""
     if not all(x < inf for row in w for x in row):
         return [inf] * len(w)
-    exact_w = [[Fraction(x) for x in row] for row in w]
-    return [float(k) if k < sys.float_info.max else inf for k in _kirchhoff(exact_w)]
+    fracs = [[Fraction(x) for x in row] for row in w]
+    rows, d = exact.integer_rows(np.array(fracs, dtype=object))
+    consts = (Fraction(k, d ** (len(w) - 1)) for k in _fraction_free(rows))
+    return [float(k) if k < sys.float_info.max else inf for k in consts]
 
 
 def tree_constants(g: LabeledDigraph) -> TreeConstants:
-    """Tree constants by GTH state reduction, one pass per component.
-
-    The reduction (Grassmann, Taksar and Heyman 1985) is Gaussian
-    elimination on the component's Laplacian with each pivot taken as the
-    sum of the remaining off-diagonal rates instead of the diagonal entry,
-    so it never subtracts.  On Fractions it is exact; on floats every
-    tree constant keeps a small relative error however widely the labels
-    spread (O'Cinneide 1993), where cofactor determinants lose digits to
-    cancellation; they are refused (FloatRangeError) only when they leave
-    the float64 range themselves.  The cost is cubic in the component size,
+    """Tree constants, one elimination per component, cubic in its size
     where the number of spanning trees is exponential.
+
+    Exact labels are scaled to ints by D_c, the lcm of the component's
+    denominators, and eliminated fraction-free (`_fraction_free`), so
+    each constant is an int, a sum of products of n_c - 1 scaled labels,
+    until it is divided once by D_c^(n_c - 1).  Float labels, and only
+    they, go through GTH state reduction (Grassmann, Taksar and Heyman
+    1985): Gaussian elimination on the component's Laplacian with each
+    pivot taken as the sum of the remaining off-diagonal rates instead of
+    the diagonal entry, so it never subtracts, and every tree constant
+    keeps a small relative error however widely the labels spread
+    (O'Cinneide 1993), where cofactor determinants lose digits to
+    cancellation; float constants are refused (FloatRangeError) only when
+    they leave the float64 range themselves.
     """
     _require_scc(g)
+    labels, dens = _integer_labels(g) if g.exact else (g.labels, None)
     values = np.empty(g.n_vertices, dtype=object)
     for ci in range(g.n_components):
         verts = g.component_vertices(ci)
         pos = {v: i for i, v in enumerate(verts)}
         w = [[0] * len(verts) for _ in verts]
         for (s, d) in g.component_edges(ci):
-            w[pos[s]][pos[d]] = g.labels[(s, d)]
-        for v, k in zip(verts, _kirchhoff(w)):
+            w[pos[s]][pos[d]] = labels[(s, d)]
+        if g.exact:
+            scale = dens[ci] ** (len(verts) - 1)
+            consts = [Fraction(k, scale) for k in _fraction_free(w)]
+        else:
+            consts = _kirchhoff(w)
+        for v, k in zip(verts, consts):
             values[g.index[v]] = k
-    values = values.astype(object if g.exact else float)
-    if not g.exact and not np.all(np.isfinite(values) & (values > 0)):
-        raise FloatRangeError("float tree constants leave the float64 range")
+    if not g.exact:
+        values = values.astype(float)
+        if not np.all(np.isfinite(values) & (values > 0)):
+            raise FloatRangeError("float tree constants leave the float64 range")
+    values.flags.writeable = False
     return TreeConstants(values=values)
 
 
@@ -257,20 +316,29 @@ def _component_ints(g: LabeledDigraph, comps: list[int], values: list) -> tuple[
 
 def _integer_labels(g: LabeledDigraph) -> tuple[dict[Edge, int], list[int]]:
     """Exact labels as ints: those of component c times D_c, the lcm of
-    their denominators, with the list of the D_c."""
-    comps = [g.component_index[v] for v, _ in g.labels]
-    ints, dens = _component_ints(g, comps, list(g.labels.values()))
-    return dict(zip(g.labels, ints)), dens
+    their denominators, with the list of the D_c; formed once per graph,
+    which is immutable, and kept with it."""
+    kept = g.__dict__.get("_int_labels")
+    if kept is None:
+        comps = [g.component_index[v] for v, _ in g.labels]
+        ints, dens = _component_ints(g, comps, list(g.labels.values()))
+        kept = g._int_labels = (dict(zip(g.labels, ints)), dens)
+    return kept
 
 
 def _integer_scaling(g: LabeledDigraph, consts: TreeConstants) -> tuple[dict, list, list]:
     """Exact labels and tree constants as ints: component c's labels times
     D_c and its constants times L_c, the lcm of their own denominators, with
-    the scale D_c L_c of each vertex."""
-    comps = [g.component_index[v] for v in g.vertex_ids]
+    the scale D_c L_c of each vertex.  The constants' part is formed once
+    for the graph and kept with `consts`."""
     labels, dens = _integer_labels(g)
-    k_vals, lens = _component_ints(g, comps, consts.values.tolist())
-    return labels, k_vals, [dens[c] * lens[c] for c in comps]
+    kept = consts.__dict__.get("_ints")
+    if kept is None or kept[0] is not g:
+        comps = [g.component_index[v] for v in g.vertex_ids]
+        k_vals, lens = _component_ints(g, comps, consts.values.tolist())
+        kept = (g, k_vals, [dens[c] * lens[c] for c in comps])
+        object.__setattr__(consts, "_ints", kept)  # a cache, not a field
+    return labels, kept[1], kept[2]
 
 
 def core_matrix(
@@ -297,7 +365,7 @@ def core_matrix(
     zeros are `exact.ZERO`.
     """
     _require_scc(g)
-    validate_aux_tree(g, aux)
+    validate_aux_tree(g, aux)  # recorded on the result, so `verify` skips it
     if consts is None:
         consts = tree_constants(g)
     labels, k_vals = g.labels, consts.values.tolist()
@@ -332,10 +400,12 @@ def core_matrix(
             dtype=object,
         ).reshape(m, m)
     else:
-        core = -np.array(s, dtype=float).reshape(m, m)
+        core = 0.0 - np.array(s, dtype=float).reshape(m, m)  # zeros are +0.0
         if not np.all(np.isfinite(core)):
             raise FloatRangeError("float core matrix leaves the float64 range")
-    return CoreDecomposition(aux=aux, core=core, graph=g, tree_constants=consts)
+    dec = CoreDecomposition(aux=aux, core=core, graph=g, tree_constants=consts)
+    object.__setattr__(dec, "_tree_valid", True)  # not a field: a copy is checked again
+    return dec
 
 
 @dataclass(frozen=True)
@@ -361,7 +431,9 @@ def verify_core_decomposition(
 ) -> DecompositionReport:
     """Check the residual, invertibility and kind-specific sign structure
     of the core `d` holds, against its graph, aux tree (refused, as by
-    `core_matrix`, when invalid) and tree constants.
+    `core_matrix`, when invalid) and tree constants.  The tree is validated
+    again unless `d` is the very result of `core_matrix`, which validated
+    it: a decomposition built by hand or by `dataclasses.replace` is not.
 
     The residual max |A_k diag K + I_aux core I_aux.T| scatters each core
     entry onto the four entries of I_aux core I_aux.T it touches, on top of
@@ -379,7 +451,8 @@ def verify_core_decomposition(
     floats always by its numerical rank.
     """
     core, g = d.core, d.graph
-    validate_aux_tree(g, d.aux)
+    if not d.__dict__.get("_tree_valid"):
+        validate_aux_tree(g, d.aux)
 
     def scale():  # max |A_k diag K|: K_v times the sum of v's out-labels
         out = [0] * g.n_vertices

@@ -19,6 +19,10 @@ Bareiss elimination on integers), and `cycle_laplacian` and
 `cycle_reconstruction`, which sum the weighted cycle Laplacians of a cycle
 decomposition back into A_k diag K_k.
 
+`gth_tree_constants` is Grassmann-Taksar-Heyman state reduction on
+Fractions, the reduction the library runs on floats only; exact tree
+constants in the library come from fraction-free elimination on ints.
+
 `reference_simulate` is the integrator loop as it was before stage 0 was
 taken as x itself: it evaluates every stage, stage 0 included, on each
 attempt, converts Y, k and N on each call, and records the Lyapunov value
@@ -44,7 +48,7 @@ from __future__ import annotations
 import itertools
 import sys
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from unittest import mock
 
 import numpy as np
@@ -283,6 +287,36 @@ def brute_arborescences(g, root):
         if ok:
             found.add(frozenset(subset))
     return found
+
+
+def gth_tree_constants(g) -> np.ndarray:
+    """Exact tree constants by Grassmann-Taksar-Heyman state reduction on
+    Fractions, one block per component: censor vertices from last to first
+    (pivot s_k, k's remaining out-rate; each path i->k->j adds
+    w[i][k] w[k][j] / s_k to w[i][j]), then K_0 = prod s_k and
+    K_k = sum_{i<k} K_i w[i][k] / s_k."""
+    values = np.empty(g.n_vertices, dtype=object)
+    for ci in range(g.n_components):
+        verts = g.component_vertices(ci)
+        n = len(verts)
+        pos = {v: i for i, v in enumerate(verts)}
+        w = [[Fraction(0)] * n for _ in verts]
+        for (s, d) in g.component_edges(ci):
+            w[pos[s]][pos[d]] = Fraction(g.labels[(s, d)])
+        pivots = [Fraction(1)] * n
+        for k in range(n - 1, 0, -1):
+            pivots[k] = sum(w[k][:k])
+            for i in range(k):
+                if w[i][k]:
+                    f = w[i][k] / pivots[k]
+                    for j in range(k):
+                        w[i][j] += f * w[k][j]
+        consts = [prod(pivots)]
+        for k in range(1, n):
+            consts.append(sum(consts[i] * w[i][k] for i in range(k)) / pivots[k])
+        for v, k in zip(verts, consts):
+            values[g.index[v]] = k
+    return values
 
 
 def det(m: np.ndarray) -> Fraction:

@@ -29,6 +29,7 @@ from generators import (
     random_general_aux,
     random_scc_digraph,
     random_star_aux,
+    to_float_graph,
 )
 from oracles import (
     aux_incidence,
@@ -37,6 +38,7 @@ from oracles import (
     det,
     elimination_left_inverse,
     forest_cycle_coefficient,
+    gth_tree_constants,
     incidence_matrices,
     rank,
     tree_cut_core,
@@ -137,6 +139,50 @@ class TestTreeConstants:
             assert all(v > 0 for v in values)
             a = laplacian_matrix(g)
             assert all(v == 0 for v in a @ values)
+
+
+@st.composite
+def multi_component_exact_graphs(draw):
+    """One to three strongly connected components of 1-5 vertices, each a
+    ring with random chords, declared in shuffled order, with labels
+    p/q 10^e for p, q in [1, 99] and e in [-40, 40]."""
+    label = st.builds(
+        lambda p, q, e: Fraction(p, q) * Fraction(10) ** e,
+        st.integers(1, 99), st.integers(1, 99), st.integers(-40, 40),
+    )
+    vertices, edges = [], []
+    for n in draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)):
+        comp = [str(len(vertices) + i) for i in range(n)]
+        vertices += comp
+        ring = {(comp[i], comp[(i + 1) % n]) for i in range(n) if n > 1}
+        chords = [
+            (a, b) for a in comp for b in comp
+            if a != b and (a, b) not in ring and draw(st.booleans())
+        ]
+        edges += [(a, b, draw(label)) for a, b in sorted(ring) + chords]
+    return build_digraph(draw(st.permutations(vertices)), edges)
+
+
+class TestFractionFree:
+    """Exact tree constants come from fraction-free elimination on ints;
+    they must equal GTH reduction on Fractions and the arborescence sums."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(multi_component_exact_graphs())
+    def test_equals_gth_and_arborescence_sums(self, g):
+        got = tree_constants(g).values
+        oracle = gth_tree_constants(g)
+        assert all(type(k) is Fraction for k in got)
+        assert all(type(k) is Fraction for k in oracle)
+        assert got.tolist() == oracle.tolist()
+        for v in g.vertex_ids:
+            expected = Fraction(0)
+            for arb in brute_arborescences(g, v):
+                prod = Fraction(1)
+                for e in arb:
+                    prod *= g.labels[e]
+                expected += prod
+            assert got[g.index[v]] == expected
 
 
 class TestCoreMatrix:
@@ -255,6 +301,24 @@ class TestCoreMatrix:
             assert not dec.exact
             assert verify_core_decomposition(dec).passed
 
+    def test_float_zeros_are_positive(self):
+        # zero core entries are +0.0, so a float core prints 0.0, not -0.0
+        rng = random.Random(19)
+        for _ in range(20):
+            gf = to_float_graph(random_scc_digraph(rng, n_max=6))
+            if gf.exact:  # no edges, so no float label
+                continue
+            for aux in (
+                default_chain_aux(gf),
+                random_star_aux(rng, gf),
+                random_general_aux(rng, gf),
+            ):
+                core = core_matrix(gf, aux).core
+                assert not np.any(np.signbit(core) & (core == 0))
+        cycle = build_digraph(["1", "2", "3"], [("1", "2", 1.0), ("2", "3", 1.0), ("3", "1", 1.0)])
+        core = core_matrix(cycle, default_chain_aux(cycle)).core
+        assert core.tolist() == [[1.0, 1.0], [0.0, 1.0]] and not np.signbit(core[1, 0])
+
     def test_float_overflow_refused(self):
         # 1 <-> 2 with labels 1e300 and 1e10: K = (1e10, 1e300) fits float64,
         # but the flux 1e310 overflows
@@ -307,6 +371,41 @@ class TestIntegerAssembly:
                 residual = verify_core_decomposition(dec).residual
                 assert residual == 0.0 and type(residual) is float
 
+    def test_ints_formed_once(self, monkeypatch):
+        # one analysis, three trees: the labels are scaled to ints once per
+        # graph and the tree constants once per constant vector
+        calls = []
+        component_ints = laplacian._component_ints
+        monkeypatch.setattr(
+            laplacian, "_component_ints", lambda *args: calls.append(1) or component_ints(*args)
+        )
+        rng = random.Random(32)
+        g = mixed_denominator_digraph(rng, [(7,), (9, 4)])
+        consts = tree_constants(g)
+        for aux in (default_chain_aux(g), random_star_aux(rng, g), random_general_aux(rng, g)):
+            assert verify_core_decomposition(core_matrix(g, aux, consts=consts)).passed
+        assert len(calls) == 2
+        core_matrix(g, default_chain_aux(g), consts=tree_constants(g))
+        assert len(calls) == 3
+        with pytest.raises(ValueError, match="read-only"):
+            consts.values[0] *= 2  # would leave the kept ints stale
+
+    def test_constants_shared_by_two_graphs(self):
+        # the ints kept with a constant vector belong to one graph: the same
+        # vector serves a graph with labels times 5/3 and other denominators
+        rng = random.Random(33)
+        for _ in range(8):
+            g = mixed_denominator_digraph(rng, [(7,), (9, 4)])
+            h = build_digraph(
+                g.vertex_ids, [(s, d, g.labels[(s, d)] * Fraction(5, 3)) for s, d in g.edges]
+            )
+            consts = tree_constants(g)
+            aux = random_general_aux(rng, g)
+            core = core_matrix(g, aux, consts=consts).core
+            dec = core_matrix(h, aux, consts=consts)
+            assert np.array_equal(dec.core, Fraction(5, 3) * core)
+            assert verify_core_decomposition(dec).residual == 0.0
+
     def test_scaled_constants_scale_the_core(self):
         # any positive kernel vector may be passed: its own denominators set
         # the constants' scale, whatever the labels' are
@@ -328,6 +427,18 @@ class TestIntegerAssembly:
 
 
 class TestVerify:
+    def test_tree_validated_once(self, running_graph, monkeypatch):
+        # the result of core_matrix is checked without validating its tree
+        # again; a copy made by dataclasses.replace is validated
+        calls = []
+        validate = laplacian.validate_aux_tree
+        monkeypatch.setattr(
+            laplacian, "validate_aux_tree", lambda g, aux: calls.append(aux) or validate(g, aux)
+        )
+        dec = core_matrix(running_graph, default_chain_aux(running_graph))
+        assert verify_core_decomposition(dec).passed and len(calls) == 1
+        assert verify_core_decomposition(dataclasses.replace(dec)).passed and len(calls) == 2
+
     def test_chain_decomposition_passes(self, running_graph):
         aux = make_aux_tree(running_graph, "chain", [["1", "2", "3"]])
         report = verify_core_decomposition(core_matrix(running_graph, aux))
@@ -671,8 +782,9 @@ class TestFloatAccuracy:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(wide_spread_float_graphs(), st.integers(0, 2**32))
     def test_wide_spread_cores(self, gf, seed):
-        # stars: the one product -A[i, j] K_j, to the bit; chain and general
-        # trees: within 1e-14 of the largest entry of the exact copy's core
+        # stars: the one product -A[i, j] K_j, to the bit, formed as
+        # 0.0 - A[i, j] K_j so that zeros are +0.0; chain and general trees:
+        # within 1e-14 of the largest entry of the exact copy's core
         rng = random.Random(seed)
         ge = build_digraph(
             gf.vertex_ids, [(s, d, Fraction(gf.labels[(s, d)])) for (s, d) in gf.edges]
@@ -681,7 +793,7 @@ class TestFloatAccuracy:
         a = laplacian_matrix(gf)
         k = tree_constants(gf).values
         rows = [gf.index[i] for i, _ in star.edges]
-        expected = -(a[np.ix_(rows, rows)] * k[rows][np.newaxis, :])
+        expected = 0.0 - a[np.ix_(rows, rows)] * k[rows][np.newaxis, :]
         assert core_matrix(gf, star).core.tobytes() == expected.tobytes()
         for aux in (default_chain_aux(gf), random_general_aux(rng, gf)):
             got = core_matrix(gf, aux).core
@@ -727,7 +839,13 @@ class TestFloatAccuracy:
             [("0", "1", 1.0), ("1", "2", 1e-200), ("2", "0", 1e200)],
         ],
     )
-    def test_intermediates_beyond_float_range(self, edges):
+    def test_intermediates_beyond_float_range(self, edges, monkeypatch):
+        # each block trips a range check, so its constants are the exact
+        # ones of its float rates, from fraction-free elimination on ints,
+        # each rounded once
+        fallbacks = []
+        exactly = laplacian._exactly
+        monkeypatch.setattr(laplacian, "_exactly", lambda w: fallbacks.append(w) or exactly(w))
         vs = sorted({v for e in edges for v in e[:2]})
         got = tree_constants(build_digraph(vs, edges)).values
         want = tree_constants(
@@ -736,6 +854,7 @@ class TestFloatAccuracy:
         assert all(
             abs(Fraction(f) - e) <= Fraction(1e-15) * e for f, e in zip(got, want)
         )
+        assert len(fallbacks) == 1 and got.tolist() == [float(e) for e in want]
 
     def test_pivot_below_float_range_refused(self):
         # K of vertex 0 is about 1e-400; the pivot of vertex 1 underflows
