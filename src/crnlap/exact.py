@@ -211,10 +211,10 @@ def bareiss(rows: list[list[int]]) -> int:
     swap flips.  `rows` is overwritten."""
     sign, prev = 1, 1
     for k in range(len(rows)):
-        i = next((i for i in range(k, len(rows)) if rows[i][k]), None)
-        if i is None:
-            return 0
-        if i != k:
+        if not rows[k][k]:  # swap in the first row below with a nonzero entry
+            i = next((i for i in range(k + 1, len(rows)) if rows[i][k]), None)
+            if i is None:
+                return 0
             rows[k], rows[i] = rows[i], rows[k]
             sign = -sign
         top = rows[k]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -182,43 +182,48 @@ class Cycle:
 
 
 def enumerate_cycles(g: LabeledDigraph) -> list[Cycle]:
-    """All directed simple cycles, sorted lexicographically by vertex sequence.
+    """All directed simple cycles in the walk's lexicographic order (`_walk_cycles`)."""
+    cycles: list[Cycle] = []
+    _walk_cycles(g, dict.fromkeys(g.edges, 1), lambda p, _, __: cycles.append(Cycle(tuple(p))))
+    return cycles
+
+
+def _walk_cycles(g: LabeledDigraph, labels: dict, close: Callable[[list, list, int], None]) -> None:
+    """Call close(path, labs, mask) on each directed simple cycle as it
+    closes: its vertex sequence (read only during the call), the labels of
+    its edges in that order, and the sum of 1 << g.index[v] over its vertices.
 
     Each cycle is found once by only exploring vertices >= the start vertex,
     so the start is the cycle's minimum.  The starts and each out-list are
     taken in sorted order, and the start precedes every other vertex the
     walk may enter, so each path is closed before it is extended and the
-    cycles come out already in lexicographic order.
-    The number of cycles grows exponentially with density (a complete
-    8-vertex graph has 16 064, a complete 9-vertex graph 125 664), so the
-    walk stops with DimensionTooLargeError as soon as it has found more
-    than MAX_CYCLES.
+    cycles close in lexicographic order.  The mask also holds the vertices
+    before the start, so one bit test refuses both.  The cycles grow
+    exponentially with density (K8 has 16 064, K9 125 664), so the walk
+    raises DimensionTooLargeError when it meets one past MAX_CYCLES.
     """
-    order = sorted(g.vertex_ids)
-    pos = {v: i for i, v in enumerate(order)}
-    out: dict[str, list[str]] = {v: [] for v in order}
+    out: dict[str, list] = {v: [] for v in g.vertex_ids}
     for s, d in sorted(g.edges):
-        out[s].append(d)
-    cycles: list[Cycle] = []
+        out[s].append((d, labels[(s, d)], 1 << g.index[d]))
+    count = below = 0  # below: the mask of the vertices before the start
 
-    def walk(start: str, v: str, path: list[str], visited: set[str]) -> None:
-        for d in out[v]:
+    def walk(start: str, v: str, path: list[str], labs: list, mask: int) -> None:
+        nonlocal count
+        for d, k, bit in out[v]:
             if d == start:
-                cycles.append(Cycle(tuple(path)))
-                if len(cycles) > MAX_CYCLES:
-                    raise DimensionTooLargeError(
-                        f"more than MAX_CYCLES={MAX_CYCLES} simple cycles"
-                    )
-            elif pos[d] > pos[start] and d not in visited:
-                visited.add(d)
+                if (count := count + 1) > MAX_CYCLES:
+                    raise DimensionTooLargeError(f"more than MAX_CYCLES={MAX_CYCLES} simple cycles")
+                close(path, labs + [k], mask - below)
+            elif not mask & bit:
                 path.append(d)
-                walk(start, d, path, visited)
-                path.pop()
-                visited.remove(d)
+                labs.append(k)
+                walk(start, d, path, labs, mask | bit)
+                del path[-1], labs[-1]
 
-    for start in order:
-        walk(start, start, [start], {start})
-    return cycles
+    for start in sorted(g.vertex_ids):
+        walk(start, start, [start], [], below | 1 << g.index[start])
+        below |= 1 << g.index[start]
+    del walk  # it refers to itself: free what it holds now, not at the next collection
 
 
 # -- incidence matrices ----------------------------------------------------

@@ -38,11 +38,11 @@ from Grassmann-Taksar-Heyman state reduction on the component's rate matrix
 numbers, so with no cancellation to lose digits to it is accurate entry by
 entry on floats.  Each cycle coefficient is the cycle's label product
 times the principal minor of -A_k on the vertices off the cycle
-(all-minors matrix-tree theorem), taken once per vertex set: on floats as
-the product of the same reduction's pivots, and in rational mode as the
-Bareiss determinant of the component's labels scaled to ints, as for the
-core.  A graph's int labels are formed once and kept with it, and a tree
-constant vector's ints once per graph and kept with it.
+(all-minors matrix-tree theorem), formed as one walk closes the cycle.
+The minor is memoized by vertex mask: on floats the product of the same
+reduction's pivots, on ints the Bareiss determinant of the out-rate
+matrix (labels scaled as for the core).  A graph's int labels are formed
+once and kept with it, as are a tree constant vector's, once per graph.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import inf, lcm
+from math import inf, lcm, prod
 from operator import mul
 
 import numpy as np
@@ -63,7 +63,7 @@ from .graph import (
     Cycle,
     Edge,
     LabeledDigraph,
-    enumerate_cycles,
+    _walk_cycles,
     validate_aux_tree,
 )
 
@@ -540,28 +540,23 @@ class CycleDecomposition:
     terms: tuple[tuple[Cycle, Fraction | float], ...]
 
 
-def _off_cycle_minor(
-    out: dict[str, dict[str, int | float]], free: list[str], exact_mode: bool
-) -> int | float:
+def _off_cycle_minor(out: dict, free: list[str], sums: dict | None) -> int | float:
     """Principal minor of -A_k on `free`, the vertices of a component off a
-    cycle C; out[v][d] is the label of v->d.
-
-    It is K of index 0 in the block where index 0 stands for all of C and
-    free vertex i sits at index i with its out-edges (those into C summed
-    into w[i][0]): on floats the product of the block's GTH pivots, taken
-    from the exact rates (`_exactly`) where a pivot or partial product
-    leaves the normal float64 range; on ints the Bareiss determinant, with
-    no row swap as the rows are diagonally dominant.
-    """
+    cycle C; out[v][d] is the label of v->d.  On ints, with each vertex's
+    out-label sum in `sums`: the Bareiss determinant of the out-rate matrix
+    on `free`, diagonally dominant, so with no row swap.  On floats: K of
+    index 0 in the block where index 0 stands for all of C and free vertex
+    i sits at i with its out-edges (those into C summed into w[i][0]), the
+    product of the block's GTH pivots, from the exact rates (`_exactly`)
+    where a pivot or partial product leaves the normal float64 range."""
+    if sums is not None:
+        return exact.bareiss([[sums[a] if a == b else -out[a].get(b, 0) for b in free]
+                              for a in free])
     pos = {v: i for i, v in enumerate(free, start=1)}
     w = [[0] * (len(free) + 1) for _ in range(len(free) + 1)]
     for v, i in pos.items():
         for d, k in out[v].items():
             w[i][pos.get(d, 0)] += k
-    if exact_mode:
-        idx = range(1, len(w))
-        rows = [[sum(w[i]) if i == j else -w[i][j] for j in idx] for i in idx]
-        return exact.bareiss(rows)
     rates = [row[:] for row in w]
     pivots = _reduce(w)
     if pivots is not None:
@@ -578,35 +573,34 @@ def cycle_decomposition(g: LabeledDigraph) -> CycleDecomposition:
     By the all-minors matrix-tree theorem (Chaiken 1982) the coefficient of
     C is prod_{e in C} k_e times the principal minor of -A_k on the vertices
     of its component off C, which sums the label products of the forests in
-    which each of them has one out-edge and a path into C; the minor is
-    taken once per vertex set.  In rational mode component c's labels are
-    scaled to ints by D_c, the lcm of their denominators, so the label
-    product and the minor carry D_c^n_c together and each coefficient is
-    one Fraction.  Float coefficients are accurate to a few ulps and refused
-    (FloatRangeError) outside the normal float64 range.  The cycles are
-    enumerated, so `enumerate_cycles`'s size limit applies.
+    which each of them has one out-edge and a path into C.  One walk
+    (`graph._walk_cycles`) forms each coefficient as it closes the cycle,
+    the minor times the labels along the path, the minor memoized by the
+    cycle's vertex mask.  In rational mode component c's labels are scaled
+    to ints by D_c, the lcm of their denominators, so the label product and
+    the minor carry D_c^n_c together and each coefficient is one Fraction.
+    Float coefficients are accurate to a few ulps and refused
+    (FloatRangeError) outside the normal float64 range.  Past MAX_CYCLES the
+    walk raises DimensionTooLargeError, after forming that many.
     """
     _require_scc(g)
     labels, dens = _integer_labels(g) if g.exact else (g.labels, None)
     out: dict[str, dict[str, int | float]] = {v: {} for v in g.vertex_ids}
     for (v, d), k in labels.items():
         out[v][d] = k
-    minors: dict[frozenset[str], int | float] = {}
-    terms = []
-    for cycle in enumerate_cycles(g):
-        seq = cycle.vertex_seq
-        ci = g.component_index[seq[0]]
-        on_cycle = frozenset(seq)
-        minor = minors.get(on_cycle)
-        if minor is None:
-            free = [v for v in g.component_vertices(ci) if v not in on_cycle]
-            minor = minors[on_cycle] = _off_cycle_minor(out, free, g.exact)
-        coeff = minor
-        for a, b in zip(seq, seq[1:] + seq[:1]):
-            coeff *= out[a][b]
-        if g.exact:
-            coeff = Fraction(coeff, dens[ci] ** len(g.scc_partition[ci]))
-        terms.append((cycle, coeff))
+    sums = {v: sum(row.values()) for v, row in out.items()} if g.exact else None
+    scales = [d ** len(comp) for d, comp in zip(dens, g.scc_partition)] if g.exact else None
+    minors, terms = {}, []  # minors: vertex mask -> (the minor off it, its component)
+
+    def close(path: list[str], labs: list, mask: int) -> None:
+        if (entry := minors.get(mask)) is None:
+            ci = g.component_index[path[0]]
+            free = [v for v in g.component_vertices(ci) if not mask >> g.index[v] & 1]
+            entry = minors[mask] = (_off_cycle_minor(out, free, sums), ci)
+        coeff = prod(labs, start=entry[0])
+        terms.append((Cycle(tuple(path)), Fraction(coeff, scales[entry[1]]) if g.exact else coeff))
+
+    _walk_cycles(g, labels, close)
     if not g.exact and not all(sys.float_info.min <= c < inf for _, c in terms):
         raise FloatRangeError("float cycle coefficients leave the float64 range")
     return CycleDecomposition(terms=tuple(terms))

@@ -36,6 +36,12 @@ checked again on each call (`reference_require_cbe`).  The one change is
 that the certificate takes ln(x/x*) as ln x - ln x*.  Their results must
 equal the library's bit for bit.
 
+`reference_cycle_decomposition` is the cycle decomposition as a second
+pass over the cycles `reference_enumerate_cycles` lists (the walk with a
+visited set), as it was before one walk formed each coefficient as it
+closed the cycle.  Its terms must equal the library's in order, value and
+type, and its float coefficients and refusals bit for bit.
+
 The Farkas LP and reduced row echelon form have Fraction oracles too, where
 the library pivots rows of ints over one denominator: `fraction_rref`,
 `fraction_max_margin` (the same two-phase Bland's-rule tableau, on
@@ -53,12 +59,14 @@ from unittest import mock
 
 import numpy as np
 
-from crnlap import equilibria, exact, geometry
+from crnlap import equilibria, exact, geometry, laplacian
 from crnlap.crn import check_state, evaluate
 from crnlap.equilibria import CBE_RTOL, CbeCheck, solve_cbe
 from crnlap.errors import (
+    DimensionTooLargeError,
     FloatRangeError,
     NotACbeError,
+    NotStronglyConnectedError,
     SemanticError,
     ShapeMismatchError,
     StepSizeUnderflowError,
@@ -71,7 +79,7 @@ from crnlap.geometry import (
     polar_interior_contains,
     region_constraints,
 )
-from crnlap.graph import Cycle, LabeledDigraph, edge_ends, make_aux_tree
+from crnlap.graph import MAX_CYCLES, Cycle, LabeledDigraph, edge_ends, make_aux_tree
 from crnlap.laplacian import CycleDecomposition, core_matrix, laplacian_matrix
 from crnlap.stability import (
     _CK_A,
@@ -420,6 +428,87 @@ def brute_cycles(g):
     for v in g.vertex_ids:
         walk(v, v, [v])
     return found
+
+
+def reference_enumerate_cycles(g) -> list[Cycle]:
+    """The simple cycles by the walk as it was before it carried labels and
+    a vertex mask: a visited set, and a position test against the start."""
+    order = sorted(g.vertex_ids)
+    pos = {v: i for i, v in enumerate(order)}
+    out = {v: [] for v in order}
+    for s, d in sorted(g.edges):
+        out[s].append(d)
+    cycles = []
+
+    def walk(start, v, path, visited):
+        for d in out[v]:
+            if d == start:
+                cycles.append(Cycle(tuple(path)))
+                if len(cycles) > MAX_CYCLES:
+                    raise DimensionTooLargeError(
+                        f"more than MAX_CYCLES={MAX_CYCLES} simple cycles"
+                    )
+            elif pos[d] > pos[start] and d not in visited:
+                visited.add(d)
+                path.append(d)
+                walk(start, d, path, visited)
+                path.pop()
+                visited.remove(d)
+
+    for start in order:
+        walk(start, start, [start], {start})
+    return cycles
+
+
+def reference_cycle_decomposition(g) -> CycleDecomposition:
+    """The cycle decomposition as a second pass over the listed cycles, as
+    it was before one walk formed each coefficient: per cycle, the minor
+    off it (keyed on its vertex set) of the block in which one index stands
+    for the whole cycle, then the label product in vertex-sequence order.
+    The exact minor is `det` on that block, with the labels scaled to ints
+    per component; the float one is the library's GTH pivot product."""
+    if not g.has_strongly_connected_components():
+        raise NotStronglyConnectedError("graph has edges between strongly connected components")
+    labels, dens = dict(g.labels), [1] * g.n_components
+    if g.exact:
+        for (v, _), k in labels.items():
+            ci = g.component_index[v]
+            dens[ci] = lcm(dens[ci], k.denominator)
+        labels = {
+            e: int(k * dens[g.component_index[e[0]]]) for e, k in labels.items()
+        }
+    out = {v: {} for v in g.vertex_ids}
+    for (v, d), k in labels.items():
+        out[v][d] = k
+    minors, terms = {}, []
+    for cycle in reference_enumerate_cycles(g):
+        seq = cycle.vertex_seq
+        ci = g.component_index[seq[0]]
+        on_cycle = frozenset(seq)
+        minor = minors.get(on_cycle)
+        if minor is None:
+            free = [v for v in g.component_vertices(ci) if v not in on_cycle]
+            if g.exact:
+                pos = {v: i for i, v in enumerate(free, start=1)}
+                w = [[0] * (len(free) + 1) for _ in range(len(free) + 1)]
+                for v, i in pos.items():
+                    for d, k in out[v].items():
+                        w[i][pos.get(d, 0)] += k
+                idx = range(1, len(w))
+                block = [[sum(w[i]) if i == j else -w[i][j] for j in idx] for i in idx]
+                minor = int(det(np.array(block, dtype=object).reshape(len(free), len(free))))
+            else:
+                minor = laplacian._off_cycle_minor(out, free, None)
+            minors[on_cycle] = minor
+        coeff = minor
+        for a, b in zip(seq, seq[1:] + seq[:1]):
+            coeff *= out[a][b]
+        if g.exact:
+            coeff = Fraction(coeff, dens[ci] ** len(g.scc_partition[ci]))
+        terms.append((cycle, coeff))
+    if not g.exact and not all(sys.float_info.min <= c < np.inf for _, c in terms):
+        raise FloatRangeError("float cycle coefficients leave the float64 range")
+    return CycleDecomposition(terms=tuple(terms))
 
 
 def incidence_matrices(g) -> tuple[np.ndarray, np.ndarray]:

@@ -1,6 +1,8 @@
 import dataclasses
 import random
+import re
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -19,8 +21,13 @@ from crnlap import (
     verify_core_decomposition,
 )
 from crnlap import exact, laplacian
-from crnlap.errors import FloatRangeError, InvalidAuxTreeError, NotStronglyConnectedError
-from crnlap.graph import AuxTree, validate_aux_tree
+from crnlap.errors import (
+    DimensionTooLargeError,
+    FloatRangeError,
+    InvalidAuxTreeError,
+    NotStronglyConnectedError,
+)
+from crnlap.graph import MAX_CYCLES, AuxTree, enumerate_cycles, validate_aux_tree
 from crnlap.laplacian import FLOAT_RESIDUAL_RTOL, TreeConstants
 
 from conftest import running_example_graph
@@ -41,6 +48,8 @@ from oracles import (
     gth_tree_constants,
     incidence_matrices,
     rank,
+    reference_cycle_decomposition,
+    reference_enumerate_cycles,
     tree_cut_core,
 )
 
@@ -735,6 +744,91 @@ class TestCycleDecomposition:
         edges = [("1", "2", k), ("2", "3", k), ("3", "1", k)]
         ((cycle, coeff),) = cycle_decomposition(build_digraph(["1", "2", "3"], edges)).terms
         assert cycle.vertex_seq == ("1", "2", "3") and coeff == k**3
+
+
+@st.composite
+def exact_component_graphs(draw):
+    """One to three strongly connected components of 1-4 vertices, each a
+    ring plus chords, with labels p/q (p, q in 1..9) and arbitrary string
+    vertex ids, declared in shuffled order."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    ids = draw(st.lists(
+        st.text(min_size=1, max_size=3), min_size=sum(sizes), max_size=sum(sizes), unique=True
+    ))
+    edges, base = [], 0
+    for n in sizes:
+        comp = ids[base : base + n]
+        base += n
+        ring = {(comp[i], comp[(i + 1) % n]) for i in range(n)} if n > 1 else set()
+        chords = [(a, b) for a in comp for b in comp
+                  if a != b and (a, b) not in ring and draw(st.booleans())]
+        edges += [
+            (a, b, Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 9))))
+            for a, b in sorted(ring) + chords
+        ]
+    return build_digraph(draw(st.permutations(ids)), edges)
+
+
+class TestCycleWalkAgainstReference:
+    """The one walk that forms each coefficient as it closes a cycle gives
+    the terms of the per-cycle second pass (`reference_cycle_decomposition`)
+    exactly: the same cycles in the same order, equal Fractions, and float
+    coefficients and refusals bit for bit."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(exact_component_graphs(), st.sampled_from([40.0, 160.0]), st.data())
+    def test_terms_identical(self, g, decades, data):
+        got = cycle_decomposition(g).terms
+        assert got == reference_cycle_decomposition(g).terms
+        assert all(type(lam) is Fraction for _, lam in got)
+        assert enumerate_cycles(g) == reference_enumerate_cycles(g)
+        gf = build_digraph(g.vertex_ids, [
+            (s, d, float(g.labels[(s, d)]) * 10.0 ** data.draw(st.floats(-decades, decades)))
+            for s, d in g.edges
+        ])
+        assert_same_float_terms(gf)
+
+    def test_float_fallback_to_exact_rates_identical(self, monkeypatch):
+        # labels 10^U(-160, 160) send some off-cycle minors to `_exactly`;
+        # some of those decompositions are refused, the others compared
+        rng, fallbacks, compared = random.Random(24), [], 0
+        real = laplacian._exactly
+        monkeypatch.setattr(laplacian, "_exactly", lambda w: fallbacks.append(w) or real(w))
+        for _ in range(60):
+            g = random_scc_digraph(rng, n_max=7)
+            fallbacks.clear()
+            kept = assert_same_float_terms(build_digraph(g.vertex_ids, [
+                (s, d, float(g.labels[(s, d)]) * 10.0 ** rng.uniform(-160, 160))
+                for s, d in g.edges
+            ]))
+            compared += kept and bool(fallbacks)
+        assert compared
+
+    def test_complete_nine_refused_within_two_seconds(self):
+        # the walk forms MAX_CYCLES coefficients before it meets one more
+        ids = [str(i) for i in range(9)]
+        g = build_digraph(ids, [
+            (a, b, Fraction(1 + (int(a) + 2 * int(b)) % 5, 2)) for a in ids for b in ids if a != b
+        ])
+        t0 = time.perf_counter()
+        with pytest.raises(DimensionTooLargeError, match=f"MAX_CYCLES={MAX_CYCLES}"):
+            cycle_decomposition(g)
+        assert time.perf_counter() - t0 < 2.0
+
+
+def assert_same_float_terms(gf) -> bool:
+    """Float cycle terms bit-identical to the reference, or the same refusal;
+    False when both refuse."""
+    try:
+        want = reference_cycle_decomposition(gf).terms
+    except FloatRangeError as err:
+        with pytest.raises(FloatRangeError, match=f"^{re.escape(str(err))}$"):
+            cycle_decomposition(gf)
+        return False
+    got = cycle_decomposition(gf).terms
+    assert [c for c, _ in got] == [c for c, _ in want]
+    assert [lam.hex() for _, lam in got] == [lam.hex() for _, lam in want]
+    return True
 
 
 @st.composite
