@@ -7,9 +7,10 @@ this package (dimensions ~10), where exact Gaussian elimination is cheap and
 the identities being verified are exact.  Elimination runs on Python ints:
 a rational row is a list of ints over one positive int denominator
 (`integer_row` forms it from ints, Fractions or floats, each at its exact
-value).  `pivot` is the one Gauss-Jordan step on such rows: `rref`, which
-returns its reduced rows in that form, and `geometry`'s simplex share it;
-`nullspace` forms Fractions only for the entries of its basis.
+value).  `pivot`, the one Gauss-Jordan step, steps a tableau of ints over
+one common denominator: `rref`, which returns rows in lowest terms, and
+`geometry`'s simplex share it; `nullspace` forms Fractions only for the
+entries of its basis.
 Determinants are taken on integers: `integer_rows` clears a matrix's
 denominators with one positive multiplier, and `bareiss`, Bareiss
 fraction-free elimination, gives the determinant of an integer matrix.
@@ -134,51 +135,39 @@ def integer_row(values) -> tuple[list[int], int]:
     return [n * (den // d) for n, d in ratios], den
 
 
-def pivot(rows: list[list[int]], dens: list[int], i: int, k: int) -> None:
-    """One Gauss-Jordan step on rational rows, row r being the ints rows[r]
-    over the positive denominator dens[r]: scale row i so that its entry in
-    column k equals its denominator (a unit entry) and clear column k from
-    every other row, r becoming d_i T_r - T_r[k] T_i over d_r d_i.  Each
-    row changed is divided by the gcd of its ints and its denominator."""
+def pivot(rows: list[list[int]], d: int, i: int, k: int) -> int:
+    """One integer-preserving Gauss-Jordan step (Edmonds 1967; Bareiss 1968)
+    on a tableau of ints over one positive denominator d, on the entry p in
+    row i, column k.  Row i, negated if p < 0, stays; every other row a
+    becomes (|p| a - a[k] row_i) // d, exact by Sylvester's identity when
+    the tableau began as ints over 1; |p| is returned as the new d."""
     top = rows[i]
-    if top[k] < 0:
+    p = top[k]
+    if p < 0:
+        p = -p
         top[:] = [-v for v in top]
-    dens[i] = top[k]
-    _lowest_terms(rows, dens, i)
-    d = dens[i]
     for r, row in enumerate(rows):
-        f = row[k]
-        if f and r != i:
-            row[:] = [d * v - f * u for v, u in zip(row, top)]
-            dens[r] *= d
-            _lowest_terms(rows, dens, r)
-
-
-def _lowest_terms(rows: list[list[int]], dens: list[int], r: int) -> None:
-    g = math.gcd(dens[r], *rows[r])
-    if g > 1:
-        rows[r][:] = [v // g for v in rows[r]]
-        dens[r] //= g
+        if r != i:
+            f = row[k]
+            row[:] = [(p * v - f * u) // d for v, u in zip(row, top)]
+    return p
 
 
 def rref(m: np.ndarray) -> tuple[list[list[int]], list[int], list[int]]:
     """Reduced row echelon form as (rows, dens, pivot columns), row i being
-    the ints rows[i] over the positive denominator dens[i]."""
-    rows, dens = [], []
-    for values in m.tolist():
-        row, den = integer_row(values)
-        rows.append(row)
-        dens.append(den)
-    pivots: list[int] = []
+    the ints rows[i] over the positive denominator dens[i], in lowest terms.
+    `pivot` steps the rows of m, each scaled to ints, over one denominator."""
+    rows = [integer_row(values)[0] for values in m.tolist()]
+    d, pivots = 1, []
     for col in range(m.shape[1]):
         r = len(pivots)
         i = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if i is not None:
             rows[r], rows[i] = rows[i], rows[r]
-            dens[r], dens[i] = dens[i], dens[r]
-            pivot(rows, dens, r, col)
+            d = pivot(rows, d, r, col)
             pivots.append(col)
-    return rows, dens, pivots
+    gcds = [math.gcd(d, *row) for row in rows]
+    return [[v // g for v in row] for row, g in zip(rows, gcds)], [d // g for g in gcds], pivots
 
 
 def nullspace(m: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ the intersection of theirs, so one linear program decides for all of them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ import numpy as np
 from . import exact
 from .exact import ONE, ZERO
 from .crn import ReactionNetwork, evaluate, mass_action_rhs
-from .errors import InvalidAuxTreeError, PointNotInStratumError
+from .errors import FloatRangeError, InvalidAuxTreeError, PointNotInStratumError
 from .graph import AuxTree, Edge, edge_ends, make_aux_tree, validate_aux_tree
 
 STRATUM_RTOL = 1e-12
@@ -146,7 +147,8 @@ def polar_interior_contains(desc: ConeDescription, f) -> PolarReport:
     f . w = 0 on S-perp (relative tolerance); N spans S, without which the
     interior is empty; and f = -N lambda for some lambda > 0: with
     v = f / |f|_inf, the exact LP max s s.t. N lambda = -v, lambda >= s 1,
-    s <= 1 has s* > POLAR_STRICT_RTOL.
+    s <= 1 has s* > POLAR_STRICT_RTOL.  A multiplier that float64 cannot
+    hold once scaled back to f is refused (FloatRangeError).
     """
     fv = np.asarray(f, dtype=float)
     lin = np.asarray(desc.lineality_basis, dtype=float)
@@ -165,10 +167,13 @@ def polar_interior_contains(desc: ConeDescription, f) -> PolarReport:
     # in exact arithmetic rank N <= dim S; ">=" keeps a float Y whose
     # rounded differences are exactly independent from failing the check
     spans_s = rank >= desc.facet_normals.shape[0] - lin.shape[1]
+    multipliers = tuple(float(v) * scale for v in lam)
+    if not all(map(math.isfinite, multipliers)):
+        raise FloatRangeError("the Farkas multipliers scaled back to f leave the float64 range")
     return PolarReport(
         contains=ok and spans_s and margin > POLAR_STRICT_RTOL,
         lineality_products=tuple(lin_products),
-        multipliers=tuple(float(v) * scale for v in lam),
+        multipliers=multipliers,
         margin=float(margin),
     )
 
@@ -200,20 +205,25 @@ def _simplex(rows: list[list[int]], dens: list[int], c: list[int]) -> list[Fract
 
     The rows of a must be independent and the LP feasible and bounded.
     Two-phase tableau method with Bland's rule (lowest index enters, ratio
-    ties leave by lowest basic index), which cannot cycle.  The tableau is
-    rational, each row ints over one denominator, and `exact.pivot` steps it;
-    its last row holds the reduced costs.
+    ties leave by lowest basic index), which cannot cycle.  Each equation is
+    posed on its ints, and `exact.pivot` steps a tableau of ints over one
+    denominator whose last two rows are the reduced costs of c and of phase
+    1.  Phase 1 costs the artificial of row i lcm(dens) / dens[i], as in the
+    unscaled equations, so Bland's choices, which read only signs and
+    ratios, are those of the Fraction tableau.
     """
     n_rows, n_cols = len(rows), len(c)
     tab = []
-    for i, (row, d) in enumerate(zip(rows, dens)):
+    for i, row in enumerate(rows):
         sign = -1 if row[-1] < 0 else 1
-        unit = [d if k == i else 0 for k in range(n_rows)]
+        unit = [int(k == i) for k in range(n_rows)]
         tab.append([sign * v for v in row[:-1]] + unit + [sign * row[-1]])
-    tab.append([])
-    dens = list(dens) + [1]
+    lcm = math.lcm(*dens)
+    phase_1 = [-sum(lcm // den * v for den, v in zip(dens, col)) for col in zip(*tab)]
+    phase_1[n_cols:-1] = [0] * n_rows  # the artificials are basic
+    tab += [list(c) + [0] * (n_rows + 1), phase_1]
     basis = list(range(n_cols, n_cols + n_rows))
-    _optimise(tab, dens, basis, [0] * n_cols + [1] * n_rows)
+    d = _optimise(tab, 1, basis)
     for i, j in enumerate(basis):
         if j < n_cols:
             continue
@@ -222,36 +232,35 @@ def _simplex(rows: list[list[int]], dens: list[int], c: list[int]) -> list[Fract
         # an artificial basic at zero leaves by a degenerate pivot; the
         # row has a nonzero original entry because the rows are independent
         basis[i] = next(k for k in range(n_cols) if tab[i][k] != 0)
-        exact.pivot(tab, dens, i, basis[i])
+        d = exact.pivot(tab, d, i, basis[i])
+    del tab[-1]
     for row in tab:
         del row[n_cols:n_cols + n_rows]
-    _optimise(tab, dens, basis, list(c))
+    d = _optimise(tab, d, basis)
     x = [ZERO] * n_cols
     for i, j in enumerate(basis):
-        x[j] = Fraction(tab[i][-1], dens[i])
+        x[j] = Fraction(tab[i][-1], d)
     return x
 
 
-def _optimise(tab: list[list[int]], dens: list[int], basis: list[int], cost: list[int]) -> None:
-    """Pivot a feasible tableau to a minimum of cost.x by Bland's rule; the
-    tableau's last row is set to the reduced costs."""
-    tab[-1][:], dens[-1] = cost + [0], 1
-    for i, j in enumerate(basis):  # row i is a unit in column j: price it out
-        exact.pivot(tab, dens, i, j)
+def _optimise(tab: list[list[int]], d: int, basis: list[int]) -> int:
+    """Pivot a feasible tableau over the denominator d to a minimum of the
+    cost whose reduced costs are its last row, by Bland's rule; returns the
+    new denominator.  Ratios are compared by cross-multiplying, d cancels."""
     reduced = tab[-1]
     while True:
-        k = next((k for k in range(len(cost)) if reduced[k] < 0), None)
+        k = next((k for k in range(len(reduced) - 1) if reduced[k] < 0), None)
         if k is None:
-            return
-        ratios = [
-            (Fraction(row[-1], row[k]), basis[i], i)
-            for i, row in enumerate(tab[:-1]) if row[k] > 0
-        ]
-        if not ratios:
+            return d
+        i = None  # the least ratio tab[r][-1] / a over a > 0, ties by basic index
+        for r, j in enumerate(basis):
+            a = tab[r][k]
+            if a > 0 and (i is None or (tab[r][-1] * tab[i][k], j) < (tab[i][-1] * a, basis[i])):
+                i = r
+        if i is None:
             raise AssertionError("LP is unbounded")
-        i = min(ratios)[2]
         basis[i] = k
-        exact.pivot(tab, dens, i, k)
+        d = exact.pivot(tab, d, i, k)
 
 
 def recession_polar_check(net: ReactionNetwork, aux: AuxTree, x) -> bool:

@@ -71,7 +71,7 @@ def decrease_certificate(net: ReactionNetwork, x, x_star) -> StabilityCertificat
 
     The aux tree is the monomial evaluation order at x, so both sign vectors
     are nonnegative; a "failure" verdict flags an implementation bug, not a
-    property of the system.
+    property of the system.  A b or value that is not finite is refused.
     """
     xs = require_cbe(net, x_star)
     state = evaluate(net, x)
@@ -85,6 +85,8 @@ def decrease_certificate(net: ReactionNetwork, x, x_star) -> StabilityCertificat
     a = (yf[:, heads] - yf[:, tails]).T @ z
     b = scaled[heads] - scaled[tails]
     value = float(-(a @ core @ b)) if a.size else 0.0
+    if not (np.all(np.isfinite(b)) and np.isfinite(value)):
+        raise FloatRangeError("the certificate's b or value leaves the float64 range")
 
     scale_a = float(np.max(np.abs(yf.T @ z))) if a.size else 0.0
     scale_b = float(np.max(scaled)) if b.size else 0.0

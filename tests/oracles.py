@@ -51,6 +51,7 @@ by `fraction_max_margin`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import sys
 from fractions import Fraction
@@ -147,11 +148,12 @@ def fraction_rref(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
 
 
 def fraction_max_margin(
-    normals: np.ndarray, v: np.ndarray
+    normals: np.ndarray, v: np.ndarray, trace: list | None = None
 ) -> tuple[list[Fraction], Fraction, int]:
     """(lambda, s*, rank N) for max s s.t. N lambda = -v, lambda >= s 1,
     s <= 1, posed on the rows `fraction_rref` selects and solved on a
-    tableau of Fractions: `geometry._max_margin`'s LP."""
+    tableau of Fractions: `geometry._max_margin`'s LP.  `trace` is passed
+    to `fraction_simplex`."""
     n = np.frompyfunc(Fraction, 1, 1)(normals)
     m = n.shape[1]
     _, rows = fraction_rref(n.T)
@@ -160,16 +162,19 @@ def fraction_max_margin(
         row_sum = sum(n[r], Fraction(0))
         a.append(list(n[r]) + [-row_sum])
         b.append(-Fraction(float(v[r])) - row_sum)
-    x = fraction_simplex(a, b, [Fraction(0)] * m + [Fraction(1)])
+    x = fraction_simplex(a, b, [Fraction(0)] * m + [Fraction(1)], trace)
     s = 1 - x[m]
     return [mu + s for mu in x[:m]], s, len(rows)
 
 
-def fraction_simplex(a: list[list], b: list, c: list) -> list[Fraction]:
+def fraction_simplex(a: list[list], b: list, c: list, trace: list | None = None) -> list[Fraction]:
     """A minimiser of c.x subject to a x = b, x >= 0 (rows of a independent,
     the LP feasible and bounded): two-phase tableau method on Fractions with
     Bland's rule (lowest index enters, ratio ties leave by lowest basic
-    index)."""
+    index).  Each pivot's (row, entering column) is appended to `trace`
+    when one is given."""
+    if trace is None:
+        trace = []
     zero, one = Fraction(0), Fraction(1)
     n_rows, n_cols = len(a), len(c)
     tab = []
@@ -178,24 +183,26 @@ def fraction_simplex(a: list[list], b: list, c: list) -> list[Fraction]:
         unit = [one if k == i else zero for k in range(n_rows)]
         tab.append([sign * Fraction(v) for v in row] + unit + [sign * Fraction(bi)])
     basis = list(range(n_cols, n_cols + n_rows))
-    _fraction_optimise(tab, basis, [zero] * n_cols + [one] * n_rows)
+    _fraction_optimise(tab, basis, [zero] * n_cols + [one] * n_rows, trace)
     for i, j in enumerate(basis):
         if j < n_cols:
             continue
         assert tab[i][-1] == 0, "phase 1 found no feasible point"
         basis[i] = next(k for k in range(n_cols) if tab[i][k] != 0)
+        trace.append((i, basis[i]))
         fraction_pivot(tab, i, basis[i])
     for row in tab:
         del row[n_cols:n_cols + n_rows]
-    _fraction_optimise(tab, basis, [Fraction(v) for v in c])
+    _fraction_optimise(tab, basis, [Fraction(v) for v in c], trace)
     x = [zero] * n_cols
     for i, j in enumerate(basis):
         x[j] = tab[i][-1]
     return x
 
 
-def _fraction_optimise(tab: list[list], basis: list[int], cost: list) -> None:
-    """Pivot a feasible tableau to a minimum of cost.x by Bland's rule."""
+def _fraction_optimise(tab: list[list], basis: list[int], cost: list, trace: list) -> None:
+    """Pivot a feasible tableau to a minimum of cost.x by Bland's rule,
+    appending each pivot's (row, entering column) to `trace`."""
     reduced = cost + [Fraction(0)]
     for i, j in enumerate(basis):
         if reduced[j] != 0:
@@ -212,12 +219,15 @@ def _fraction_optimise(tab: list[list], basis: list[int], cost: list) -> None:
         assert ratios, "LP is unbounded"
         i = min(ratios)[2]
         basis[i] = k
+        trace.append((i, k))
         fraction_pivot(rows, i, k)
 
 
-def fraction_polar_report(desc, f) -> PolarReport:
-    """`polar_interior_contains` with its LP solved by `fraction_max_margin`."""
-    with mock.patch.object(geometry, "_max_margin", fraction_max_margin):
+def fraction_polar_report(desc, f, trace: list | None = None) -> PolarReport:
+    """`polar_interior_contains` with its LP solved by `fraction_max_margin`,
+    which appends its pivots to `trace`."""
+    solve = functools.partial(fraction_max_margin, trace=trace)
+    with mock.patch.object(geometry, "_max_margin", solve):
         return geometry.polar_interior_contains(desc, f)
 
 

@@ -200,11 +200,18 @@ class TestDetInverse:
         assert exact.integer_row([np.int64(3), np.float64(0.5)]) == ([6, 1], 2)
 
     def test_pivot_normalises_sign_and_lowest_terms(self):
-        # rows (0, -2/3, 4/3) and (1, 1/2, 1): pivoting on -2/3 leaves the
-        # unit row (0, 1, -2) over 1 and clears column 1 from the other
-        rows, dens = [[0, -2, 4], [2, 1, 2]], [3, 2]
-        exact.pivot(rows, dens, 0, 1)
-        assert (rows, dens) == ([[0, 1, -2], [1, 0, 2]], [1, 1])
+        # rows (0, -2/3, 4/3) and (1, 1/2, 1), each times 6, over 1:
+        # pivoting on -4 negates its row and returns the denominator 4, over
+        # which the rows are (0, 1, -2) and 6 (1, 0, 2)
+        rows = [[0, -4, 8], [6, 3, 6]]
+        assert exact.pivot(rows, 1, 0, 1) == 4
+        assert rows == [[0, 4, -8], [24, 0, 48]]
+        # the next step divides by that denominator, exactly
+        assert exact.pivot(rows, 4, 1, 0) == 24
+        assert rows == [[0, 24, -48], [24, 0, 48]]
+        # rref reduces each row to lowest terms once, at the end
+        m = exact.matrix([[0, Fraction(-2, 3), Fraction(4, 3)], [1, Fraction(1, 2), 1]])
+        assert exact.rref(m) == ([[1, 0, 2], [0, 1, -2]], [1, 1], [0, 1])
 
     def test_integer_rows_one_positive_multiplier(self):
         m = exact.matrix([[Fraction(1, 6), Fraction(-3, 4)], [0, Fraction(5, 9)]])

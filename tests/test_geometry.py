@@ -428,9 +428,26 @@ class TestOneConeAgainstOrders:
             assert bdi_report(net, x, v).member == bdi_member_by_orders(net, x, v)
 
 
+def _traced_polar_report(desc, f, trace: list):
+    """`polar_interior_contains`, appending the (row, entering column) of
+    each `exact.pivot` its simplex takes to `trace`."""
+    simplex, pivot = geometry._simplex, exact.pivot
+
+    def spy(rows, d, i, k):
+        trace.append((i, k))
+        return pivot(rows, d, i, k)
+
+    def traced(*args):
+        with mock.patch.object(exact, "pivot", spy):
+            return simplex(*args)
+
+    with mock.patch.object(geometry, "_simplex", traced):
+        return polar_interior_contains(desc, f)
+
+
 class TestIntTableauAgainstFractions:
-    """The Farkas LP on rows of ints over one denominator takes the steps of
-    the Fraction tableau, so every report field is the same."""
+    """The Farkas LP on ints over one common denominator takes the pivots
+    of the Fraction tableau, so every report field is the same."""
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(
@@ -460,22 +477,26 @@ class TestIntTableauAgainstFractions:
         subnormal = f.copy()
         subnormal[rng.randrange(f.size)] = 5e-324
         for v in (f, -f, np.zeros_like(f), f * 1e9, f * 1e-9, f * 1e-300, subnormal):
-            assert polar_interior_contains(desc, v) == fraction_polar_report(desc, v)
+            path, want_path = [], []
+            report = _traced_polar_report(desc, v, path)
+            assert report == fraction_polar_report(desc, v, want_path)
+            assert path == want_path
 
     def test_artificial_basic_at_zero_leaves_by_negative_pivot(self):
         # phase 1 ends with the second artificial basic at zero, and the
         # first nonzero original entry of its row is -1/2: the drive-out
-        # pivot flips the row's sign, then phase 2 takes one degenerate step
-        a = [[Fraction(-1, 2), 0, 0], [0, Fraction(-1, 2), -1]]
-        b = [-2, 0]
+        # pivot flips the row's sign, then phase 2 takes one degenerate step.
+        # The rows are ints over 1, so the tableau holds the oracle's values
+        a = [[2, 1, 0], [1, 0, -2]]
+        b = [8, 4]
         c = [-1, 0, -1]
         rows, dens = zip(*(exact.integer_row(row + [bi]) for row, bi in zip(a, b)))
         entries = []
         pivot = exact.pivot
 
-        def spy(rows, dens, i, k):
-            entries.append(Fraction(rows[i][k], dens[i]))
-            pivot(rows, dens, i, k)
+        def spy(rows, d, i, k):
+            entries.append(Fraction(rows[i][k], d))
+            return pivot(rows, d, i, k)
 
         with mock.patch.object(exact, "pivot", spy):
             x = geometry._simplex(list(rows), list(dens), c)

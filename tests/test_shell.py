@@ -84,6 +84,21 @@ DEFICIENCY_ONE_DOC = {
 }
 
 
+FARKAS_OVERFLOW_DOC = {
+    "species": ["A", "B"],
+    "vertices": [
+        {"id": "1", "complex": {}},
+        {"id": "2", "complex": {"A": 1, "B": 1}},
+        {"id": "3", "complex": {"A": 2, "B": 3}},
+    ],
+    "edges": [
+        {"from": "1", "to": "2", "k": 1},
+        {"from": "2", "to": "3", "k": 1},
+        {"from": "3", "to": "1", "k": 1},
+    ],
+}
+
+
 DEGREE_300_DOC = {
     "species": ["A", "B"],
     "vertices": [
@@ -319,8 +334,13 @@ class TestCli:
             # degree-300 complexes: x^Y, and so f_k(x), overflows at x
             (DEGREE_300_DOC, ["bdi-check", "--mode", "float", "--x", "20.0,10.0",
                               "--x-star", "1,1"]),
+            # the first Farkas multiplier is 1.41 times |v|_inf = 1.7e308
+            (FARKAS_OVERFLOW_DOC, ["bdi-check", "--x", "2,2", "--v=-1.7e308,-1e308"]),
+            # x^(0, 2) = 1e400 overflows: b, and so value, leave float64
+            (json.loads(CYCLE3.read_text()), ["certify", "--mode", "float",
+                                              "--x", "1e-200,1e200"]),
         ],
-        ids=["label-1e400", "label-1e-400", "degree-300"],
+        ids=["label-1e400", "label-1e-400", "degree-300", "multipliers", "certify-b"],
     )
     def test_beyond_float_range_one_error_exit_2(self, doc, argv, tmp_path):
         proc = _cli_process(tmp_path, doc, *argv)
