@@ -80,7 +80,8 @@ def solve_cbe(net: ReactionNetwork) -> CbeResult:
 
     Consistency of (Y I_aux).T z = I_aux.T ln K decides existence; the
     minimum-norm solution makes the witness deterministic.  The answer does
-    not depend on the auxiliary tree chosen.
+    not depend on the auxiliary tree chosen.  A witness exp(z) that leaves
+    the float64 range, to inf or to 0, is refused (FloatRangeError).
     """
     net.require_weakly_reversible()
     tails, heads = edge_ends(net.graph, default_chain_aux(net.graph).edges)
@@ -100,7 +101,9 @@ def solve_cbe(net: ReactionNetwork) -> CbeResult:
     if log_residual > CONSISTENCY_RTOL * term_norm:
         logger.debug("CBE system inconsistent: residual %.3e", log_residual)
         return CbeResult(status="infeasible", witness=None, log_residual=log_residual)
-    return CbeResult(status="found", witness=np.exp(z), log_residual=log_residual)
+    with np.errstate(over="ignore"):
+        witness = exact.positive_floats(np.exp(z), "the equilibrium witness entries")
+    return CbeResult(status="found", witness=witness, log_residual=log_residual)
 
 
 def cbe_manifold_sample(net: ReactionNetwork, x_star, count: int, seed: int):

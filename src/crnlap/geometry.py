@@ -26,7 +26,7 @@ import numpy as np
 from . import exact
 from .exact import ONE, ZERO
 from .crn import ReactionNetwork, evaluate, mass_action_rhs
-from .errors import FloatRangeError, InvalidAuxTreeError, PointNotInStratumError
+from .errors import InvalidAuxTreeError, PointNotInStratumError
 from .graph import AuxTree, Edge, edge_ends, make_aux_tree, validate_aux_tree
 
 STRATUM_RTOL = 1e-12
@@ -144,36 +144,32 @@ def polar_interior_contains(desc: ConeDescription, f) -> PolarReport:
     """Interior, relative to the stoichiometric subspace S, of the polar
     cone {-N lambda : lambda >= 0}.
 
-    f . w = 0 on S-perp (relative tolerance); N spans S, without which the
-    interior is empty; and f = -N lambda for some lambda > 0: with
-    v = f / |f|_inf, the exact LP max s s.t. N lambda = -v, lambda >= s 1,
-    s <= 1 has s* > POLAR_STRICT_RTOL.  A multiplier that float64 cannot
-    hold once scaled back to f is refused (FloatRangeError).
+    f . w = 0 on S-perp; N spans S, without which the interior is empty;
+    and f = -N lambda for some lambda > 0: with v = f / |f|_inf, the exact
+    LP max s s.t. N lambda = -v, lambda >= s 1, s <= 1 has s* > 0.  An f
+    and S-perp basis that are both exact are compared with tolerance 0,
+    otherwise with POLAR_LINEALITY_RTOL (relative to |f|_inf |w|_inf) and
+    POLAR_STRICT_RTOL.  A lineality product or a multiplier scaled back to
+    f that float64 cannot hold is refused (FloatRangeError).
     """
-    fv = np.asarray(f, dtype=float)
-    lin = np.asarray(desc.lineality_basis, dtype=float)
-    f_scale = float(np.max(np.abs(fv))) if fv.size else 0.0
-    lin_products = []
-    ok = True
-    for j in range(lin.shape[1]):
-        w = lin[:, j]
-        prod = float(fv @ w)
-        lin_products.append(prod)
-        pair_scale = f_scale * float(np.max(np.abs(w)))
-        if abs(prod) > POLAR_LINEALITY_RTOL * pair_scale:
-            ok = False
-    scale = f_scale if f_scale > 0 else 1.0
+    fv, lin = exact.common(np.asarray(f), desc.lineality_basis)
+    f_scale = max(map(abs, fv.tolist()), default=0)  # a Python number: cheap products below
+    products = fv @ lin
+    lineal = all(
+        abs(p) <= exact.tolerance(products, POLAR_LINEALITY_RTOL, lambda: f_scale * max(abs(w)))
+        for p, w in zip(products, lin.T)
+    )
+    scale = f_scale if f_scale > 0 else 1
     lam, margin, rank = _max_margin(desc.facet_normals, fv / scale)
     # in exact arithmetic rank N <= dim S; ">=" keeps a float Y whose
     # rounded differences are exactly independent from failing the check
     spans_s = rank >= desc.facet_normals.shape[0] - lin.shape[1]
-    multipliers = tuple(float(v) * scale for v in lam)
-    if not all(map(math.isfinite, multipliers)):
-        raise FloatRangeError("the Farkas multipliers scaled back to f leave the float64 range")
+    strict = margin > exact.tolerance(fv, POLAR_STRICT_RTOL, lambda: 1)
+    what = "a lineality product or Farkas multiplier scaled back to f"
     return PolarReport(
-        contains=ok and spans_s and margin > POLAR_STRICT_RTOL,
-        lineality_products=tuple(lin_products),
-        multipliers=multipliers,
+        contains=lineal and spans_s and strict,
+        lineality_products=tuple(exact.to_float(p, what) for p in products),
+        multipliers=tuple(exact.to_float(mu * scale, what) for mu in lam),
         margin=float(margin),
     )
 
@@ -190,7 +186,7 @@ def _max_margin(normals: np.ndarray, v: np.ndarray) -> tuple[list[Fraction], Fra
     values = normals.tolist()
     rows, dens = [], []
     for r in selected:
-        ints, den = exact.integer_row(values[r] + [float(v[r])])
+        ints, den = exact.integer_row(values[r] + [v[r]])
         row_sum = sum(ints[:-1])
         rows.append(ints[:-1] + [-row_sum, -ints[-1] - row_sum])
         dens.append(den)
@@ -273,8 +269,7 @@ def recession_polar_check(net: ReactionNetwork, aux: AuxTree, x) -> bool:
     if not stratum_contains(net, aux, x):
         raise PointNotInStratumError("x does not satisfy the stratum inequalities")
     desc = region_constraints(net, aux, "cone")
-    f = np.asarray(mass_action_rhs(net, x), dtype=float)
-    return polar_interior_contains(desc, f).contains
+    return polar_interior_contains(desc, mass_action_rhs(net, x)).contains
 
 
 def _tied(values: np.ndarray, i: int, j: int) -> bool:

@@ -184,12 +184,9 @@ def document_to_network(doc: NetworkDocument) -> ReactionNetwork:
     ids = [vid for vid, _ in doc.vertices]
     try:
         graph = LabeledDigraph(ids, doc.edges)
-    except (
-        DuplicateVertexError,
-        DuplicateEdgeError,
-        UnknownEndpointError,
-        NonPositiveLabelError,
-    ) as e:
+    except DuplicateVertexError as e:
+        raise SemanticError(str(e), "vertices")
+    except (DuplicateEdgeError, UnknownEndpointError, NonPositiveLabelError) as e:
         raise SemanticError(str(e), "edges")
     except FloatRangeError:
         raise

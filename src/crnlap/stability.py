@@ -8,7 +8,9 @@ through the chain-core identity
 with a = (Y I_aux).T ln(x/x*) >= 0 and b = I_aux.T diag(1/K) x^Y >= 0 on the
 stratum picked by the monomial evaluation order, and A_core nonnegative with
 positive diagonal.  The sign pattern alone certifies strict decrease.
-ln(x/x*) is taken as ln x - ln x*, so no ratio x/x* over- or underflows.
+For a complex-balanced x*, a_j = ln(s_b / s_a) on each aux edge a -> b, with
+s = diag(1/K) x^Y, so a and b are formed from the same scaled monomials and
+share their signs.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import exact
 from .crn import ReactionNetwork, check_state, evaluate, mass_action_rhs
 from .equilibria import is_cbe, require_cbe, solve_cbe
 from .errors import FloatRangeError, SemanticError, ShapeMismatchError, StepSizeUnderflowError
@@ -29,6 +32,7 @@ logger = logging.getLogger(__name__)
 
 SIGN_RTOL = 1e-12
 MANIFOLD_V_TOL = 1e-12
+MAX_STEPS = 200_000  # accepted and rejected steps of one `simulate` call
 
 
 def _lyapunov(x: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -69,9 +73,14 @@ class StabilityCertificate:
 def decrease_certificate(net: ReactionNetwork, x, x_star) -> StabilityCertificate:
     """Certificate of Lyapunov decrease at x for a complex-balanced system.
 
-    The aux tree is the monomial evaluation order at x, so both sign vectors
-    are nonnegative; a "failure" verdict flags an implementation bug, not a
-    property of the system.  A b or value that is not finite is refused.
+    The aux tree is the monomial evaluation order at x, so on an aux edge
+    a -> b, b_j = s_b - s_a >= 0 (s = x^Y / K, exact when the state is) and,
+    x*^Y being proportional to K per component, a_j = ln(s_b / s_a), taken
+    as log1p(b_j / s_a) and as (y_b - y_a) . (ln x - ln x*) only where that
+    ratio leaves float64.  No b_j beyond `exact.tolerance` (SIGN_RTOL times
+    max s on floats) gives "equilibrium"; otherwise a negative value gives
+    "strict_decrease", witnessed by the first such edge, and "failure" flags
+    an implementation bug.  A b or value float64 cannot hold is refused.
     """
     xs = require_cbe(net, x_star)
     state = evaluate(net, x)
@@ -79,32 +88,22 @@ def decrease_certificate(net: ReactionNetwork, x, x_star) -> StabilityCertificat
     dec = core_matrix(net.graph, aux, consts=net.tree_constants())
     core = np.asarray(dec.core, dtype=float)
     tails, heads = edge_ends(net.graph, aux.edges)
-    yf = net.floats.complexes
-    z = state.ln_x - np.log(xs)
-    scaled = np.asarray(state.scaled, dtype=float)
-    a = (yf[:, heads] - yf[:, tails]).T @ z
-    b = scaled[heads] - scaled[tails]
+    s = state.scaled
+    b = s[heads] - s[tails]
+    positive = b > exact.tolerance(s, SIGN_RTOL, lambda: np.max(s, initial=0))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio = b / s[tails]  # exact when s is; an exact one beyond float64 becomes inf
+        a = np.log1p(np.where(ratio > np.finfo(float).max, np.inf, ratio).astype(float))
+    far = ~np.isfinite(a)
+    if far.any():
+        yf = net.floats.complexes
+        a[far] = ((yf[:, heads] - yf[:, tails]).T @ (state.ln_x - np.log(xs)))[far]
+    b = exact.floats(b, "the certificate's b")
     value = float(-(a @ core @ b)) if a.size else 0.0
     if not (np.all(np.isfinite(b)) and np.isfinite(value)):
         raise FloatRangeError("the certificate's b or value leaves the float64 range")
-
-    scale_a = float(np.max(np.abs(yf.T @ z))) if a.size else 0.0
-    scale_b = float(np.max(scaled)) if b.size else 0.0
-    signs_ok = bool(np.all(a >= -SIGN_RTOL * max(scale_a, 1e-300))) and bool(
-        np.all(b >= -SIGN_RTOL * max(scale_b, 1e-300))
-    )
-    b_zero = bool(np.all(np.abs(b) <= SIGN_RTOL * scale_b)) if b.size else True
-
-    witness = None  # none where b is zero: no b[j] then exceeds the limit
-    for j, e in enumerate(aux.edges):
-        if b[j] > SIGN_RTOL * scale_b and a[j] > SIGN_RTOL * max(scale_a, 1e-300):
-            witness = e
-            break
-    verdict = "failure"
-    if signs_ok and b_zero:
-        verdict = "equilibrium"
-    elif signs_ok and value < 0:
-        verdict = "strict_decrease"
+    witness = next((e for e, p in zip(aux.edges, positive) if p), None)
+    verdict = "equilibrium" if witness is None else "strict_decrease" if value < 0 else "failure"
     if verdict == "failure":
         logger.warning("certificate failure at x=%s (value=%r)", state.x, value)
     return StabilityCertificate(
@@ -129,21 +128,24 @@ class BdiReport:
 def bdi_report(net: ReactionNetwork, x, v, tol: float | None = None) -> BdiReport:
     """Evaluate the inclusion at x for v.
 
-    v is taken as float64: an exact entry beyond its range is refused
-    (FloatRangeError).  Off the manifold (is_cbe at tolerance `tol`), v
-    must lie in the polar-cone interior of every stratum cone containing
-    x.  Those cones are the chain orders that break x's ties, and their
-    union is the one evaluation cone, so one polar check decides.
+    A v with no float entry stays exact and is tested with tolerance 0; an
+    exact entry beyond float64 is refused (FloatRangeError).  Off the
+    manifold (is_cbe at tolerance `tol`), v must lie in the polar-cone
+    interior of every stratum cone containing x.  Those cones are the chain
+    orders that break x's ties, and their union is the one evaluation cone,
+    so one polar check decides.
     """
     try:
-        vv = np.asarray(v, dtype=float)
+        vf = np.asarray(v, dtype=float)
     except OverflowError:  # an exact entry beyond float64
         raise FloatRangeError("v leaves the float64 range") from None
-    if vv.shape != (net.n_species,) or not np.all(np.isfinite(vv)):
+    if vf.shape != (net.n_species,) or not np.all(np.isfinite(vf)):
         raise ShapeMismatchError(f"v must have {net.n_species} finite entries")
+    vv = vf if any(isinstance(t, float) for t in v) else exact.vector(v)
     state = evaluate(net, x)
     if is_cbe(net, state, tol=tol).balanced:
-        member = bool(np.max(np.abs(vv), initial=0.0) <= MANIFOLD_V_TOL)
+        limit = exact.tolerance(vv, MANIFOLD_V_TOL, lambda: 1)  # absolute on floats
+        member = bool(np.max(np.abs(vv), initial=0) <= limit)
         return BdiReport(on_manifold=True, member=member, cone=None)
     desc = evaluation_cone(net, state)
     polar = polar_interior_contains(desc, vv)
@@ -191,7 +193,6 @@ def simulate(
     rtol: float = 1e-8,
     atol: float = 1e-10,
     x_star=None,
-    max_steps: int = 200_000,
 ) -> Trajectory:
     """Adaptive Cash-Karp 5(4) integration of dx/dt = f_k(x) = N (k o x^{y(tail)}).
 
@@ -235,7 +236,7 @@ def simulate(
     accepted = rejected = 0
     k = np.zeros((6, x.size))
     k[0] = rhs(x)
-    for _ in range(max_steps):
+    for _ in range(MAX_STEPS):
         if t >= t_end:
             break
         h = min(h, t_end - t)
@@ -269,7 +270,7 @@ def simulate(
             rejected += 1
             h *= min(1.0, max(0.2, 0.9 * err ** -0.2))
     else:
-        raise StepSizeUnderflowError(f"max_steps={max_steps} exhausted at t={t:.6g}")
+        raise StepSizeUnderflowError(f"max_steps={MAX_STEPS} exhausted at t={t:.6g}")
     logger.debug("simulate: %d accepted, %d rejected steps", accepted, rejected)
     lyapunov = None if xs is None else _lyapunov(np.array(states), xs).tolist()
     return Trajectory(

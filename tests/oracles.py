@@ -32,9 +32,10 @@ step by step.  A trajectory of `simulate` must equal its trajectory exactly.
 `reference_birch` are the certificate, BDI report, balance test and Birch
 step as they were before a state was evaluated once per call: every
 function re-checks x and forms x^Y again (`reference_monomials`), and x* is
-checked again on each call (`reference_require_cbe`).  The one change is
-that the certificate takes ln(x/x*) as ln x - ln x*.  Their results must
-equal the library's bit for bit.
+checked again on each call (`reference_require_cbe`).  Since then the
+certificate forms a and b on the scaled monomials, which the reference does
+edge by edge, and an exact v stays exact in the BDI report.  Their results
+must equal the library's bit for bit.
 
 `reference_cycle_decomposition` is the cycle decomposition as a second
 pass over the cycles `reference_enumerate_cycles` lists (the walk with a
@@ -53,6 +54,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import sys
 from fractions import Fraction
 from math import gcd, lcm, prod
@@ -161,7 +163,7 @@ def fraction_max_margin(
     for r in rows:
         row_sum = sum(n[r], Fraction(0))
         a.append(list(n[r]) + [-row_sum])
-        b.append(-Fraction(float(v[r])) - row_sum)
+        b.append(-Fraction(v[r]) - row_sum)
     x = fraction_simplex(a, b, [Fraction(0)] * m + [Fraction(1)], trace)
     s = 1 - x[m]
     return [mu + s for mu in x[:m]], s, len(rows)
@@ -919,47 +921,56 @@ def reference_evaluation_order(net, x) -> list:
 
 
 def reference_certificate(net, x, x_star) -> StabilityCertificate:
+    """The certificate edge by edge: b_j = s_b - s_a on the scaled monomials
+    (exact for an exact state), a_j = log1p(b_j / s_a), or the aux edge's row
+    of (Y I_aux).T (ln x - ln x*) where that ratio is not a finite float, and
+    the first edge with b_j beyond the limit (0 on exact s) as witness."""
     xs = reference_require_cbe(net, x_star)
     xv = np.asarray(check_state(x, net.n_species), dtype=float)
     chains = [[v for grp in groups for v in grp] for groups in reference_evaluation_order(net, x)]
     aux = make_aux_tree(net.graph, "chain", chains)
     dec = core_matrix(net.graph, aux, consts=net.tree_constants())
     core = np.asarray(dec.core, dtype=float)
-    tails, heads = edge_ends(net.graph, aux.edges)
+    scaled = reference_scaled(net, x)
+    limit = 0 if exact.is_exact(scaled) else SIGN_RTOL * max(scaled)
     yf = net.floats.complexes
-    z = np.log(xv) - np.log(xs)  # np.log(xv / xs) before ln x - ln x*
-    scaled = np.asarray(reference_scaled(net, x), dtype=float)
-    a = (yf[:, heads] - yf[:, tails]).T @ z
-    b = scaled[heads] - scaled[tails]
+    a, b, far, witness = [], [], [], None
+    for j, (t, h) in enumerate(aux.edges):
+        s_a, s_b = scaled[net.graph.index[t]], scaled[net.graph.index[h]]
+        if witness is None and s_b - s_a > limit:
+            witness = (t, h)
+        try:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = float((s_b - s_a) / s_a)
+        except OverflowError:  # an exact ratio beyond float64
+            ratio = math.inf
+        a.append(np.log1p(ratio) if math.isfinite(ratio) else math.nan)
+        b.append(float(s_b - s_a))
+        if not math.isfinite(ratio):
+            far.append(j)
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    if far:
+        tails, heads = edge_ends(net.graph, aux.edges)
+        z = np.log(xv) - np.log(xs)
+        a[far] = ((yf[:, heads] - yf[:, tails]).T @ z)[far]
     value = float(-(a @ core @ b)) if a.size else 0.0
-
-    scale_a = float(np.max(np.abs(yf.T @ z))) if a.size else 0.0
-    scale_b = float(np.max(scaled)) if b.size else 0.0
-    signs_ok = bool(np.all(a >= -SIGN_RTOL * max(scale_a, 1e-300))) and bool(
-        np.all(b >= -SIGN_RTOL * max(scale_b, 1e-300))
-    )
-    b_zero = bool(np.all(np.abs(b) <= SIGN_RTOL * scale_b)) if b.size else True
-    witness = None
-    for j, e in enumerate(aux.edges):
-        if b[j] > SIGN_RTOL * scale_b and a[j] > SIGN_RTOL * max(scale_a, 1e-300):
-            witness = e
-            break
-    verdict = "failure"
-    if signs_ok and b_zero:
+    if witness is None:
         verdict = "equilibrium"
-    elif signs_ok and value < 0:
-        verdict = "strict_decrease"
+    else:
+        verdict = "strict_decrease" if value < 0 else "failure"
     return StabilityCertificate(
         aux=aux, a=a, b=b, core=core, value=value, verdict=verdict, witness_edge=witness
     )
 
 
 def reference_bdi_report(net, x, v, tol=None) -> BdiReport:
-    vv = np.asarray(v, dtype=float)
-    if vv.shape != (net.n_species,) or not np.all(np.isfinite(vv)):
+    exact_v = not any(isinstance(t, float) for t in v)
+    vv = np.array([Fraction(t) for t in v], dtype=object) if exact_v else np.asarray(v, dtype=float)
+    if vv.shape != (net.n_species,) or not np.all(np.isfinite(vv.astype(float))):
         raise ShapeMismatchError(f"v must have {net.n_species} finite entries")
     if reference_is_cbe(net, x, tol=tol).balanced:
-        member = bool(np.max(np.abs(vv), initial=0.0) <= MANIFOLD_V_TOL)
+        largest = max((abs(t) for t in vv), default=0)
+        member = largest == 0 if exact_v else bool(largest <= MANIFOLD_V_TOL)
         return BdiReport(on_manifold=True, member=member, cone=None)
     edges = tuple(
         (i, j) for groups in reference_evaluation_order(net, x)

@@ -99,6 +99,23 @@ FARKAS_OVERFLOW_DOC = {
 }
 
 
+# complexes of size ~1e-300: the log-coordinate witness z is ~1e300, so
+# exp(z) overflows
+CBE_WITNESS_OVERFLOW_DOC = {
+    "species": ["A", "B"],
+    "vertices": [
+        {"id": "1", "complex": {}},
+        {"id": "2", "complex": {"A": 1e-300, "B": 1e-300}},
+        {"id": "3", "complex": {"A": 2e-300, "B": 3e-300}},
+    ],
+    "edges": [
+        {"from": "1", "to": "2", "k": 2},
+        {"from": "2", "to": "3", "k": 5},
+        {"from": "3", "to": "1", "k": 1},
+    ],
+}
+
+
 DEGREE_300_DOC = {
     "species": ["A", "B"],
     "vertices": [
@@ -169,6 +186,21 @@ class TestParseNetwork:
         )
         with pytest.raises(SemanticError):
             parse_network(text)
+
+    def test_duplicate_vertex_id_reported_at_vertices(self):
+        text = json.dumps(
+            {
+                "species": ["A"],
+                "vertices": [
+                    {"id": "1", "complex": {"A": 1}},
+                    {"id": "1", "complex": {"A": 2}},
+                ],
+                "edges": [{"from": "1", "to": "1", "k": 1}],
+            }
+        )
+        with pytest.raises(SemanticError) as err:
+            parse_network(text)
+        assert err.value.path == "vertices"
 
     def test_unknown_species_in_complex(self):
         text = json.dumps(
@@ -339,8 +371,12 @@ class TestCli:
             # x^(0, 2) = 1e400 overflows: b, and so value, leave float64
             (json.loads(CYCLE3.read_text()), ["certify", "--mode", "float",
                                               "--x", "1e-200,1e200"]),
+            # the equilibrium witness exp(z) overflows, whoever solves for it
+            (CBE_WITNESS_OVERFLOW_DOC, ["equilibria", "--mode", "float"]),
+            (CBE_WITNESS_OVERFLOW_DOC, ["bdi-check", "--mode", "float", "--x", "2,2"]),
         ],
-        ids=["label-1e400", "label-1e-400", "degree-300", "multipliers", "certify-b"],
+        ids=["label-1e400", "label-1e-400", "degree-300", "multipliers", "certify-b",
+             "cbe-witness", "cbe-witness-bdi"],
     )
     def test_beyond_float_range_one_error_exit_2(self, doc, argv, tmp_path):
         proc = _cli_process(tmp_path, doc, *argv)
@@ -356,6 +392,23 @@ class TestCli:
         report = json.loads(proc.stdout)
         assert report["a"] == [math.log(1e150) - math.log(1e-200)]
         assert math.isfinite(report["value"]) and report["verdict"] == "strict_decrease"
+
+    @pytest.mark.parametrize(
+        "x, want_a",
+        [("1.000000000000001,0.999999999999999", 3e-15),
+         ("1.0000000000001,0.9999999999999", 3e-13)],
+        ids=["1e-15", "1e-13"],
+    )
+    def test_certify_near_the_manifold(self, x, want_a):
+        # exact states off the manifold (exact is_cbe rejects them): a and b
+        # come from the same exact scaled monomials, so no rounding in
+        # ln x - ln x* reads as a wrong sign or as a zero b
+        proc = _cli("certify", str(CYCLE3), "--x-star", "1,1", "--x", x)
+        assert proc.returncode == 0 and proc.stderr == ""
+        report = json.loads(proc.stdout)
+        assert report["verdict"] == "strict_decrease" and report["value"] < 0
+        assert report["a"][0] == pytest.approx(want_a, rel=1e-12)
+        assert all(v > 0 for v in report["a"] + report["b"])
 
     def test_bdi_check(self, capsys):
         code, out, _ = self.run(["bdi-check", str(CYCLE3), "--x", "0.5,0.5"], capsys)

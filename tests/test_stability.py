@@ -274,7 +274,7 @@ class TestSimulate:
             tol = 1e-5 * max(1.0, float(np.max(np.abs(target))))
             state = x0
             for _ in range(4):  # per-network calibration: extend in chunks
-                traj = simulate(net, state, 300.0, max_steps=500_000)
+                traj = simulate(net, state, 300.0)
                 state = list(traj.states[-1])
                 if np.max(np.abs(traj.states[-1] - target)) <= tol:
                     break
@@ -357,6 +357,19 @@ class TestLogRatioBeyondFloatRange:
         cert = decrease_certificate(_dimer_1e150(), [1e-200], [1e150])
         ln_ratio = math.log(1e-200) - math.log(1e150)
         assert cert.a.tolist() == [-ln_ratio]  # aux edge 2 -> 1: y(1) - y(2) = -1
+        assert math.isfinite(cert.value) and cert.value < 0
+        assert cert.verdict == "strict_decrease"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_certificate_exact_ratio_beyond_float64(self):
+        # the exact dimer: s = (10^-200, 10^-550), so s_1 / s_2 = 10^350 is
+        # no float, and a falls back to (y_1 - y_2) . (ln x - ln x*)
+        g = build_digraph(["1", "2"], [("1", "2", 10**150), ("2", "1", 1)])
+        net = build_network(["A"], [[1, 2]], g)
+        x = Fraction(1, 10**200)
+        cert = decrease_certificate(net, [x], [10**150])
+        assert cert.a.tolist() == [math.log(1e150) - math.log(1e-200)]
+        assert cert.b.tolist() == [float(x - x**2 / 10**150)]
         assert math.isfinite(cert.value) and cert.value < 0
         assert cert.verdict == "strict_decrease"
 
