@@ -11,9 +11,9 @@ value).  `pivot`, the one Gauss-Jordan step, steps a tableau of ints over
 one common denominator: `rref`, which returns rows in lowest terms, and
 `geometry`'s simplex share it; `nullspace` forms Fractions only for the
 entries of its basis.
-Determinants are taken on integers: `integer_rows` clears a matrix's
-denominators with one positive multiplier, and `bareiss`, Bareiss
-fraction-free elimination, gives the determinant of an integer matrix.
+Determinants are taken on integers: `bareiss`, Bareiss fraction-free
+elimination, gives the determinant of an integer matrix, whose entries
+`integer_row` forms from a rational matrix's flat values.
 `laplacian` uses it to decide the invertibility of core blocks built
 elsewhere and to take the off-cycle minors of cycle coefficients.
 
@@ -181,15 +181,6 @@ def nullspace(m: np.ndarray) -> np.ndarray:
         for i, pc in enumerate(pivots):
             basis[pc, j] = Fraction(-rows[i][fc], dens[i])
     return basis
-
-
-def integer_rows(m: np.ndarray) -> tuple[list[list[int]], int]:
-    """The rows of a rational matrix times one positive integer, the lcm of
-    its denominators, as lists of ints, and that integer; signs, zero
-    pattern and singularity are those of `m`."""
-    values = m.tolist()
-    scale = math.lcm(*(v.denominator for row in values for v in row))
-    return [[v.numerator * (scale // v.denominator) for v in row] for row in values], scale
 
 
 def bareiss(rows: list[list[int]]) -> int:

@@ -39,10 +39,12 @@ numbers, so with no cancellation to lose digits to it is accurate entry by
 entry on floats.  Each cycle coefficient is the cycle's label product
 times the principal minor of -A_k on the vertices off the cycle
 (all-minors matrix-tree theorem), formed as one walk closes the cycle.
-The minor is memoized by vertex mask: on floats the product of the same
-reduction's pivots, on ints the Bareiss determinant of the out-rate
-matrix (labels scaled as for the core).  A graph's int labels are formed
-once and kept with it, as are a tree constant vector's, once per graph.
+The minor is memoized by vertex mask, and for every graph it is the
+Bareiss determinant of the out-rate matrix on the labels scaled to ints
+as for the core, float labels at their exact values, so a float
+coefficient is the exact coefficient of its labels rounded once.  A
+graph's int labels are formed once and kept with it, as are a tree
+constant vector's, once per graph.
 """
 
 from __future__ import annotations
@@ -115,22 +117,27 @@ class TreeConstants:
         return out
 
 
-def _reduce(w: list[list[float]]) -> list[float] | None:
-    """Pivots of Grassmann-Taksar-Heyman state reduction on one float block.
+def _kirchhoff(w: list[list[float]]) -> list[float]:
+    """Float tree constants of one block by Grassmann-Taksar-Heyman state
+    reduction, then back substitution.
 
     w[i][j] is the rate i->j (zero for no edge; the diagonal is never read)
     and every vertex must reach vertex 0.  Vertices are censored from last
     to first: the pivot s_k is k's remaining out-rate, and each path
-    i->k->j adds w[i][k] w[k][j] / s_k to w[i][j] (w is overwritten).
-    Returns [1, s_1, ..., s_{n-1}], whose product is the principal minor of
-    -A_k without vertex 0.  Only sums, products and quotients of positive
-    numbers occur, so each pivot's relative error grows with n but not with
-    the spread of rates, provided no step leaves the normal float64 range.
-    That is checked on every quotient w[i][k] / s_k and its product with the
-    least rate it scales (which bounds the terms it adds); None where one
-    fails.  Exact blocks are eliminated on ints instead (`_fraction_free`).
+    i->k->j adds w[i][k] w[k][j] / s_k to w[i][j] (w is overwritten).  The
+    product of the pivots is K of vertex 0 (matrix-tree theorem), and
+    K_k = sum_{i<k} K_i w[i][k] / s_k gives the others.  Only sums,
+    products and quotients of positive numbers occur, so each constant's
+    relative error grows with n but not with the spread of rates, provided
+    no step leaves the normal float64 range.  That is checked on every
+    quotient w[i][k] / s_k and its product with the least rate it scales
+    (which bounds the terms it adds), and on every partial product of the
+    pivots, back-substitution sum and K; where one fails, the block's tree
+    constants are taken from the exact values of its rates instead
+    (`_exactly`).
     """
     n, tiny = len(w), sys.float_info.min
+    rates = [row[:] for row in w]
     pivots = [1.0] * n  # pivots[0] stays the unit
     for k in range(n - 1, 0, -1):
         row_k = w[k][:k]
@@ -140,27 +147,9 @@ def _reduce(w: list[list[float]]) -> list[float] | None:
             if w[i][k]:
                 f = w[i][k] / s
                 if not (tiny <= f < inf and tiny <= f * low):
-                    return None
+                    return _exactly(rates)
                 for j in range(k):
                     w[i][j] += f * w[k][j]
-    return pivots
-
-
-def _kirchhoff(w: list[list[float]]) -> list[float]:
-    """Float tree constants of one block: `_reduce`, then back substitution.
-
-    The product of the pivots is K of vertex 0 (matrix-tree theorem), and
-    K_k = sum_{i<k} K_i w[i][k] / s_k gives the others.  Every partial
-    product of the pivots, back-substitution sum and K is checked to lie in
-    the normal float64 range; where one of these or a check of `_reduce`
-    fails, the block's tree constants are taken from the exact values of
-    its rates instead (`_exactly`).
-    """
-    n, tiny = len(w), sys.float_info.min
-    rates = [row[:] for row in w]
-    pivots = _reduce(w)
-    if pivots is None:
-        return _exactly(rates)
     steps = list(accumulate(pivots, mul))
     consts = [steps[-1]]
     for k in range(1, n):
@@ -211,14 +200,13 @@ def _fraction_free(w: list[list[int]]) -> list[int]:
 
 def _exactly(w: list[list[float]]) -> list[float]:
     """Float tree constants of a float block from the exact values of its
-    rates, each rounded once: inf where it overflows or a rate is not finite.
-    The rates are scaled to ints by d, the lcm of their denominators, so
-    each constant is an int of `_fraction_free` over d^(n-1)."""
-    if not all(x < inf for row in w for x in row):
-        return [inf] * len(w)
-    fracs = [[Fraction(x) for x in row] for row in w]
-    rows, d = exact.integer_rows(np.array(fracs, dtype=object))
-    consts = (Fraction(k, d ** (len(w) - 1)) for k in _fraction_free(rows))
+    rates, each rounded once: inf where it overflows.  The rates are scaled
+    to ints by d, the lcm of their denominators, so each constant is an int
+    of `_fraction_free` over d^(n-1)."""
+    n = len(w)
+    flat, d = exact.integer_row([x for row in w for x in row])
+    rows = [flat[i * n : (i + 1) * n] for i in range(n)]
+    consts = (Fraction(k, d ** (n - 1)) for k in _fraction_free(rows))
     return [float(k) if k < sys.float_info.max else inf for k in consts]
 
 
@@ -306,18 +294,20 @@ def _tree_cuts(g: LabeledDigraph, aux: AuxTree) -> dict[str, set[int]]:
 
 
 def _component_ints(g: LabeledDigraph, comps: list[int], values: list) -> tuple[list, list]:
-    """Exact `values` (value i in component comps[i]) as ints: those of
-    component c times the lcm of their denominators; and the list of lcms."""
+    """`values` (value i in component comps[i]), Fractions or floats, at
+    their exact values as ints: those of component c times the lcm of their
+    denominators; and the list of lcms."""
+    ratios = [k.as_integer_ratio() for k in values]
     dens = [1] * g.n_components
-    for c, k in zip(comps, values):
-        dens[c] = lcm(dens[c], k.denominator)
-    return [k.numerator * (dens[c] // k.denominator) for c, k in zip(comps, values)], dens
+    for c, (_, d) in zip(comps, ratios):
+        dens[c] = lcm(dens[c], d)
+    return [n * (dens[c] // d) for c, (n, d) in zip(comps, ratios)], dens
 
 
 def _integer_labels(g: LabeledDigraph) -> tuple[dict[Edge, int], list[int]]:
-    """Exact labels as ints: those of component c times D_c, the lcm of
-    their denominators, with the list of the D_c; formed once per graph,
-    which is immutable, and kept with it."""
+    """Labels, exact or float, at their exact values as ints: those of
+    component c times D_c, the lcm of their denominators, with the list of
+    the D_c; formed once per graph, which is immutable, and kept with it."""
     kept = g.__dict__.get("_int_labels")
     if kept is None:
         comps = [g.component_index[v] for v, _ in g.labels]
@@ -463,11 +453,11 @@ def verify_core_decomposition(
     if d.exact:
         # one common scale q for the core and the fluxes of every component
         labels, k_vals, scales = _integer_scaling(g, d.tree_constants)
-        rows, mult = exact.integer_rows(core)
+        flat, mult = exact.integer_row(core.flat)
         q = lcm(mult, *scales)
-        rows = [[c * (q // mult) for c in row] for row in rows]
         k_vals = [k * (q // sc) for k, sc in zip(k_vals, scales)]
-        core = np.array(rows, dtype=object).reshape(core.shape)
+        core = np.array([c * (q // mult) for c in flat], dtype=object).reshape(core.shape)
+        rows = core.tolist()
     else:
         labels, k_vals, rows = g.labels, d.tree_constants.values.tolist(), core.tolist()
     res = [[0] * g.n_vertices for _ in range(g.n_vertices)]
@@ -540,32 +530,6 @@ class CycleDecomposition:
     terms: tuple[tuple[Cycle, Fraction | float], ...]
 
 
-def _off_cycle_minor(out: dict, free: list[str], sums: dict | None) -> int | float:
-    """Principal minor of -A_k on `free`, the vertices of a component off a
-    cycle C; out[v][d] is the label of v->d.  On ints, with each vertex's
-    out-label sum in `sums`: the Bareiss determinant of the out-rate matrix
-    on `free`, diagonally dominant, so with no row swap.  On floats: K of
-    index 0 in the block where index 0 stands for all of C and free vertex
-    i sits at i with its out-edges (those into C summed into w[i][0]), the
-    product of the block's GTH pivots, from the exact rates (`_exactly`)
-    where a pivot or partial product leaves the normal float64 range."""
-    if sums is not None:
-        return exact.bareiss([[sums[a] if a == b else -out[a].get(b, 0) for b in free]
-                              for a in free])
-    pos = {v: i for i, v in enumerate(free, start=1)}
-    w = [[0] * (len(free) + 1) for _ in range(len(free) + 1)]
-    for v, i in pos.items():
-        for d, k in out[v].items():
-            w[i][pos.get(d, 0)] += k
-    rates = [row[:] for row in w]
-    pivots = _reduce(w)
-    if pivots is not None:
-        steps = list(accumulate(pivots, mul))
-        if sys.float_info.min <= min(steps) and steps[-1] < inf:
-            return steps[-1]
-    return _exactly(rates)[0]
-
-
 def cycle_decomposition(g: LabeledDigraph) -> CycleDecomposition:
     """One positive coefficient per simple cycle; the weighted unit-label
     cycle Laplacians sum exactly to A_k diag(K_k).
@@ -576,31 +540,37 @@ def cycle_decomposition(g: LabeledDigraph) -> CycleDecomposition:
     which each of them has one out-edge and a path into C.  One walk
     (`graph._walk_cycles`) forms each coefficient as it closes the cycle,
     the minor times the labels along the path, the minor memoized by the
-    cycle's vertex mask.  In rational mode component c's labels are scaled
-    to ints by D_c, the lcm of their denominators, so the label product and
-    the minor carry D_c^n_c together and each coefficient is one Fraction.
-    Float coefficients are accurate to a few ulps and refused
-    (FloatRangeError) outside the normal float64 range.  Past MAX_CYCLES the
-    walk raises DimensionTooLargeError, after forming that many.
+    cycle's vertex mask.  Every graph's labels, float ones at their exact
+    values, are scaled to ints per component, by D_c, the lcm of their
+    denominators; the minor is the Bareiss determinant of the out-rate
+    matrix off the cycle, diagonally dominant, so with no row swap; and the
+    label product and the minor carry D_c^n_c together, so each coefficient
+    is one Fraction.  A float graph's coefficients are those Fractions each
+    rounded once, and refused (FloatRangeError) when one lies outside the
+    normal float64 range.  Past MAX_CYCLES the walk raises
+    DimensionTooLargeError, after forming that many.
     """
     _require_scc(g)
-    labels, dens = _integer_labels(g) if g.exact else (g.labels, None)
-    out: dict[str, dict[str, int | float]] = {v: {} for v in g.vertex_ids}
+    labels, dens = _integer_labels(g)
+    out: dict[str, dict[str, int]] = {v: {} for v in g.vertex_ids}
     for (v, d), k in labels.items():
         out[v][d] = k
-    sums = {v: sum(row.values()) for v, row in out.items()} if g.exact else None
-    scales = [d ** len(comp) for d, comp in zip(dens, g.scc_partition)] if g.exact else None
-    minors, terms = {}, []  # minors: vertex mask -> (the minor off it, its component)
+    sums = {v: sum(row.values()) for v, row in out.items()}
+    scales = [d ** len(comp) for d, comp in zip(dens, g.scc_partition)]
+    minors, terms = {}, []  # minors: vertex mask -> (the minor off it, its scale)
 
     def close(path: list[str], labs: list, mask: int) -> None:
         if (entry := minors.get(mask)) is None:
             ci = g.component_index[path[0]]
             free = [v for v in g.component_vertices(ci) if not mask >> g.index[v] & 1]
-            entry = minors[mask] = (_off_cycle_minor(out, free, sums), ci)
-        coeff = prod(labs, start=entry[0])
-        terms.append((Cycle(tuple(path)), Fraction(coeff, scales[entry[1]]) if g.exact else coeff))
+            minor = exact.bareiss([[sums[a] if a == b else -out[a].get(b, 0) for b in free]
+                                   for a in free])
+            entry = minors[mask] = (minor, scales[ci])
+        terms.append((Cycle(tuple(path)), Fraction(prod(labs, start=entry[0]), entry[1])))
 
     _walk_cycles(g, labels, close)
-    if not g.exact and not all(sys.float_info.min <= c < inf for _, c in terms):
-        raise FloatRangeError("float cycle coefficients leave the float64 range")
+    if not g.exact:
+        if not all(sys.float_info.min <= lam <= sys.float_info.max for _, lam in terms):
+            raise FloatRangeError("float cycle coefficients leave the float64 range")
+        terms = [(c, float(lam)) for c, lam in terms]
     return CycleDecomposition(terms=tuple(terms))

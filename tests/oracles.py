@@ -41,7 +41,8 @@ must equal the library's bit for bit.
 pass over the cycles `reference_enumerate_cycles` lists (the walk with a
 visited set), as it was before one walk formed each coefficient as it
 closed the cycle.  Its terms must equal the library's in order, value and
-type, and its float coefficients and refusals bit for bit.
+type, and its float coefficients and refusals bit for bit: those of a
+float graph are the exact terms of its labels' values, each rounded once.
 
 The Farkas LP and reduced row echelon form have Fraction oracles too, where
 the library pivots rows of ints over one denominator: `fraction_rref`,
@@ -62,7 +63,7 @@ from unittest import mock
 
 import numpy as np
 
-from crnlap import equilibria, exact, geometry, laplacian
+from crnlap import equilibria, exact, geometry
 from crnlap.crn import check_state, evaluate
 from crnlap.equilibria import CBE_RTOL, CbeCheck, solve_cbe
 from crnlap.errors import (
@@ -477,18 +478,25 @@ def reference_cycle_decomposition(g) -> CycleDecomposition:
     it was before one walk formed each coefficient: per cycle, the minor
     off it (keyed on its vertex set) of the block in which one index stands
     for the whole cycle, then the label product in vertex-sequence order.
-    The exact minor is `det` on that block, with the labels scaled to ints
-    per component; the float one is the library's GTH pivot product."""
+    The minor is `det` on that block, with the labels scaled to ints per
+    component.  A float graph's terms are those of its copy with each label
+    a Fraction of the same value, each rounded once, and refused unless
+    every one lies in the normal float64 range."""
+    if not g.exact:
+        exact_copy = LabeledDigraph(
+            g.vertex_ids, [(s, d, Fraction(k)) for (s, d), k in g.labels.items()]
+        )
+        terms = reference_cycle_decomposition(exact_copy).terms
+        if not all(sys.float_info.min <= lam <= sys.float_info.max for _, lam in terms):
+            raise FloatRangeError("float cycle coefficients leave the float64 range")
+        return CycleDecomposition(terms=tuple((c, float(lam)) for c, lam in terms))
     if not g.has_strongly_connected_components():
         raise NotStronglyConnectedError("graph has edges between strongly connected components")
-    labels, dens = dict(g.labels), [1] * g.n_components
-    if g.exact:
-        for (v, _), k in labels.items():
-            ci = g.component_index[v]
-            dens[ci] = lcm(dens[ci], k.denominator)
-        labels = {
-            e: int(k * dens[g.component_index[e[0]]]) for e, k in labels.items()
-        }
+    dens = [1] * g.n_components
+    for (v, _), k in g.labels.items():
+        ci = g.component_index[v]
+        dens[ci] = lcm(dens[ci], k.denominator)
+    labels = {e: int(k * dens[g.component_index[e[0]]]) for e, k in g.labels.items()}
     out = {v: {} for v in g.vertex_ids}
     for (v, d), k in labels.items():
         out[v][d] = k
@@ -500,26 +508,19 @@ def reference_cycle_decomposition(g) -> CycleDecomposition:
         minor = minors.get(on_cycle)
         if minor is None:
             free = [v for v in g.component_vertices(ci) if v not in on_cycle]
-            if g.exact:
-                pos = {v: i for i, v in enumerate(free, start=1)}
-                w = [[0] * (len(free) + 1) for _ in range(len(free) + 1)]
-                for v, i in pos.items():
-                    for d, k in out[v].items():
-                        w[i][pos.get(d, 0)] += k
-                idx = range(1, len(w))
-                block = [[sum(w[i]) if i == j else -w[i][j] for j in idx] for i in idx]
-                minor = int(det(np.array(block, dtype=object).reshape(len(free), len(free))))
-            else:
-                minor = laplacian._off_cycle_minor(out, free, None)
+            pos = {v: i for i, v in enumerate(free, start=1)}
+            w = [[0] * (len(free) + 1) for _ in range(len(free) + 1)]
+            for v, i in pos.items():
+                for d, k in out[v].items():
+                    w[i][pos.get(d, 0)] += k
+            idx = range(1, len(w))
+            block = [[sum(w[i]) if i == j else -w[i][j] for j in idx] for i in idx]
+            minor = int(det(np.array(block, dtype=object).reshape(len(free), len(free))))
             minors[on_cycle] = minor
         coeff = minor
         for a, b in zip(seq, seq[1:] + seq[:1]):
             coeff *= out[a][b]
-        if g.exact:
-            coeff = Fraction(coeff, dens[ci] ** len(g.scc_partition[ci]))
-        terms.append((cycle, coeff))
-    if not g.exact and not all(sys.float_info.min <= c < np.inf for _, c in terms):
-        raise FloatRangeError("float cycle coefficients leave the float64 range")
+        terms.append((cycle, Fraction(coeff, dens[ci] ** len(g.scc_partition[ci]))))
     return CycleDecomposition(terms=tuple(terms))
 
 

@@ -178,7 +178,8 @@ class TestDetInverse:
                 m = random_matrix(rng, n, k) @ random_matrix(rng, k, n)
             else:
                 m = random_matrix(rng, n, n)
-            rows, _ = exact.integer_rows(m)
+            flat, _ = exact.integer_row(m.flat)
+            rows = [flat[i * n : (i + 1) * n] for i in range(n)]
             assert all(type(v) is int for row in rows for v in row)
             want = det(exact.matrix(rows).reshape(n, n))
             got = exact.bareiss(rows)
@@ -214,9 +215,15 @@ class TestDetInverse:
         assert exact.rref(m) == ([[1, 0, 2], [0, 1, -2]], [1, 1], [0, 1])
 
     def test_integer_rows_one_positive_multiplier(self):
+        # a matrix's flat values over one positive multiplier, the lcm of
+        # their denominators; a float at its exact value, 0.1 = m / 2^55
         m = exact.matrix([[Fraction(1, 6), Fraction(-3, 4)], [0, Fraction(5, 9)]])
-        assert exact.integer_rows(m) == ([[6, -27], [0, 20]], 36)
-        assert exact.integer_rows(exact.zeros(0, 0)) == ([], 1)
+        assert exact.integer_row(m.flat) == ([6, -27, 0, 20], 36)
+        assert exact.integer_row(exact.zeros(0, 0).flat) == ([], 1)
+        assert exact.integer_row([]) == ([], 1)
+        num, den = (0.1).as_integer_ratio()
+        assert den == 2**55
+        assert exact.integer_row([Fraction(5, 9), 0.1]) == ([5 * den, 9 * num], 9 * den)
 
 
 class TestPrimitive:
