@@ -8,9 +8,10 @@ matrix decomposition.  Y I_E and I_aux.T (x^Y / K) are gathers on `edge_ends`.
 
 `evaluate` checks a state x once and forms a frozen `State`, which is how
 an evaluation is read: `x`, `ln_x`, x^Y (`monomials`), the edge flows
-k o x^{y(tail)} (`flows`) and, on first use, x^Y / K (`scaled`).  The
-exact/float choice is made there: x^Y is exact for rational x and integer
-Y, the flows and x^Y / K when k is exact too.  The functions that evaluate
+k o x^{y(tail)} (`flows`) and, on first use, each complex's net inflow
+A_k x^Y (`balance`) and x^Y / K (`scaled`).  The exact/float choice is
+made there: x^Y is exact for rational x and integer Y, the flows, A_k x^Y
+and x^Y / K when k is exact too.  The functions that evaluate
 x take a State in its place, so one call evaluates x once.
 `equilibria.require_cbe` keeps one slot per network: the last x* that
 passed its balance test, keyed on its entries and their types (a float x*
@@ -44,7 +45,7 @@ from .errors import (
     NotWeaklyReversibleError,
     ShapeMismatchError,
 )
-from .graph import AuxTree, LabeledDigraph, edge_ends
+from .graph import AuxTree, LabeledDigraph, default_chain_aux, edge_ends
 from .laplacian import TreeConstants, core_matrix, tree_constants
 
 SVD_RANK_RTOL = 1e-12  # singular values below this share of the largest count as 0
@@ -99,7 +100,8 @@ class ReactionNetwork:
     `complexes` is the n x V matrix Y in dense vertex order; `tails`, `heads`,
     `rates` (labels) and `reactions` (N = Y I_E) follow `graph.edges`.  A
     basis of S-perp = ker N.T is computed at construction (exactly when N
-    is rational); tree constants lazily on the first weakly-reversible query.
+    is rational); tree constants lazily on the first weakly-reversible query,
+    and the `deficiency` and `cbe_exists` on first use.
     `floats` is the network's `FloatView`, whose arrays are converted on
     first float use; in a float network they are read-only copies.  A
     matrix with one raw float entry is taken as float64 throughout, and an
@@ -175,6 +177,36 @@ class ReactionNetwork:
                     self._consts = tree_constants(self.graph)
         return self._consts
 
+    @cached_property
+    def deficiency(self) -> int:
+        """delta = n - l - s: complexes, less components, less dim S."""
+        g = self.graph
+        return g.n_vertices - g.n_components - (self.n_species - self.sperp_basis.shape[1])
+
+    @cached_property
+    def cbe_exists(self) -> bool:
+        """Whether a complex-balanced equilibrium exists, decided without
+        rounding; needs weak reversibility.  On the chain aux tree T, x* is
+        one iff (Y I_T).T ln x* = I_T.T ln K, which is solvable iff
+        prod (K_b / K_a)^u_e over the edges a -> b of T is 1 for each u in
+        an integer basis of ker(Y I_T), whose dimension is the deficiency:
+        so always at deficiency 0 (the deficiency-zero theorem), and on an
+        exact network by Fractions.  A float network of positive deficiency
+        gives False: its rounded tree constants do not decide it."""
+        self.require_weakly_reversible()
+        if not self.deficiency:
+            return True
+        if not self.exact:
+            return False
+        k = self.tree_constants().values
+        tails, heads = edge_ends(self.graph, default_chain_aux(self.graph).edges)
+        ratios = [Fraction(k[b]) / k[a] for a, b in zip(tails, heads)]
+        kernel = exact.nullspace(self.complexes[:, heads] - self.complexes[:, tails])
+        return all(
+            math.prod(r**u for r, u in zip(ratios, exact.integer_row(col)[0])) == 1
+            for col in kernel.T
+        )
+
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"ReactionNetwork({self.n_species} species, "
@@ -217,13 +249,26 @@ def check_state(x, n: int) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class State:
     """A state x of `net` as `evaluate` forms it: x checked (Fractions when
-    rational, otherwise float64), ln x, x^Y and the edge flows k o x^{y(tail)}."""
+    rational, otherwise float64), ln x, x^Y and the edge flows k o x^{y(tail)};
+    `balance` and `scaled` are formed on first use and kept."""
 
     net: ReactionNetwork
     x: np.ndarray
     ln_x: np.ndarray
     monomials: np.ndarray
     flows: np.ndarray
+
+    @cached_property
+    def balance(self) -> np.ndarray:
+        """A_k x^Y: per complex, the flows into it minus those out of it,
+        each edge added at its head and subtracted at its tail, in edge
+        order; exact when the flows are, and a float that overflows is kept."""
+        net = self.net
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = np.zeros(net.graph.n_vertices, dtype=self.flows.dtype)
+            np.add.at(g, net.heads, self.flows)
+            np.subtract.at(g, net.tails, self.flows)
+        return g
 
     @cached_property
     def scaled(self) -> np.ndarray:

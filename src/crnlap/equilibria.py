@@ -34,16 +34,13 @@ class CbeCheck(NamedTuple):
 
 
 def is_cbe(net: ReactionNetwork, x, tol: float | None = None) -> CbeCheck:
-    """Test A_k x^Y = 0 (each edge flow added at its head and subtracted at
-    its tail), relative to the largest single edge flow; float monomials or
-    flows that overflow, and an exact residual or largest flow that float64
-    cannot hold, are refused (FloatRangeError)."""
-    flows = evaluate(net, x).flows
+    """Test A_k x^Y = 0 (`State.balance`), relative to the largest single
+    edge flow; float monomials or flows that overflow, and an exact residual
+    or largest flow that float64 cannot hold, are refused (FloatRangeError)."""
+    state = evaluate(net, x)
+    flows = state.flows
     with np.errstate(over="ignore", invalid="ignore"):
-        balance = np.zeros(net.graph.n_vertices, dtype=flows.dtype)
-        np.add.at(balance, net.heads, flows)
-        np.subtract.at(balance, net.tails, flows)
-        residual = np.max(np.abs(balance), initial=0)
+        residual = np.max(np.abs(state.balance), initial=0)
         scale = np.max(flows, initial=0)
     # floats that overflowed, and exact values that float64 cannot hold
     residual_f = exact.to_float(residual, "the complex-balance residual")

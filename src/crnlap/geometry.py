@@ -25,8 +25,8 @@ import numpy as np
 
 from . import exact
 from .exact import ONE, ZERO
-from .crn import ReactionNetwork, evaluate, mass_action_rhs
-from .errors import InvalidAuxTreeError, PointNotInStratumError
+from .crn import ReactionNetwork, State, evaluate, mass_action_rhs
+from .errors import FloatRangeError, InvalidAuxTreeError, PointNotInStratumError
 from .graph import AuxTree, Edge, edge_ends, make_aux_tree, validate_aux_tree
 
 STRATUM_RTOL = 1e-12
@@ -128,10 +128,11 @@ def _edge_cone(net: ReactionNetwork, edges: tuple[Edge, ...]) -> ConeDescription
 class PolarReport:
     """Polar-interior verdict with its Farkas certificate.
 
-    `margin` is the largest min(lambda) over lambda with -N lambda = f
-    (N the facet normals), for f scaled to max-norm 1 and capped at 1;
-    `multipliers` is a lambda attaining it, scaled back to f, in `edges`
-    order.
+    `multipliers` is a lambda with -N lambda = f (N the facet normals), in
+    `edges` order, and `margin` is min(lambda) for f scaled to max-norm 1,
+    capped at 1.  `polar_interior_contains` reports the lambda of the
+    largest margin, the LP optimum; for f = +-f_k(x) `stability.bdi_report`
+    may report the paper's cut flows instead (see there).
     """
 
     contains: bool
@@ -153,23 +154,82 @@ def polar_interior_contains(desc: ConeDescription, f) -> PolarReport:
     f that float64 cannot hold is refused (FloatRangeError).
     """
     fv, lin = exact.common(np.asarray(f), desc.lineality_basis)
+    products, lineal, scale = _lineality(fv, lin)
+    lam, margin, rank = _max_margin(desc.facet_normals, fv / scale)
+    # in exact arithmetic rank N <= dim S; ">=" keeps a float Y whose
+    # rounded differences are exactly independent from failing the check
+    spans_s = rank >= desc.facet_normals.shape[0] - lin.shape[1]
+    strict = margin > exact.tolerance(fv, POLAR_STRICT_RTOL, lambda: 1)
+    return _report(lineal and spans_s and strict, products, [mu * scale for mu in lam], margin)
+
+
+def _cut_flow_cone(
+    net: ReactionNetwork, state: State, v: np.ndarray
+) -> tuple[tuple[Edge, ...], PolarReport] | None:
+    """`stability.bdi_report`'s cone and verdict from the cut flows
+    (`_cut_flows`) where its docstring says they decide, else None."""
+    try:
+        f = mass_action_rhs(net, state)
+    except FloatRangeError:  # a float f that overflows equals no finite v
+        return None
+    v_scale = max(map(abs, v.tolist()), default=0)
+    sign = 0
+    if v.dtype == f.dtype and v_scale:
+        sign = 1 if np.array_equal(v, f) else -1 if np.array_equal(v, -f) else 0
+    cut = _cut_flows(net, state) if sign else None
+    if cut is None:
+        return None
+    edges, lam = cut
+    if sign < 0 and not net.cbe_exists:
+        return None
+    if not min(lam) / v_scale > exact.tolerance(v, POLAR_STRICT_RTOL, lambda: 1):
+        return None
+    products, lineal, _ = _lineality(*exact.common(v, net.sperp_basis))
+    if sign > 0:
+        return edges, _report(lineal, products, lam, min(min(lam) / v_scale, 1))
+    return edges, _report(False, products, [-mu for mu in lam], -max(lam) / v_scale)
+
+
+def _cut_flows(net: ReactionNetwork, state: State) -> tuple[tuple[Edge, ...], list] | None:
+    """(edges, lambda) for the chains of x's evaluation order, None at a
+    tie: lambda_i = sum of `State.balance` (A_k x^Y) over a_1, ..., a_i for
+    the edge a_i -> a_(i+1), so I_aux lambda = -A_k x^Y (I_aux's column for
+    a -> b is e_b - e_a) and Y I_aux lambda = -f_k(x).  Exact when the
+    flows are."""
+    g, index = state.balance.tolist(), net.graph.index
+    edges, lam = [], []
+    for groups in evaluation_order(net, state):
+        if any(len(grp) > 1 for grp in groups):
+            return None
+        flow = 0
+        for (a,), (b,) in zip(groups, groups[1:]):
+            flow += g[index[a]]
+            edges.append((a, b))
+            lam.append(flow)
+    return tuple(edges), lam
+
+
+def _lineality(fv: np.ndarray, lin: np.ndarray) -> tuple[np.ndarray, bool, object]:
+    """(products, lineal, scale): f . w over the S-perp basis, whether each
+    vanishes (within POLAR_LINEALITY_RTOL times |f|_inf |w|_inf on floats),
+    and |f|_inf, or 1 for f = 0."""
     f_scale = max(map(abs, fv.tolist()), default=0)  # a Python number: cheap products below
     products = fv @ lin
     lineal = all(
         abs(p) <= exact.tolerance(products, POLAR_LINEALITY_RTOL, lambda: f_scale * max(abs(w)))
         for p, w in zip(products, lin.T)
     )
-    scale = f_scale if f_scale > 0 else 1
-    lam, margin, rank = _max_margin(desc.facet_normals, fv / scale)
-    # in exact arithmetic rank N <= dim S; ">=" keeps a float Y whose
-    # rounded differences are exactly independent from failing the check
-    spans_s = rank >= desc.facet_normals.shape[0] - lin.shape[1]
-    strict = margin > exact.tolerance(fv, POLAR_STRICT_RTOL, lambda: 1)
+    return products, lineal, f_scale if f_scale > 0 else 1
+
+
+def _report(contains: bool, products, multipliers, margin) -> PolarReport:
+    """The PolarReport as floats; a lineality product or multiplier that
+    float64 cannot hold is refused (FloatRangeError)."""
     what = "a lineality product or Farkas multiplier scaled back to f"
     return PolarReport(
-        contains=lineal and spans_s and strict,
+        contains=contains,
         lineality_products=tuple(exact.to_float(p, what) for p in products),
-        multipliers=tuple(exact.to_float(mu * scale, what) for mu in lam),
+        multipliers=tuple(exact.to_float(mu, what) for mu in multipliers),
         margin=float(margin),
     )
 

@@ -11,6 +11,11 @@ positive diagonal.  The sign pattern alone certifies strict decrease.
 For a complex-balanced x*, a_j = ln(s_b / s_a) on each aux edge a -> b, with
 s = diag(1/K) x^Y, so a and b are formed from the same scaled monomials and
 share their signs.
+
+The same stratum gives the binomial differential inclusion its witness:
+f_k(x) = -Y I_aux lambda with lambda = A_core b >= 0, the net flow into each
+lower set of the chain, so `bdi_report` can decide v = +-f_k(x) without the
+Farkas LP (Horn and Jackson's stability argument; conditions there).
 """
 
 from __future__ import annotations
@@ -24,7 +29,13 @@ from . import exact
 from .crn import ReactionNetwork, check_state, evaluate, mass_action_rhs
 from .equilibria import is_cbe, require_cbe, solve_cbe
 from .errors import FloatRangeError, SemanticError, ShapeMismatchError, StepSizeUnderflowError
-from .geometry import PolarReport, evaluation_cone, monomial_order, polar_interior_contains
+from .geometry import (
+    PolarReport,
+    _cut_flow_cone,
+    evaluation_cone,
+    monomial_order,
+    polar_interior_contains,
+)
 from .graph import AuxTree, Edge, edge_ends
 from .laplacian import core_matrix
 
@@ -134,6 +145,25 @@ def bdi_report(net: ReactionNetwork, x, v, tol: float | None = None) -> BdiRepor
     interior of every stratum cone containing x.  Those cones are the chain
     orders that break x's ties, and their union is the one evaluation cone,
     so one polar check decides.
+
+    For v exactly +-f_k(x) (`mass_action_rhs`, of the same exactness) at
+    a tie-free x off the manifold, the cut flows lambda = A_core b, with
+    f_k(x) = -N lambda on the chain edges, decide with no LP
+    (`geometry._cut_flow_cone`) once min(lambda) / |v|_inf passes
+    POLAR_STRICT_RTOL:
+    - f_k(x) is a member when its lineality products vanish, with
+      multipliers lambda and margin min(min(lambda) / |v|_inf, 1), a lower
+      bound on the LP optimum that equals it at deficiency 0.  The rank
+      condition holds: a chain spans its component, so im(N) = S.
+    - -f_k(x) = N lambda is not, with multipliers -lambda and margin
+      -max(lambda) / |v|_inf, when `net.cbe_exists`: a complex-balanced x*
+      gives z = ln(x/x*) with N.T z > 0, so -f_k(x) . z > 0.  (At
+      deficiency 0, where such an x* always exists, -lambda is the only
+      multiplier vector.)  Without one ker(N) can hold a positive vector,
+      and -f_k(x) is then a member.
+    Any other v, a tie, a smaller min(lambda), and -f_k(x) where
+    `cbe_exists` is False go to `polar_interior_contains`.  The report
+    depends only on (net, x, v).
     """
     try:
         vf = np.asarray(v, dtype=float)
@@ -147,9 +177,11 @@ def bdi_report(net: ReactionNetwork, x, v, tol: float | None = None) -> BdiRepor
         limit = exact.tolerance(vv, MANIFOLD_V_TOL, lambda: 1)  # absolute on floats
         member = bool(np.max(np.abs(vv), initial=0) <= limit)
         return BdiReport(on_manifold=True, member=member, cone=None)
-    desc = evaluation_cone(net, state)
-    polar = polar_interior_contains(desc, vv)
-    return BdiReport(on_manifold=False, member=polar.contains, cone=(desc.edges, polar))
+    cone = _cut_flow_cone(net, state, vv)
+    if cone is None:
+        desc = evaluation_cone(net, state)
+        cone = (desc.edges, polar_interior_contains(desc, vv))
+    return BdiReport(on_manifold=False, member=cone[1].contains, cone=cone)
 
 
 def bdi_membership(net: ReactionNetwork, x_star, x, v) -> bool:

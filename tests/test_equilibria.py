@@ -24,8 +24,10 @@ from generators import (
     random_integer_complexes,
     random_planted_network,
     random_positive_floats,
+    to_float_graph,
 )
 from oracles import aux_incidence, cbe_feasible_multistart, column_space
+from oracles import rank as oracles_rank
 
 
 def deficiency_one_net(k_values):
@@ -174,6 +176,47 @@ class TestSolveCbe:
                 )
                 binomials = np.asarray(aux_incidence(net.graph, aux), dtype=float).T @ scaled
                 assert np.max(np.abs(binomials), initial=0.0) <= 1e-10 * np.max(scaled)
+
+
+class TestCbeExists:
+    """`ReactionNetwork.cbe_exists`: the deficiency binomial conditions on
+    the tree constants, decided in Fractions."""
+
+    def test_planted_networks_and_one_rate_doubled(self):
+        rng = random.Random(34)
+        seen = set()
+        for trial in range(40):
+            net, _ = random_planted_network(rng, n_species_max=3, n_vertices_max=6)
+            g = net.graph
+            rank = oracles_rank(np.asarray(net.reactions))
+            assert net.deficiency == g.n_vertices - g.n_components - rank
+            assert net.cbe_exists
+            seen.add((net.deficiency > 0, True))
+            if not g.edges:
+                continue
+            a, b = rng.choice(g.edges)
+            edges = [(s, d, 2 * g.labels[(s, d)] if (s, d) == (a, b) else g.labels[(s, d)])
+                     for s, d in g.edges]
+            moved = build_network(net.species, net.complexes.tolist(), build_digraph(g.vertex_ids, edges))
+            assert moved.cbe_exists == (solve_cbe(moved).status == "found")
+            assert moved.cbe_exists == cbe_feasible_multistart(moved, seed=trial)
+            seen.add((moved.deficiency > 0, moved.cbe_exists))
+        assert {(True, False), (True, True), (False, True)} <= seen
+
+    def test_deficiency_one_exact_and_float(self):
+        assert deficiency_one_net([1, 1, 1, 2]).cbe_exists
+        assert not deficiency_one_net([1, 1, 1, 1]).cbe_exists
+        # equal to within 1e-12: solve_cbe's tolerance finds an equilibrium
+        near = deficiency_one_net([1, 1, 1, 2 + Fraction(1, 10**12)])
+        assert not near.cbe_exists and solve_cbe(near).status == "found"
+        # a float network of positive deficiency is not decided
+        net = deficiency_one_net([1, 1, 1, 2])
+        assert not build_network(["X"], [[0, 1, 2]], to_float_graph(net.graph)).cbe_exists
+
+    def test_deficiency_zero_float_network(self, cycle3_net):
+        g = cycle3_net.graph
+        net = build_network(cycle3_net.species, cycle3_net.complexes.tolist(), to_float_graph(g))
+        assert (net.deficiency, net.cbe_exists) == (0, True)
 
 
 class TestManifoldSample:

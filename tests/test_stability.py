@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from crnlap import (
     bdi_membership,
@@ -14,18 +16,23 @@ from crnlap import (
     build_network,
     cli,
     crn,
+    core_matrix,
     decrease_certificate,
     equilibria,
+    exact,
     geometry,
     is_cbe,
     lyapunov_derivative,
     lyapunov_value,
     mass_action_rhs,
+    monomial_order,
     simulate,
     solve_cbe,
     stability,
 )
 from crnlap.errors import FloatRangeError, NotACbeError, SemanticError
+from crnlap.geometry import POLAR_STRICT_RTOL
+from crnlap.graph import edge_ends
 
 from generators import (
     random_planted_network,
@@ -37,6 +44,7 @@ from conftest import SAMPLE_DIR
 from oracles import (
     bdi_member_by_orders,
     fd_gradient,
+    fraction_polar_report,
     reference_bdi_report,
     reference_birch,
     reference_certificate,
@@ -207,6 +215,194 @@ class TestBdiMembership:
                     continue
                 f = mass_action_rhs(net, x)
                 assert bdi_membership(net, x_star, x, f)
+
+
+def _simplex_calls(monkeypatch) -> list:
+    """One entry per Farkas LP that `geometry._simplex` solves."""
+    calls = []
+    real = geometry._simplex
+    monkeypatch.setattr(geometry, "_simplex", lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def _lp_member(net, x, v) -> bool:
+    """The Fraction-tableau LP's verdict on the evaluation cone at x."""
+    return fraction_polar_report(geometry.evaluation_cone(net, x), v).contains
+
+
+class TestCutFlowWitness:
+    """For v = +-f_k(x) at a tie-free state off the manifold, the paper's
+    lambda = A_core b, the net flow into each lower set of the chain,
+    decides the inclusion without the Farkas LP, with the LP's verdict."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_cut_flows_are_core_times_b(self, seed):
+        rng = random.Random(seed)
+        net, _ = random_planted_network(rng, n_species_max=4, n_vertices_max=7)
+        state = crn.evaluate(net, random_positive_fractions(rng, net.n_species))
+        cut = geometry._cut_flows(net, state)
+        assume(cut is not None and not is_cbe(net, state).balanced)
+        edges, lam = cut
+        aux = monomial_order(net, state)
+        assert edges == aux.edges
+        tails, heads = edge_ends(net.graph, edges)
+        b = state.scaled[heads] - state.scaled[tails]
+        core = core_matrix(net.graph, aux, consts=net.tree_constants()).core
+        assert all(type(mu) is Fraction and mu > 0 for mu in lam)
+        assert lam == (core @ b).tolist()
+        y = net.complexes
+        assert ((y[:, heads] - y[:, tails]) @ exact.vector(lam)).tolist() == (
+            (-mass_action_rhs(net, state)).tolist()
+        )
+
+    def test_plus_minus_f_without_lp(self, monkeypatch):
+        rng = random.Random(28)
+        calls = _simplex_calls(monkeypatch)
+        decided = lp_only = 0
+        for _ in range(30):
+            net, _ = random_planted_network(rng, n_species_max=3, n_vertices_max=6)
+            y = net.complexes.tolist()
+            copies = (
+                (net, random_positive_fractions(rng, net.n_species)),
+                (build_network(net.species, y, to_float_graph(net.graph)),
+                 random_positive_floats(rng, net.n_species)),
+                (build_network(net.species, [[float(v) for v in row] for row in y], net.graph),
+                 random_positive_floats(rng, net.n_species)),
+            )
+            for nt, x in copies:
+                if is_cbe(nt, x).balanced or geometry._cut_flows(nt, crn.evaluate(nt, x)) is None:
+                    continue
+                f = mass_action_rhs(nt, x)
+                for v, want in ((f, True), (-f, False)):
+                    calls.clear()
+                    member = bdi_report(nt, x, v).member
+                    # the LP decides -f_k(x) where no equilibrium is shown:
+                    # float copies of positive deficiency
+                    assert len(calls) == (v is not f and not nt.cbe_exists)
+                    assert member is want
+                    assert member == _lp_member(nt, x, v) == bdi_member_by_orders(nt, x, v)
+                decided += 1
+                lp_only += not nt.cbe_exists
+        assert decided > 60 and 0 < lp_only < decided
+
+    def test_margin_capped_at_one(self, monkeypatch):
+        # min lambda = 5/36 exceeds |f_k(x)|_inf = 1/9; at deficiency 0 the
+        # LP's lambda is the same, and both margins are capped at 1
+        g = build_digraph(["1", "2", "3"], [
+            ("1", "2", Fraction(3, 8)), ("2", "3", Fraction(3, 16)), ("3", "1", Fraction(3, 8)),
+        ])
+        net = build_network(["X1", "X2"], [[1, 2, 3], [2, 2, 0]], g)
+        x = [Fraction(2, 3), Fraction(1)]
+        calls = _simplex_calls(monkeypatch)
+        f = mass_action_rhs(net, x)
+        assert geometry._cut_flows(net, crn.evaluate(net, x))[1] == [Fraction(1, 6), Fraction(5, 36)]
+        report = bdi_report(net, x, f)
+        assert calls == [] and report.cone[1].margin == 1.0
+        assert report == reference_bdi_report(net, x, f)
+
+    def test_near_the_manifold(self, monkeypatch):
+        # float states a relative 1e-9 from x*, where f_k(x) is small against
+        # the flows that round into it and into its lineality products
+        rng = random.Random(5)
+        calls = _simplex_calls(monkeypatch)
+        decided = 0
+        for _ in range(60):
+            net, x_star = random_planted_network(rng, n_species_max=3, n_vertices_max=6)
+            x = [float(v) * (1 + 1e-9 * rng.uniform(-1, 1)) for v in x_star]
+            if is_cbe(net, x).balanced or geometry._cut_flows(net, crn.evaluate(net, x)) is None:
+                continue
+            f = mass_action_rhs(net, x)
+            for v in (f, -f):
+                calls.clear()
+                member = bdi_report(net, x, v).member
+                decided += calls == []
+                assert member == _lp_member(net, x, v) == bdi_member_by_orders(net, x, v)
+        assert decided > 40
+
+    def test_lp_decides_elsewhere(self, two_component_net, monkeypatch):
+        net = two_component_net
+        calls = _simplex_calls(monkeypatch)
+        tie = [2, Fraction(1, 2)]  # x^y(4) / K_4 = x^y(5) / K_5
+        f = mass_action_rhs(net, [Fraction(1, 2), Fraction(3, 2)])
+        # min lambda / |f|_inf is 5e-15: vertices 4 and 5 a relative 1e-11 apart
+        near = [1000.0, (1 + 1e-11) / 1000]
+        cut = geometry._cut_flows(net, crn.evaluate(net, near))
+        assert min(cut[1]) < POLAR_STRICT_RTOL * np.max(np.abs(mass_action_rhs(net, near)))
+        for x, v in (
+            (tie, mass_action_rhs(net, tie)),
+            ([Fraction(1, 2), Fraction(3, 2)], 2 * f),
+            ([Fraction(1, 2), Fraction(3, 2)], Fraction(1, 10**9) * f),
+            (near, mass_action_rhs(net, near)),
+        ):
+            calls.clear()
+            member = bdi_report(net, x, v).member
+            assert len(calls) == 1
+            assert member == _lp_member(net, x, v) == bdi_member_by_orders(net, x, v)
+
+    @staticmethod
+    def _deficiency_one(a, b, c):
+        """0 -> X -> 2X -> 0 with rates a, b, c: K = (bc, ca, ab), so a
+        complex-balanced equilibrium exists iff K_X^2 = K_0 K_2X, ca = b^2."""
+        g = build_digraph(["0", "X", "2X"], [("0", "X", a), ("X", "2X", b), ("2X", "0", c)])
+        return build_network(["X"], [[0, 1, 2]], g)
+
+    def test_minus_f_needs_an_equilibrium(self, monkeypatch):
+        # rates 4, 1, 4 have no equilibrium, and x = 2 orders X < 0 < 2X,
+        # whose chain normals -1, 2 have the positive kernel vector (2, 1):
+        # at deficiency 1 the LP finds -f_k(x) a member too, and it decides,
+        # not the cut flows
+        net = self._deficiency_one(Fraction(4), Fraction(1), Fraction(4))
+        assert (net.deficiency, net.cbe_exists) == (1, False)
+        assert solve_cbe(net).status == "infeasible"
+        calls = _simplex_calls(monkeypatch)
+        f = mass_action_rhs(net, [2])
+        assert bdi_report(net, [2], f).member and calls == []
+        report = bdi_report(net, [2], -f)
+        assert report.member and len(calls) == 1
+        assert report.member == _lp_member(net, [2], -f)
+        # rates 1, 2, 4 have ca = b^2 and the equilibrium x* = 1/2: the cut
+        # flows decide
+        net = self._deficiency_one(Fraction(1), Fraction(2), Fraction(4))
+        calls.clear()
+        assert net.cbe_exists and not bdi_report(net, [2], -mass_action_rhs(net, [2])).member
+        assert calls == []
+
+    def test_minus_f_ignores_an_x_star_within_tolerance(self, monkeypatch):
+        # rates 1, 1, 1 + 1e-12 have no equilibrium, yet x* = 1 passes
+        # require_cbe within its tolerance; at x = 1 - 1e-13, off the exact
+        # manifold and with no tie, -f_k(x) is a member, before and after
+        rates = (Fraction(1), Fraction(1), 1 + Fraction(1, 10**12))
+        x = [1 - Fraction(1, 10**13)]
+        fresh, net = self._deficiency_one(*rates), self._deficiency_one(*rates)
+        f = mass_action_rhs(net, x)
+        equilibria.require_cbe(net, [1.0])
+        assert not net.cbe_exists and geometry._cut_flows(net, crn.evaluate(net, x))
+        calls = _simplex_calls(monkeypatch)
+        report = bdi_report(net, x, -f)
+        assert report.member and len(calls) == 1
+        assert report == bdi_report(fresh, x, -f) == reference_bdi_report(net, x, -f)
+        assert bdi_membership(net, [1.0], x, -f)
+        assert _lp_member(net, x, -f) and bdi_member_by_orders(net, x, -f)
+
+    def test_lp_decides_without_a_finite_nonzero_f(self, monkeypatch):
+        calls = _simplex_calls(monkeypatch)
+        # 0 -> X -> 2X -> 0 with rates 3, 1, 1 has no complex-balanced
+        # equilibrium; f_k(x) = 3 + x - 2x^2 vanishes off the manifold at 3/2
+        g = build_digraph(["0", "X", "2X"], [
+            ("0", "X", Fraction(3)), ("X", "2X", Fraction(1)), ("2X", "0", Fraction(1)),
+        ])
+        zero = build_network(["X"], [[0, 1, 2]], g)
+        # X <-> 3X at x = 5e102: the flows stay finite, f_k(x) = 2x - 2x^3 does not
+        g = build_digraph(["1", "3"], [("1", "3", Fraction(1)), ("3", "1", Fraction(1))])
+        overflow = build_network(["X"], [[1, 3]], g)
+        with pytest.raises(FloatRangeError):
+            mass_action_rhs(overflow, [5e102])
+        for net, x, v in ((zero, [Fraction(3, 2)], [0]), (overflow, [5e102], [-1.0])):
+            calls.clear()
+            report = bdi_report(net, x, v)
+            assert len(calls) == 1
+            assert report == reference_bdi_report(net, x, v)
 
 
 class TestSimulate:
@@ -391,6 +587,34 @@ def _assert_same_certificate(got, want):
     )
 
 
+def _assert_same_bdi_report(net, x, v, got, want):
+    """`bdi_report` against the LP's report.  They are equal except where
+    the cut flows of a tie-free state answer v = +-f_k(x): then the verdict,
+    cone and lineality products are equal; at deficiency 0 the multipliers
+    and margin are the LP's unique ones up to rounding, and otherwise they
+    are a Farkas certificate, N lambda = -v, with margin at most the LP's."""
+    if got == want:
+        return
+    assert geometry._cut_flows(net, crn.evaluate(net, x)) is not None
+    (edges, polar), (want_edges, lp) = got.cone, want.cone
+    assert (got.on_manifold, got.member, edges) == (want.on_manifold, want.member, want_edges)
+    assert (polar.contains, polar.lineality_products) == (lp.contains, lp.lineality_products)
+    # the margin is the reported multipliers' own, and a member's are > 0
+    v_scale = np.max(np.abs(v))
+    assert polar.margin == pytest.approx(min(min(polar.multipliers) / v_scale, 1.0), rel=1e-12)
+    assert not got.member or min(polar.multipliers) > 0
+    if net.deficiency == 0:
+        assert polar.multipliers == pytest.approx(lp.multipliers, rel=1e-12)
+        assert polar.margin == pytest.approx(lp.margin, rel=1e-12)
+        return
+    tails, heads = edge_ends(net.graph, edges)
+    y = np.asarray(net.complexes, dtype=float)
+    normals = y[:, heads] - y[:, tails]
+    residual = np.max(np.abs(normals @ np.asarray(polar.multipliers) + v))
+    assert residual <= 1e-12 * np.max(np.abs(v))
+    assert polar.margin <= lp.margin + 1e-12 * max(1.0, abs(lp.margin))
+
+
 def _assert_same_evaluation(net, x, x_star):
     """The library against the per-call evaluation path of `oracles`."""
     state = crn.evaluate(net, x)
@@ -408,7 +632,7 @@ def _assert_same_evaluation(net, x, x_star):
     )
     f = np.asarray(mass_action_rhs(net, x), dtype=float)
     for v in (f, -f):
-        assert bdi_report(net, x, v) == reference_bdi_report(net, x, v)
+        _assert_same_bdi_report(net, x, v, bdi_report(net, x, v), reference_bdi_report(net, x, v))
     for state in (x, x_star):
         assert is_cbe(net, state) == reference_is_cbe(net, state)
     assert birch_intersect(net, x_star, x).tolist() == reference_birch(net, x_star, x).tolist()
