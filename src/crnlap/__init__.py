@@ -21,6 +21,7 @@ from .laplacian import (
     TreeConstants,
     core_matrix,
     cycle_decomposition,
+    float_core,
     laplacian_matrix,
     tree_constants,
     verify_core_decomposition,

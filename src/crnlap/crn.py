@@ -9,13 +9,18 @@ matrix decomposition.  Y I_E and I_aux.T (x^Y / K) are gathers on `edge_ends`.
 `evaluate` checks a state x once and forms a frozen `State`, which is how
 an evaluation is read: `x`, `ln_x`, x^Y (`monomials`), the edge flows
 k o x^{y(tail)} (`flows`) and, on first use, each complex's net inflow
-A_k x^Y (`balance`) and x^Y / K (`scaled`).  The exact/float choice is
-made there: x^Y is exact for rational x and integer Y, the flows, A_k x^Y
-and x^Y / K when k is exact too.  The functions that evaluate
-x take a State in its place, so one call evaluates x once.
-`equilibria.require_cbe` keeps one slot per network: the last x* that
-passed its balance test, keyed on its entries and their types (a float x*
-and an equal Fraction are tested differently), and set only after a pass.
+A_k x^Y (`balance`), x^Y / K (`scaled`) and f_k(x) (`rhs`).  The
+exact/float choice is made there: x^Y is exact for rational x and integer
+Y, the flows, A_k x^Y and x^Y / K when k is exact too.  The functions that
+evaluate x take a State in its place.  A State keeps, read-only, what is
+derived from x alone: the fields above and, through `State.kept`, the
+evaluation order, the cut flows and `is_cbe` at its default tolerance.
+Each network has two slots keyed on a state's entries with their types
+(`_state_key`; a float x and an equal Fraction are evaluated differently):
+- `evaluate` keeps the last State it formed, so the calls that read one x
+  (a certificate, f_k(x), the inclusion at +-f_k(x)) form it once.  A
+  refused state never enters it.
+- `equilibria.require_cbe` keeps the last x* that passed its balance test.
 
 Exact networks keep Y, k, N and the S-perp basis as Fractions.  Their float
 evaluations read a `FloatView` instead: float64 copies converted once per
@@ -145,6 +150,7 @@ class ReactionNetwork:
         self._consts_lock = threading.Lock()
         self.floats = FloatView(self)
         self._cbe = (None, None)  # require_cbe's (key, x* as float64) of its last pass
+        self._state = (None, None)  # evaluate's (key, State) of the last x it formed
 
     @staticmethod
     def _coerce_complexes(complexes) -> np.ndarray:
@@ -200,12 +206,28 @@ class ReactionNetwork:
         return z, r - lhs @ z
 
     @cached_property
+    def _tree_ratios(self) -> list[Fraction]:
+        """K_b / K_a on T's edges a -> b, K at the labels' exact values; needs
+        weak reversibility."""
+        self.require_weakly_reversible()
+        (tails, heads), g = self.chain_edges, self.graph
+        if not g.exact:
+            g = LabeledDigraph(g.vertex_ids, [(*e, Fraction(k)) for e, k in g.labels.items()])
+        k = (self.tree_constants() if g is self.graph else tree_constants(g)).values
+        return [Fraction(k[b]) / k[a] for a, b in zip(tails, heads)]
+
+    @cached_property
+    def log_ratios(self) -> np.ndarray:
+        """r = ln(K_b / K_a) on T's edges a -> b, each exact ratio of
+        `_tree_ratios` rounded once, so K itself may leave float64 (a ratio
+        may not: FloatRangeError); needs weak reversibility.  Read-only."""
+        return _read_only(np.log(exact.positive_floats(self._tree_ratios, "the tree constant ratios")))
+
+    @cached_property
     def cbe_exists(self) -> bool:
         """Whether a complex-balanced equilibrium exists; needs weak reversibility.
-        (Y I_T).T ln x* = r, r = ln(K_b / K_a) on T's edges a -> b, is solvable iff
-        u . r = 0 for each u in ker(Y I_T), of the deficiency's dimension (none at
-        0).  K is taken at the labels' exact values, so it may leave float64 (a
-        float network's ratio K_b / K_a may not: FloatRangeError).
+        (Y I_T).T ln x* = r, r = `log_ratios`, is solvable iff u . r = 0 for each
+        u in ker(Y I_T), of the deficiency's dimension (none at 0).
         Exact networks test prod (K_b / K_a)^u_e = 1 in Fractions; float ones, on
         the `log_solution` residual, |residual|_2 <= CONSISTENCY_RTOL (2 n sqrt(m)
         + |r|_2), n complexes, m tree edges, as labels rounded once move each
@@ -214,16 +236,13 @@ class ReactionNetwork:
         self.require_weakly_reversible()
         if not self.deficiency:
             return True
-        (tails, heads), g = self.chain_edges, self.graph
-        if not g.exact:
-            g = LabeledDigraph(g.vertex_ids, [(*e, Fraction(k)) for e, k in g.labels.items()])
-        k = (self.tree_constants() if g is self.graph else tree_constants(g)).values
-        ratios = [Fraction(k[b]) / k[a] for a, b in zip(tails, heads)]
         if not self.exact:
-            r = np.log(exact.positive_floats(ratios, "the tree constant ratios"))
-            bound = CONSISTENCY_RTOL * (2 * g.n_vertices * r.size**0.5 + np.linalg.norm(r))
+            r = self.log_ratios
+            bound = CONSISTENCY_RTOL * (2 * self.graph.n_vertices * r.size**0.5 + np.linalg.norm(r))
             return bool(np.linalg.norm(self.log_solution(r)[1]) <= min(bound, CBE_RTOL))
+        tails, heads = self.chain_edges
         kernel = exact.nullspace(self.complexes[:, heads] - self.complexes[:, tails])
+        ratios = self._tree_ratios
         return all(math.prod(map(pow, ratios, exact.integer_row(c)[0])) == 1 for c in kernel.T)
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -269,7 +288,10 @@ def check_state(x, n: int) -> np.ndarray:
 class State:
     """A state x of `net` as `evaluate` forms it: x checked (Fractions when
     rational, otherwise float64), ln x, x^Y and the edge flows k o x^{y(tail)};
-    `balance` and `scaled` are formed on first use and kept."""
+    `balance`, `scaled` and `rhs` are formed on first use and kept, as is
+    what other modules derive from x alone (`kept`).  Every array is
+    read-only: the network's `evaluate` slot shares the State with each
+    later call on an equal x (and the two form a reference cycle)."""
 
     net: ReactionNetwork
     x: np.ndarray
@@ -287,19 +309,53 @@ class State:
             g = np.zeros(net.graph.n_vertices, dtype=self.flows.dtype)
             np.add.at(g, net.heads, self.flows)
             np.subtract.at(g, net.tails, self.flows)
-        return g
+        return _read_only(g)
 
     @cached_property
     def scaled(self) -> np.ndarray:
         """x^{y(i)} / K_i, exact when the flows are; needs weak reversibility."""
         consts = self.net.tree_constants()
         if exact.is_exact(self.flows):
-            return self.monomials / consts.values
-        return np.asarray(self.monomials, dtype=float) / consts.as_float()
+            return _read_only(self.monomials / consts.values)
+        return _read_only(np.asarray(self.monomials, dtype=float) / consts.as_float())
+
+    @cached_property
+    def rhs(self) -> np.ndarray:
+        """f_k(x) = Y A_k x^Y = N `flows`, in species coordinates; a float
+        f_k(x) that overflows is refused (FloatRangeError), on every read."""
+        net, flows = self.net, self.flows  # exact flows need an exact Y, so an exact N
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = (net.reactions if exact.is_exact(flows) else net.floats.reactions) @ flows
+        if exact.is_exact(f):  # an object matmul over no edges gives int 0s
+            f = f + exact.ZERO
+        elif not np.all(np.isfinite(f)):
+            raise FloatRangeError("float f_k(x) leaves the float64 range")
+        return _read_only(f)
+
+    def kept(self, name: str, form):
+        """form(self), formed on the first call for `name` (a private name,
+        so no field's) and kept on the State, as cached properties are; not
+        to be changed by its readers."""
+        d = self.__dict__
+        if name not in d:
+            d[name] = form(self)
+        return d[name]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _state_key(values: list) -> list:
+    """Each entry with its type: the key of a network's state slots, under
+    which a float and an equal Fraction differ."""
+    return [(type(v), v) for v in values]
 
 
 def evaluate(net: ReactionNetwork, x) -> State:
-    """The `State` of x on net; a State of net is returned as it is.
+    """The `State` of x on net; a State of net is returned as it is, and
+    so is the network's last State when x has the same entries and types.
 
     Exact monomials that float64 cannot hold are refused (FloatRangeError),
     as the certificate and the vector field are reported as floats, and so,
@@ -307,7 +363,12 @@ def evaluate(net: ReactionNetwork, x) -> State:
     Float monomials and flows may overflow to inf; their readers decide."""
     if isinstance(x, State) and x.net is net:
         return x
-    xv = check_state(x, net.n_species)
+    values = list(x)
+    key = _state_key(values)
+    slot = net._state
+    if slot[0] == key:
+        return slot[1]
+    xv = check_state(values, net.n_species)
     ln_x = np.log(np.asarray(xv, dtype=float))
     yf = net.floats.complexes
     with np.errstate(over="ignore", invalid="ignore"):
@@ -324,20 +385,16 @@ def evaluate(net: ReactionNetwork, x) -> State:
             flows = net.rates * mono[net.tails]
         else:
             flows = net.floats.rates * np.asarray(mono, dtype=float)[net.tails]
-    return State(net, xv, ln_x, mono, flows)
+    state = State(net, *map(_read_only, (xv, ln_x, mono, flows)))
+    net._state = (key, state)
+    return state
 
 
 def mass_action_rhs(net: ReactionNetwork, x) -> np.ndarray:
-    """f_k(x) = Y A_k x^Y = N `State.flows`, in species coordinates; a float
-    f_k(x) that overflows is refused (FloatRangeError)."""
-    flows = evaluate(net, x).flows  # exact flows need an exact Y, so an exact N
-    with np.errstate(over="ignore", invalid="ignore"):
-        f = (net.reactions if exact.is_exact(flows) else net.floats.reactions) @ flows
-    if exact.is_exact(f):  # an object matmul over no edges gives int 0s
-        f = f + exact.ZERO
-    elif not np.all(np.isfinite(f)):
-        raise FloatRangeError("float f_k(x) leaves the float64 range")
-    return f
+    """f_k(x) = Y A_k x^Y = N `State.flows` (`State.rhs`), in species
+    coordinates, read-only; a float f_k(x) that overflows is refused
+    (FloatRangeError)."""
+    return evaluate(net, x).rhs
 
 
 def binomial_rhs(net: ReactionNetwork, aux: AuxTree, x) -> tuple[np.ndarray, np.ndarray]:

@@ -16,12 +16,15 @@ from typing import NamedTuple
 import numpy as np
 
 from . import exact
-from .crn import CBE_RTOL, ReactionNetwork, State, check_state, evaluate
-from .errors import NoConvergenceError, NotACbeError, SemanticError
+from .crn import CBE_RTOL, ReactionNetwork, State, _state_key, check_state, evaluate
+from .errors import DimensionTooLargeError, NoConvergenceError, NotACbeError, SemanticError
 
 logger = logging.getLogger(__name__)
 
 BIRCH_MAX_ITER = 200
+# points of one `cbe_manifold_sample` call: over 3000 times the 2-3 that
+# the runtime checks and the benchmark draw
+MAX_SAMPLES = 10_000
 
 
 class CbeCheck(NamedTuple):
@@ -34,9 +37,14 @@ def is_cbe(net: ReactionNetwork, x, tol: float | None = None) -> CbeCheck:
     """Test A_k x^Y = 0 (`State.balance`) relative to the largest edge flow,
     and then that an equilibrium exists (weak reversibility, `cbe_exists`).
     Float monomials or flows that overflow, and an exact residual or largest
-    flow that float64 cannot hold, are refused (FloatRangeError)."""
+    flow that float64 cannot hold, are refused (FloatRangeError).  At the
+    default `tol` the check is formed once per State and kept on it."""
     state = evaluate(net, x)
-    flows = state.flows
+    return state.kept("_is_cbe", _is_cbe) if tol is None else _is_cbe(state, tol)
+
+
+def _is_cbe(state: State, tol: float | None = None) -> CbeCheck:
+    net, flows = state.net, state.flows
     with np.errstate(over="ignore", invalid="ignore"):
         residual = np.max(np.abs(state.balance), initial=0)
         scale = np.max(flows, initial=0)
@@ -53,7 +61,7 @@ def require_cbe(net: ReactionNetwork, x_star) -> np.ndarray:
     network's slot until another passes."""
     given = isinstance(x_star, State)
     values = list(x_star.x if given else x_star)
-    key = [(type(v), v) for v in values]  # a float x* and an equal Fraction differ
+    key = _state_key(values)  # a float x* and an equal Fraction differ
     slot = net._cbe
     if slot[0] != key:
         state = evaluate(net, x_star if given else values)
@@ -72,12 +80,11 @@ class CbeResult:
 
 def solve_cbe(net: ReactionNetwork) -> CbeResult:
     """Status from `net.cbe_exists`; `log_residual` and the witness exp(z) from
-    `net.log_solution` with r = ln K_b - ln K_a on the float tree constants,
-    deterministic and independent of the aux tree; tree constants or a witness
-    beyond float64 are refused (FloatRangeError)."""
-    ln_k = np.log(net.tree_constants().as_float())
-    tails, heads = net.chain_edges
-    z, residual = net.log_solution(ln_k[heads] - ln_k[tails])
+    `net.log_solution` with r = `net.log_ratios`, ln(K_b / K_a) from the exact
+    ratios of the tree constants, deterministic and independent of the aux
+    tree.  So the tree constants may leave float64; a ratio or a witness
+    beyond float64 is refused (FloatRangeError)."""
+    z, residual = net.log_solution(net.log_ratios)
     log_residual = float(np.linalg.norm(residual))
     if not net.cbe_exists:
         return CbeResult(status="infeasible", witness=None, log_residual=log_residual)
@@ -89,9 +96,12 @@ def solve_cbe(net: ReactionNetwork) -> CbeResult:
 def cbe_manifold_sample(net: ReactionNetwork, x_star, count: int, seed: int):
     """`count` points x = x_star o exp(w) with w random in span(S-perp
     basis), drawn with numpy's generator seeded by `seed`; a negative count
-    or seed is a SemanticError."""
+    or seed is a SemanticError, and a count past MAX_SAMPLES is refused
+    (DimensionTooLargeError) before anything is drawn."""
     if count < 0 or seed < 0:
         raise SemanticError(f"count and seed must be >= 0, got count={count!r}, seed={seed!r}")
+    if count > MAX_SAMPLES:
+        raise DimensionTooLargeError(f"{count} manifold samples exceed MAX_SAMPLES={MAX_SAMPLES}")
     xs = require_cbe(net, x_star)
     w_basis = net.floats.sperp_basis
     rng = np.random.default_rng(seed)

@@ -82,7 +82,8 @@ class NoConvergenceError(CrnlapError):
 # -- geometry -----------------------------------------------------------------
 
 class DimensionTooLargeError(CrnlapError):
-    """Cycle enumeration refused above its supported number of cycles."""
+    """Work refused above a stated limit: simple cycles past MAX_CYCLES,
+    manifold samples past MAX_SAMPLES."""
 
 
 class PointNotInStratumError(CrnlapError):

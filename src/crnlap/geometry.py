@@ -27,7 +27,7 @@ from . import exact
 from .exact import ONE, ZERO
 from .crn import ReactionNetwork, State, evaluate, mass_action_rhs
 from .errors import FloatRangeError, InvalidAuxTreeError, PointNotInStratumError
-from .graph import AuxTree, Edge, edge_ends, make_aux_tree, validate_aux_tree
+from .graph import AuxTree, Edge, edge_ends, validate_aux_tree
 
 STRATUM_RTOL = 1e-12
 TIE_RTOL = 1e-12
@@ -41,24 +41,35 @@ def evaluation_order(net: ReactionNetwork, x) -> list[list[list[str]]]:
     Vertices are sorted by value, ties by vertex id; a vertex joins the
     previous group when its value ties with that group's last one.
     """
-    values = evaluate(net, x).scaled
-    g = net.graph
+    return [[list(grp) for grp in groups] for groups in _order(evaluate(net, x))]
+
+
+def _order(state: State) -> tuple[tuple[tuple[str, ...], ...], ...]:
+    """`evaluation_order` as tuples, formed once per State and kept on it."""
+    return state.kept("_evaluation_order", _form_order)
+
+
+def _form_order(state: State) -> tuple[tuple[tuple[str, ...], ...], ...]:
+    values, g = state.scaled, state.net.graph
+    keys = dict(zip(g.vertex_ids, values.tolist()))  # Python numbers sort faster
     orders = []
     for ci in range(g.n_components):
         groups: list[list[str]] = []
-        for v in sorted(g.component_vertices(ci), key=lambda v: (values[g.index[v]], v)):
+        for v in sorted(g.component_vertices(ci), key=lambda v: (keys[v], v)):
             if groups and _tied(values, g.index[groups[-1][-1]], g.index[v]):
                 groups[-1].append(v)
             else:
                 groups.append([v])
-        orders.append(groups)
-    return orders
+        orders.append(tuple(map(tuple, groups)))
+    return tuple(orders)
 
 
 def monomial_order(net: ReactionNetwork, x) -> AuxTree:
-    """Chain tree sorting each component by x^{y(i)}/K_i, ties by vertex id."""
-    chains = [[v for grp in groups for v in grp] for groups in evaluation_order(net, x)]
-    return make_aux_tree(net.graph, "chain", chains)
+    """Chain tree sorting each component by x^{y(i)}/K_i, ties by vertex id.
+    Each chain orders one component, in component order, so the tree is
+    the one `make_aux_tree` builds from them, with no check to repeat."""
+    chains = [[v for grp in groups for v in grp] for groups in _order(evaluate(net, x))]
+    return AuxTree(tuple(e for c in chains for e in zip(c, c[1:])), "chain")
 
 
 def stratum_contains(net: ReactionNetwork, aux: AuxTree, x) -> bool:
@@ -111,7 +122,7 @@ def evaluation_cone(net: ReactionNetwork, x) -> ConeDescription:
     edge from each vertex of a tie group (`evaluation_order`) to each vertex
     of the next.  With no ties it is the cone of `monomial_order(net, x)`."""
     edges = tuple(
-        (i, j) for groups in evaluation_order(net, x)
+        (i, j) for groups in _order(evaluate(net, x))
         for lower, upper in zip(groups, groups[1:]) for i in lower for j in upper
     )
     return _edge_cone(net, edges)
@@ -195,10 +206,14 @@ def _cut_flows(net: ReactionNetwork, state: State) -> tuple[tuple[Edge, ...], li
     tie: lambda_i = sum of `State.balance` (A_k x^Y) over a_1, ..., a_i for
     the edge a_i -> a_(i+1), so I_aux lambda = -A_k x^Y (I_aux's column for
     a -> b is e_b - e_a) and Y I_aux lambda = -f_k(x).  Exact when the
-    flows are."""
-    g, index = state.balance.tolist(), net.graph.index
+    flows are.  Formed once per State and kept on it (`State.kept`)."""
+    return state.kept("_cut_flows", _form_cut_flows)
+
+
+def _form_cut_flows(state: State) -> tuple[tuple[Edge, ...], list] | None:
+    g, index = state.balance.tolist(), state.net.graph.index
     edges, lam = [], []
-    for groups in evaluation_order(net, state):
+    for groups in _order(state):
         if any(len(grp) > 1 for grp in groups):
             return None
         flow = 0

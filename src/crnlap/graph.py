@@ -51,7 +51,8 @@ def _coerce_label(value) -> Fraction | float:
 class LabeledDigraph:
     """Simple directed graph with positive edge labels (rate constants).
 
-    Immutable after construction.  The SCC partition is computed eagerly;
+    Immutable after construction.  The SCC partition is computed eagerly,
+    and with it whether any edge leaves its SCC;
     `exact` is True when every label is rational (int or Fraction), in which
     case downstream matrix computations run in exact arithmetic; otherwise
     every label is taken as float64, and one that float64 cannot hold
@@ -95,6 +96,9 @@ class LabeledDigraph:
         self.component_index: dict[str, int] = {
             v: ci for ci, comp in enumerate(self.scc_partition) for v in comp
         }
+        self._closed_sccs = all(
+            self.component_index[s] == self.component_index[d] for s, d in self.edges
+        )
 
     # -- structure -------------------------------------------------------
 
@@ -120,10 +124,9 @@ class LabeledDigraph:
         return [(s, d) for (s, d) in self.edges if s in comp and d in comp]
 
     def has_strongly_connected_components(self) -> bool:
-        """True when no edge leaves its SCC (weak reversibility of networks)."""
-        return all(
-            self.component_index[s] == self.component_index[d] for s, d in self.edges
-        )
+        """True when no edge leaves its SCC (weak reversibility of networks);
+        decided once, at construction."""
+        return self._closed_sccs
 
     def _compute_sccs(self) -> tuple[frozenset[str], ...]:
         """Per component: what the first unplaced vertex reaches among those reaching it."""

@@ -354,8 +354,62 @@ def core_matrix(
     each nonzero core entry is then built once as Fraction(-s, D_c L_c);
     zeros are `exact.ZERO`.
     """
+    s, scales, consts = _cut_flow_sums(g, aux, consts)
+    if g.exact:
+        core = np.array(
+            [[Fraction(-c, sc) if c else exact.ZERO for c in srow] for srow, sc in zip(s, scales)],
+            dtype=object,
+        ).reshape(len(s), len(s))
+    else:
+        core = _float_finish(s)
+    dec = CoreDecomposition(aux=aux, core=core, graph=g, tree_constants=consts)
+    object.__setattr__(dec, "_tree_valid", True)  # not a field: a copy is checked again
+    return dec
+
+
+def float_core(
+    g: LabeledDigraph, aux: AuxTree, consts: TreeConstants | None = None
+) -> np.ndarray:
+    """The core of `core_matrix(g, aux, consts)` as float64, with no
+    CoreDecomposition and no Fraction formed.
+
+    On exact graphs the same int sums are each rounded once, as -s / (D_c
+    L_c): int true division is correctly rounded, so every entry is, to the
+    bit, float() of the exact entry that `core_matrix` builds, and has its
+    sign (or is 0.0 where it underflows).  An entry beyond float64 is
+    refused (FloatRangeError).  On float graphs it is `core_matrix`'s core.
+    The graph and the tree are validated, and the tree constants computed
+    when not given, as by `core_matrix`.
+    """
+    s, scales, _ = _cut_flow_sums(g, aux, consts)
+    if not g.exact:
+        return _float_finish(s)
+    try:
+        core = [[-c / sc for c in srow] for srow, sc in zip(s, scales)]
+    except OverflowError:  # an exact entry beyond float64
+        raise FloatRangeError("the core matrix leaves the float64 range") from None
+    return np.array(core, dtype=float).reshape(len(s), len(s))
+
+
+def _float_finish(s: list[list[float]]) -> np.ndarray:
+    """The float core -S, refused (FloatRangeError) unless finite."""
+    m = len(s)
+    core = 0.0 - np.array(s, dtype=float).reshape(m, m)  # zeros are +0.0
+    if not np.all(np.isfinite(core)):
+        raise FloatRangeError("float core matrix leaves the float64 range")
+    return core
+
+
+def _cut_flow_sums(
+    g: LabeledDigraph, aux: AuxTree, consts: TreeConstants | None
+) -> tuple[list, list | None, TreeConstants]:
+    """(S, scales, consts): S = J (A_k diag K) J.T = -core as nested lists,
+    assembled from the edge cut-flows as `core_matrix` describes, the scale
+    of each row, D_c L_c of its aux edge's component on ints
+    (`_integer_scaling`), None on float graphs, and the tree constants, the
+    ones given or, once the graph and the tree are validated, computed."""
     _require_scc(g)
-    validate_aux_tree(g, aux)  # recorded on the result, so `verify` skips it
+    validate_aux_tree(g, aux)
     if consts is None:
         consts = tree_constants(g)
     labels, k_vals = g.labels, consts.values.tolist()
@@ -381,21 +435,10 @@ def core_matrix(
             f *= k_vals[g.index[v]]
             for t in cuts[v]:
                 srow[t] += f
-
-    if g.exact:
-        # rows of S in component c carry the scale D_c L_c
-        core = np.array(
-            [[Fraction(-c, scales[g.index[a]]) if c else exact.ZERO for c in srow]
-             for (a, _), srow in zip(aux.edges, s)],
-            dtype=object,
-        ).reshape(m, m)
-    else:
-        core = 0.0 - np.array(s, dtype=float).reshape(m, m)  # zeros are +0.0
-        if not np.all(np.isfinite(core)):
-            raise FloatRangeError("float core matrix leaves the float64 range")
-    dec = CoreDecomposition(aux=aux, core=core, graph=g, tree_constants=consts)
-    object.__setattr__(dec, "_tree_valid", True)  # not a field: a copy is checked again
-    return dec
+    if not g.exact:
+        return s, None, consts
+    # rows of S in component c carry the scale D_c L_c
+    return s, [scales[g.index[a]] for a, _ in aux.edges], consts
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,10 @@ through the chain-core identity
 
 with a = (Y I_aux).T ln(x/x*) >= 0 and b = I_aux.T diag(1/K) x^Y >= 0 on the
 stratum picked by the monomial evaluation order, and A_core nonnegative with
-positive diagonal.  The sign pattern alone certifies strict decrease.
+positive diagonal.  The sign pattern alone certifies strict decrease.  The
+float A_core is `laplacian.float_core`: on exact graphs each entry is rounded
+once from the exact int sums, to the bit the cast exact core, so rounding
+keeps each sign and no Fraction is formed.
 For a complex-balanced x*, a_j = ln(s_b / s_a) on each aux edge a -> b, with
 s = diag(1/K) x^Y, so a and b are formed from the same scaled monomials and
 share their signs.
@@ -37,7 +40,7 @@ from .geometry import (
     polar_interior_contains,
 )
 from .graph import AuxTree, Edge, edge_ends
-from .laplacian import core_matrix
+from .laplacian import float_core
 
 logger = logging.getLogger(__name__)
 
@@ -96,8 +99,7 @@ def decrease_certificate(net: ReactionNetwork, x, x_star) -> StabilityCertificat
     xs = require_cbe(net, x_star)
     state = evaluate(net, x)
     aux = monomial_order(net, state)
-    dec = core_matrix(net.graph, aux, consts=net.tree_constants())
-    core = np.asarray(dec.core, dtype=float)
+    core = float_core(net.graph, aux, net.tree_constants())
     tails, heads = edge_ends(net.graph, aux.edges)
     s = state.scaled
     b = s[heads] - s[tails]

@@ -15,7 +15,7 @@ from crnlap import (
     solve_cbe,
 )
 from crnlap.crn import evaluate
-from crnlap.errors import FloatRangeError, NotACbeError, SemanticError
+from crnlap.errors import DimensionTooLargeError, FloatRangeError, NotACbeError, SemanticError
 from conftest import PLANAR_Y, running_example_graph
 
 from generators import (
@@ -255,13 +255,19 @@ class TestCbeExists:
 
     def test_float_tree_constants_beyond_float64(self):
         # rates 1e200 give K = 1e400, which float64 cannot hold; existence is
-        # decided on the exact ratios K_b / K_a = 1, and x* = 1 balances
-        # exactly, while solve_cbe, which reads the float K, refuses them
+        # decided, and the witness solved, on the exact ratios K_b / K_a = 1,
+        # and x* = 1 balances exactly
         g = build_digraph(["0", "X", "2X"], [("0", "X", 1e200), ("X", "2X", 1e200), ("2X", "0", 1e200)])
         net = build_network(["X"], [[0, 1, 2]], g)
         assert net.cbe_exists and list(equilibria.require_cbe(net, [1.0])) == [1.0]
         with pytest.raises(FloatRangeError):
-            solve_cbe(net)
+            net.tree_constants().as_float()
+        result = solve_cbe(net)
+        assert (result.status, result.witness.tolist(), result.log_residual) == ("found", [1.0], 0.0)
+        exact_net = build_network(["X"], [[0, 1, 2]], build_digraph(
+            g.vertex_ids, [(*e, Fraction(10) ** 200) for e in g.edges]
+        ))
+        assert solve_cbe(exact_net).witness.tolist() == [1.0]
 
     def test_deficiency_zero_float_network(self, cycle3_net):
         g = cycle3_net.graph
@@ -273,6 +279,13 @@ class TestManifoldSample:
     def test_trivial_sperp_returns_x_star(self, cycle3_net):
         samples = cbe_manifold_sample(cycle3_net, [1, 1], 5, seed=1)
         assert all(np.allclose(s, [1.0, 1.0]) for s in samples)
+
+    def test_count_limit(self, xy_net):
+        assert len(cbe_manifold_sample(xy_net, [1, 1], equilibria.MAX_SAMPLES, seed=0)) == 10_000
+        with pytest.raises(DimensionTooLargeError, match="MAX_SAMPLES"):
+            cbe_manifold_sample(xy_net, [1, 1], equilibria.MAX_SAMPLES + 1, seed=0)
+        with pytest.raises(DimensionTooLargeError):  # before x* is tested
+            cbe_manifold_sample(xy_net, [1, 2], 10**21, seed=0)
 
     def test_one_dimensional_manifold(self, xy_net):
         samples = cbe_manifold_sample(xy_net, [1, 1], 10, seed=2)

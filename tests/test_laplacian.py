@@ -15,6 +15,7 @@ from crnlap import (
     core_matrix,
     cycle_decomposition,
     default_chain_aux,
+    float_core,
     laplacian_matrix,
     make_aux_tree,
     tree_constants,
@@ -433,6 +434,63 @@ class TestIntegerAssembly:
                 assert np.array_equal(dec.core, Fraction(3, 7) * core)
                 assert all(type(v) is Fraction for v in dec.core.flat)
                 assert verify_core_decomposition(dec).residual == 0.0
+
+
+class TestFloatCore:
+    """`float_core` rounds each exact core entry once from the int sums, so
+    it is the cast exact core to the bit; on float graphs it is the float
+    core `core_matrix` gives."""
+
+    @staticmethod
+    def _trees(rng, g):
+        return (default_chain_aux(g), random_star_aux(rng, g), random_general_aux(rng, g))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cast_exact_core(self, seed):
+        # labels p/q 10^e, e in [-30, 30]: entries whose roundings differ
+        rng = random.Random(3000 + seed)
+        for _ in range(10):
+            g = random_scc_digraph(rng, n_max=7)
+            g = build_digraph(g.vertex_ids, [
+                (a, b, k * Fraction(10) ** rng.randint(-30, 30)) for (a, b), k in g.labels.items()
+            ])
+            consts = tree_constants(g)
+            for aux in self._trees(rng, g):
+                want = np.asarray(core_matrix(g, aux, consts=consts).core, dtype=float)
+                got = float_core(g, aux, consts)
+                assert got.dtype == float and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()  # bit for bit, zeros +0.0
+                assert got.tolist() == want.tolist()
+
+    def test_mixed_denominators_and_no_constants_given(self):
+        rng = random.Random(35)
+        for _ in range(8):
+            g = mixed_denominator_digraph(rng, [(7,), (9, 4), (1, 11)])
+            for aux in self._trees(rng, g):
+                want = np.asarray(core_matrix(g, aux).core, dtype=float)
+                assert float_core(g, aux).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_float_graphs_give_core_matrix_core(self, seed):
+        rng = random.Random(3100 + seed)
+        for _ in range(10):
+            gf = to_float_graph(random_scc_digraph(rng, n_max=7))
+            consts = tree_constants(gf)
+            for aux in self._trees(rng, gf):
+                want = core_matrix(gf, aux, consts=consts).core
+                assert float_core(gf, aux, consts).tobytes() == want.tobytes()
+
+    def test_tree_validated_and_range_refused(self, running_graph):
+        with pytest.raises(InvalidAuxTreeError):
+            float_core(running_graph, AuxTree(edges=(("1", "2"),), kind="chain"))
+        # the exact core entry -k K = -10^400 leaves float64
+        g = build_digraph("12", [("1", "2", Fraction(10) ** 400), ("2", "1", Fraction(1))])
+        assert core_matrix(g, default_chain_aux(g)).core[0, 0] == Fraction(10) ** 400
+        with pytest.raises(FloatRangeError):
+            float_core(g, default_chain_aux(g))
+        gf = build_digraph("12", [("1", "2", 1e300), ("2", "1", 1e300)])
+        with pytest.raises(FloatRangeError):
+            float_core(gf, default_chain_aux(gf))
 
 
 class TestVerify:

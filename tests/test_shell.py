@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -564,6 +565,15 @@ class TestCli:
         error = json.loads(proc.stderr)["error"]
         assert error["type"] == kind and message in error["message"]
 
+    def test_samples_past_the_limit_refused_at_once(self):
+        # 10^21 points would grow a list without bound: refused before any is drawn
+        start = time.perf_counter()
+        proc = _cli("equilibria", str(CYCLE3), "--samples", "1000000000000000000000")
+        assert time.perf_counter() - start < 2
+        assert proc.returncode == 2 and proc.stdout == ""
+        error = json.loads(proc.stderr)["error"]
+        assert error["type"] == "DimensionTooLargeError" and "MAX_SAMPLES=10000" in error["message"]
+
     @pytest.mark.parametrize(
         "doc, argv, message",
         [
@@ -693,16 +703,30 @@ class TestCli:
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["type"] == "FloatRangeError"
 
-    @pytest.mark.parametrize("cmd", ["analyze", "decompose", "equilibria"])
-    def test_float_tree_constants_out_of_range_exit_2(self, cmd, tmp_path, capsys):
+    @staticmethod
+    def _cycle3_rates_1e200(tmp_path) -> str:
         doc = json.loads(CYCLE3.read_text())
         for edge in doc["edges"]:
             edge["k"] = 1e200
         p = tmp_path / "huge.json"
         p.write_text(json.dumps(doc))
-        code, out, err = self.run([cmd, str(p)], capsys)
+        return str(p)
+
+    @pytest.mark.parametrize("cmd", ["analyze", "decompose"])
+    def test_float_tree_constants_out_of_range_exit_2(self, cmd, tmp_path, capsys):
+        code, out, err = self.run([cmd, self._cycle3_rates_1e200(tmp_path)], capsys)
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["type"] == "FloatRangeError"
+
+    def test_float_tree_constants_out_of_range_equilibria_witness(self, tmp_path, capsys):
+        # K = 1e400 leaves float64, but equilibria reads only the exact ratios
+        # K_b / K_a = 1, so it finds x* = (1, 1), which balances exactly
+        code, out, _ = self.run(["equilibria", self._cycle3_rates_1e200(tmp_path)], capsys)
+        report = json.loads(out)
+        assert code == 0 and report["status"] == "found"
+        assert (report["witness"], report["log_residual"], report["balance_residual"]) == (
+            [1.0, 1.0], 0.0, 0.0
+        )
 
     def test_decompose_not_weakly_reversible_exit_2(self, tmp_path, capsys):
         doc = {

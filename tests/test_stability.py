@@ -30,7 +30,7 @@ from crnlap import (
     solve_cbe,
     stability,
 )
-from crnlap.errors import FloatRangeError, NotACbeError, SemanticError
+from crnlap.errors import FloatRangeError, NonPositiveStateError, NotACbeError, SemanticError
 from crnlap.geometry import POLAR_STRICT_RTOL
 from crnlap.graph import edge_ends
 
@@ -776,6 +776,97 @@ class TestOneEvaluationPerState:
         got = equilibria.require_cbe(triangle_net, state)
         assert built == []  # the record is tested, not built again
         assert got.tolist() == [float(v) for v in x_star]
+
+
+def _twin(net):
+    """A network equal to net, with empty state slots."""
+    return build_network(net.species, net.complexes.tolist(), net.graph)
+
+
+class TestStateSlot:
+    """`evaluate` keeps the last State per network: what is read off a raw x
+    equals what a fresh State of x gives, also once another x has replaced
+    the slot, and a State's arrays, f_k(x) among them, are read-only."""
+
+    @staticmethod
+    def _results(net, x, x_star) -> tuple:
+        """Every certificate field, f, the inclusion at +-f and is_cbe; x is
+        passed to each call as it is."""
+        cert = decrease_certificate(net, x, x_star)
+        f = mass_action_rhs(net, x)
+        return (
+            cert.aux, cert.a.tobytes(), cert.b.tobytes(), cert.core.tobytes(), cert.value,
+            cert.verdict, cert.witness_edge, f.dtype, f.tolist(),
+            bdi_report(net, x, f), bdi_report(net, x, -f), is_cbe(net, x),
+        )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_raw_x_equals_fresh_state(self, seed):
+        rng = random.Random(3000 + seed)
+        for _ in range(6):
+            net, x_star = random_planted_network(rng, n_species_max=3, n_vertices_max=6)
+            fnet = build_network(net.species, net.complexes.tolist(), to_float_graph(net.graph))
+            for nt, xs in ((net, x_star), (fnet, [float(v) for v in x_star])):
+                states = [
+                    random_positive_fractions(rng, nt.n_species),
+                    random_positive_floats(rng, nt.n_species),
+                ]
+                for x in states + states:  # the second pass finds the slot replaced
+                    twin = _twin(nt)
+                    fresh = self._results(twin, crn.evaluate(twin, x), xs)
+                    assert self._results(nt, list(x), xs) == fresh
+
+    def test_one_state_for_the_calls_on_one_x(self, triangle_net, monkeypatch):
+        x_star = list(solve_cbe(triangle_net).witness)
+        equilibria.require_cbe(triangle_net, x_star)
+        checked, tested = [], []
+        check_state, balance_test = crn.check_state, equilibria._is_cbe
+        monkeypatch.setattr(crn, "check_state", lambda x, n: checked.append(x) or check_state(x, n))
+        monkeypatch.setattr(equilibria, "_is_cbe", lambda *a: tested.append(1) or balance_test(*a))
+        for x in ([0.5, 1.5], [Fraction(1, 3), Fraction(2)]):
+            checked.clear(), tested.clear()
+            decrease_certificate(triangle_net, list(x), x_star)
+            f = mass_action_rhs(triangle_net, list(x))
+            bdi_membership(triangle_net, x_star, list(x), f)
+            bdi_membership(triangle_net, x_star, list(x), -f)
+            birch_intersect(triangle_net, x_star, list(x))
+            assert checked == [x] and tested == [1]
+        is_cbe(triangle_net, [Fraction(1, 3), Fraction(2)], tol=1e-3)  # not kept
+        assert tested == [1, 1]
+
+    def test_fraction_then_equal_float(self, dimer_net):
+        half = crn.evaluate(dimer_net, [Fraction(1, 2)])
+        assert half.x.dtype == object and type(half.flows[0]) is Fraction
+        state = crn.evaluate(dimer_net, [0.5])
+        assert state.x.dtype == float and state.flows.dtype == float
+        assert crn.evaluate(dimer_net, [0.5]) is state
+        again = crn.evaluate(dimer_net, [Fraction(1, 2)])
+        assert again is not half and again.x.dtype == object
+        assert mass_action_rhs(dimer_net, [Fraction(1, 2)]).tolist() == [Fraction(1, 4)]
+        assert mass_action_rhs(dimer_net, [0.5]).tolist() == [0.25]
+
+    def test_refused_state_leaves_the_slot(self, dimer_net):
+        state = crn.evaluate(dimer_net, [0.5])
+        with pytest.raises(FloatRangeError):  # x^2 = 10^400 as an exact monomial
+            crn.evaluate(dimer_net, [Fraction(10) ** 200])
+        for bad in ([-0.5], [0.5, 0.5], [float("nan")], ["0.5"], [True]):
+            with pytest.raises(NonPositiveStateError):
+                crn.evaluate(dimer_net, bad)
+        assert dimer_net._state[1] is state and crn.evaluate(dimer_net, [0.5]) is state
+
+    def test_returned_f_is_read_only(self, cycle3_net):
+        for x in ([0.5, 1.5], [Fraction(1, 2), Fraction(3, 2)]):
+            f = mass_action_rhs(cycle3_net, x)
+            before = f.tolist()
+            with pytest.raises(ValueError, match="read-only"):
+                f[0] = 7
+            with pytest.raises(ValueError, match="read-only"):
+                f += 1
+            assert mass_action_rhs(cycle3_net, x).tolist() == before
+            assert before == mass_action_rhs(_twin(cycle3_net), x).tolist()
+            state = crn.evaluate(cycle3_net, x)
+            arrays = (state.x, state.ln_x, state.monomials, state.flows, state.balance, state.scaled)
+            assert not any(a.flags.writeable for a in arrays)
 
 
 class TestCliEvaluations:
