@@ -5,7 +5,8 @@ Reports go to stdout as deterministic JSON (sorted keys); a library record
 (a dataclass) is written as its fields.  Errors go to stderr as structured
 JSON.  Exit codes: 0 success, 2 validation error (values outside the
 float64 range, and a file that cannot be read or written, included), 3
-infeasible analysis.
+infeasible analysis or work refused past a stated limit
+(DimensionTooLargeError).
 Only the commands whose checks read it take `--tol`, and only `equilibria`
 takes `--seed`.  Set CRNLAP_LOG=debug|info|warning for log verbosity.
 """
@@ -27,6 +28,7 @@ from .crn import ReactionNetwork, evaluate, mass_action_rhs
 from .equilibria import cbe_manifold_sample, is_cbe, require_cbe, solve_cbe
 from .errors import (
     CrnlapError,
+    DimensionTooLargeError,
     NoConvergenceError,
     SemanticError,
     StepSizeUnderflowError,
@@ -334,7 +336,7 @@ def run_command(argv) -> int:
     try:
         exact.check_tol(getattr(args, "tol", None))
         return args.func(args)
-    except (NoConvergenceError, StepSizeUnderflowError) as e:
+    except (DimensionTooLargeError, NoConvergenceError, StepSizeUnderflowError) as e:
         emit_error(type(e).__name__, str(e))
         return EXIT_INFEASIBLE
     except CrnlapError as e:

@@ -34,11 +34,14 @@ class CbeCheck(NamedTuple):
 
 
 def is_cbe(net: ReactionNetwork, x, tol: float | None = None) -> CbeCheck:
-    """Test A_k x^Y = 0 (`State.balance`) relative to the largest edge flow,
-    and then that an equilibrium exists (weak reversibility, `cbe_exists`).
-    Float monomials or flows that overflow, and an exact residual or largest
-    flow that float64 cannot hold, are refused (FloatRangeError).  At the
-    default `tol` the check is formed once per State and kept on it."""
+    """Test A_k x^Y = 0 (`State.balance`): each complex's |A_k x^Y| against
+    CBE_RTOL (or `tol`) times the largest edge flow of its own component, 0
+    on exact flows; then that an equilibrium exists (weak reversibility,
+    `cbe_exists`).  `residual` and `scale` report the largest |A_k x^Y| and
+    edge flow over the network.  Float monomials or flows that overflow, and
+    an exact residual or largest flow that float64 cannot hold, are refused
+    (FloatRangeError).  At the default `tol` the check is formed once per
+    State and kept on it."""
     state = evaluate(net, x)
     return state.kept("_is_cbe", _is_cbe) if tol is None else _is_cbe(state, tol)
 
@@ -52,6 +55,12 @@ def _is_cbe(state: State, tol: float | None = None) -> CbeCheck:
     residual_f = exact.to_float(residual, "the complex-balance residual")
     scale_f = exact.to_float(scale, "the largest edge flow")
     balanced = bool(residual <= exact.tolerance(flows, CBE_RTOL, lambda: scale, tol))
+    if balanced:  # a component's own bound is never looser, so tested only here
+        comp = np.array([net.graph.component_index[v] for v in net.graph.vertex_ids], dtype=int)
+        top = np.zeros(net.graph.n_components, dtype=flows.dtype)
+        np.maximum.at(top, comp[net.tails], flows)
+        limit = exact.tolerance(flows, CBE_RTOL, lambda: top[comp], tol)
+        balanced = bool(np.all(np.abs(state.balance) <= limit))
     return CbeCheck(balanced and net.is_weakly_reversible() and net.cbe_exists, residual_f, scale_f)
 
 
@@ -122,9 +131,13 @@ def birch_intersect(
 
     Found by damped Newton on the strictly convex
     h(c) = sum_i x*_i exp((Wc)_i) - c . (W.T x'), W a basis of S-perp.
+    x' is the checked x of the network's `evaluate` slot when that holds x',
+    and is checked alone (`check_state`) otherwise.
     """
     xs = require_cbe(net, x_star)
-    xp = np.asarray(check_state(x_prime, net.n_species), dtype=float)
+    values, (key, state) = list(x_prime), net._state
+    xv = state.x if key == _state_key(values) else check_state(values, net.n_species)
+    xp = np.asarray(xv, dtype=float)
     w = net.floats.sperp_basis
     d = w.shape[1]
     if d == 0:

@@ -13,6 +13,8 @@ linear program.
 A state whose scaled monomials tie lies in every stratum that breaks the
 ties.  Their cones' union is one cone (`evaluation_cone`), whose polar is
 the intersection of theirs, so one linear program decides for all of them.
+The evaluation order is the one place where two scaled monomials of a state
+are compared (`_tied`, per component); strata, cones and certificates read it.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .crn import ReactionNetwork, State, evaluate, mass_action_rhs
 from .errors import FloatRangeError, InvalidAuxTreeError, PointNotInStratumError
 from .graph import AuxTree, Edge, edge_ends, validate_aux_tree
 
-STRATUM_RTOL = 1e-12
 TIE_RTOL = 1e-12
 POLAR_LINEALITY_RTOL = 1e-10
 POLAR_STRICT_RTOL = 1e-12
@@ -38,8 +39,8 @@ POLAR_STRICT_RTOL = 1e-12
 def evaluation_order(net: ReactionNetwork, x) -> list[list[list[str]]]:
     """Per component, the tie groups of x^{y(i)}/K_i in ascending order.
 
-    Vertices are sorted by value, ties by vertex id; a vertex joins the
-    previous group when its value ties with that group's last one.
+    Vertices are sorted by value; a vertex joins the previous group when its
+    value ties with that group's last one, and each group is sorted by id.
     """
     return [[list(grp) for grp in groups] for groups in _order(evaluate(net, x))]
 
@@ -60,7 +61,7 @@ def _form_order(state: State) -> tuple[tuple[tuple[str, ...], ...], ...]:
                 groups[-1].append(v)
             else:
                 groups.append([v])
-        orders.append(tuple(map(tuple, groups)))
+        orders.append(tuple(tuple(sorted(grp)) for grp in groups))
     return tuple(orders)
 
 
@@ -73,12 +74,10 @@ def monomial_order(net: ReactionNetwork, x) -> AuxTree:
 
 
 def stratum_contains(net: ReactionNetwork, aux: AuxTree, x) -> bool:
-    """True when all binomial inequalities of the stratum hold at x."""
+    """True when no aux edge a -> b has a in a higher tie group than b at x."""
     validate_aux_tree(net.graph, aux)
-    values = evaluate(net, x).scaled
-    tails, heads = edge_ends(net.graph, aux.edges)
-    floor = -exact.tolerance(values, STRATUM_RTOL, lambda: np.max(values, initial=0))
-    return bool(np.all(values[heads] - values[tails] >= floor))
+    rank = {v: i for grps in _order(evaluate(net, x)) for i, grp in enumerate(grps) for v in grp}
+    return all(rank[a] <= rank[b] for a, b in aux.edges)
 
 
 @dataclass
@@ -348,5 +347,5 @@ def recession_polar_check(net: ReactionNetwork, aux: AuxTree, x) -> bool:
 
 
 def _tied(values: np.ndarray, i: int, j: int) -> bool:
-    a, b = values[i], values[j]
-    return abs(b - a) <= exact.tolerance(values, TIE_RTOL, lambda: max(abs(a), abs(b)))
+    a, b = values[i], values[j]  # relative to the smaller: inf ties no finite value
+    return abs(b - a) <= exact.tolerance(values, TIE_RTOL, lambda: min(abs(a), abs(b)))

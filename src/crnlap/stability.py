@@ -7,10 +7,10 @@ through the chain-core identity
 
 with a = (Y I_aux).T ln(x/x*) >= 0 and b = I_aux.T diag(1/K) x^Y >= 0 on the
 stratum picked by the monomial evaluation order, and A_core nonnegative with
-positive diagonal.  The sign pattern alone certifies strict decrease.  The
-float A_core is `laplacian.float_core`: on exact graphs each entry is rounded
-once from the exact int sums, to the bit the cast exact core, so rounding
-keeps each sign and no Fraction is formed.
+positive diagonal.  The sign pattern alone certifies strict decrease: b_j > 0
+on each chain edge leaving a tie group of the order.  The float A_core is
+`laplacian.float_core`: on exact graphs each entry, rounded once from the
+exact int sums, keeps its sign and is the cast exact core's, to the bit.
 For a complex-balanced x*, a_j = ln(s_b / s_a) on each aux edge a -> b, with
 s = diag(1/K) x^Y, so a and b are formed from the same scaled monomials and
 share their signs.
@@ -35,6 +35,7 @@ from .errors import FloatRangeError, SemanticError, ShapeMismatchError, StepSize
 from .geometry import (
     PolarReport,
     _cut_flow_cone,
+    _order,
     evaluation_cone,
     monomial_order,
     polar_interior_contains,
@@ -44,7 +45,6 @@ from .laplacian import float_core
 
 logger = logging.getLogger(__name__)
 
-SIGN_RTOL = 1e-12
 MANIFOLD_V_TOL = 1e-12
 MAX_STEPS = 200_000  # accepted and rejected steps of one `simulate` call
 
@@ -91,10 +91,10 @@ def decrease_certificate(net: ReactionNetwork, x, x_star) -> StabilityCertificat
     a -> b, b_j = s_b - s_a >= 0 (s = x^Y / K, exact when the state is) and,
     x*^Y being proportional to K per component, a_j = ln(s_b / s_a), taken
     as log1p(b_j / s_a) and as (y_b - y_a) . (ln x - ln x*) only where that
-    ratio leaves float64.  No b_j beyond `exact.tolerance` (SIGN_RTOL times
-    max s on floats) gives "equilibrium"; otherwise a negative value gives
-    "strict_decrease", witnessed by the first such edge, and "failure" flags
-    an implementation bug.  A b or value float64 cannot hold is refused.
+    ratio leaves float64.  No chain edge leaving a tie group of the order
+    gives "equilibrium"; otherwise a negative value gives "strict_decrease",
+    witnessed by the first such edge, and "failure" flags an implementation
+    bug.  A b or value float64 cannot hold is refused.
     """
     xs = require_cbe(net, x_star)
     state = evaluate(net, x)
@@ -103,7 +103,6 @@ def decrease_certificate(net: ReactionNetwork, x, x_star) -> StabilityCertificat
     tails, heads = edge_ends(net.graph, aux.edges)
     s = state.scaled
     b = s[heads] - s[tails]
-    positive = b > exact.tolerance(s, SIGN_RTOL, lambda: np.max(s, initial=0))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ratio = b / s[tails]  # exact when s is; an exact one beyond float64 becomes inf
         a = np.log1p(np.where(ratio > np.finfo(float).max, np.inf, ratio).astype(float))
@@ -115,7 +114,7 @@ def decrease_certificate(net: ReactionNetwork, x, x_star) -> StabilityCertificat
     value = float(-(a @ core @ b)) if a.size else 0.0
     if not (np.all(np.isfinite(b)) and np.isfinite(value)):
         raise FloatRangeError("the certificate's b or value leaves the float64 range")
-    witness = next((e for e, p in zip(aux.edges, positive) if p), None)
+    witness = next(((grps[0][-1], grps[1][0]) for grps in _order(state) if len(grps) > 1), None)
     verdict = "equilibrium" if witness is None else "strict_decrease" if value < 0 else "failure"
     if verdict == "failure":
         logger.warning("certificate failure at x=%s (value=%r)", state.x, value)

@@ -93,7 +93,6 @@ from crnlap.stability import (
     _CK_B5,
     _CK_E,
     MANIFOLD_V_TOL,
-    SIGN_RTOL,
     BdiReport,
     StabilityCertificate,
     Trajectory,
@@ -888,6 +887,8 @@ def reference_scaled(net, x) -> np.ndarray:
 
 
 def reference_is_cbe(net, x, tol=None) -> CbeCheck:
+    """Each complex's net inflow against its own component's largest edge
+    flow, component by component; residual and scale over the network."""
     with np.errstate(over="ignore", invalid="ignore"):
         flows = reference_flows(net, x)
         balance = np.zeros(net.graph.n_vertices, dtype=flows.dtype)
@@ -897,7 +898,13 @@ def reference_is_cbe(net, x, tol=None) -> CbeCheck:
         scale = np.max(flows, initial=0)
     residual_f = exact.to_float(residual, "the complex-balance residual")
     scale_f = exact.to_float(scale, "the largest edge flow")
-    balanced = residual <= exact.tolerance(flows, CBE_RTOL, lambda: scale, tol)
+    g = net.graph
+    balanced = True
+    for ci in range(g.n_components):
+        comp = g.scc_partition[ci]
+        top = max((f for e, f in zip(g.edges, flows) if e[0] in comp), default=0)
+        limit = exact.tolerance(flows, CBE_RTOL, lambda: top, tol)
+        balanced &= all(abs(balance[g.index[v]]) <= limit for v in comp)
     exists = bool(balanced) and net.is_weakly_reversible() and reference_cbe_exists(net)
     return CbeCheck(exists, residual_f, scale_f)
 
@@ -952,7 +959,7 @@ def reference_evaluation_order(net, x) -> list:
                 groups[-1].append(v)
             else:
                 groups.append([v])
-        orders.append(groups)
+        orders.append([sorted(grp) for grp in groups])
     return orders
 
 
@@ -960,20 +967,22 @@ def reference_certificate(net, x, x_star) -> StabilityCertificate:
     """The certificate edge by edge: b_j = s_b - s_a on the scaled monomials
     (exact for an exact state), a_j = log1p(b_j / s_a), or the aux edge's row
     of (Y I_aux).T (ln x - ln x*) where that ratio is not a finite float, and
-    the first edge with b_j beyond the limit (0 on exact s) as witness."""
+    the first edge crossing the tie groups of `reference_evaluation_order`
+    as witness."""
     xs = reference_require_cbe(net, x_star)
     xv = np.asarray(check_state(x, net.n_species), dtype=float)
-    chains = [[v for grp in groups for v in grp] for groups in reference_evaluation_order(net, x)]
+    order = reference_evaluation_order(net, x)
+    group = {v: (ci, i) for ci, grps in enumerate(order) for i, grp in enumerate(grps) for v in grp}
+    chains = [[v for grp in groups for v in grp] for groups in order]
     aux = make_aux_tree(net.graph, "chain", chains)
     dec = core_matrix(net.graph, aux, consts=net.tree_constants())
     core = np.asarray(dec.core, dtype=float)
     scaled = reference_scaled(net, x)
-    limit = 0 if exact.is_exact(scaled) else SIGN_RTOL * max(scaled)
     yf = net.floats.complexes
     a, b, far, witness = [], [], [], None
     for j, (t, h) in enumerate(aux.edges):
         s_a, s_b = scaled[net.graph.index[t]], scaled[net.graph.index[h]]
-        if witness is None and s_b - s_a > limit:
+        if witness is None and group[t] != group[h]:
             witness = (t, h)
         try:
             with np.errstate(divide="ignore", invalid="ignore"):

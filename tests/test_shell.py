@@ -570,7 +570,7 @@ class TestCli:
         start = time.perf_counter()
         proc = _cli("equilibria", str(CYCLE3), "--samples", "1000000000000000000000")
         assert time.perf_counter() - start < 2
-        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.returncode == 3 and proc.stdout == ""
         error = json.loads(proc.stderr)["error"]
         assert error["type"] == "DimensionTooLargeError" and "MAX_SAMPLES=10000" in error["message"]
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -32,7 +33,7 @@ from crnlap import (
 )
 from crnlap.errors import FloatRangeError, NonPositiveStateError, NotACbeError, SemanticError
 from crnlap.geometry import POLAR_STRICT_RTOL
-from crnlap.graph import edge_ends
+from crnlap.graph import edge_ends, make_aux_tree
 
 from generators import (
     random_planted_network,
@@ -867,6 +868,123 @@ class TestStateSlot:
             state = crn.evaluate(cycle3_net, x)
             arrays = (state.x, state.ln_x, state.monomials, state.flows, state.balance, state.scaled)
             assert not any(a.flags.writeable for a in arrays)
+
+    def test_birch_reads_x_off_the_slot(self, xy_net, dimer_net, monkeypatch):
+        checked, real = [], equilibria.check_state
+        monkeypatch.setattr(equilibria, "check_state", lambda x, n: checked.append(x) or real(x, n))
+        for x in ([0.5, 1.5], [Fraction(1, 3), Fraction(2)]):
+            decrease_certificate(xy_net, list(x), [1, 1])
+            f = mass_action_rhs(xy_net, list(x))
+            bdi_membership(xy_net, [1, 1], list(x), f)
+            bdi_membership(xy_net, [1, 1], list(x), -f)
+            got = birch_intersect(xy_net, [1, 1], list(x))
+            assert checked == []
+            assert got.tolist() == birch_intersect(_twin(xy_net), [1, 1], list(x)).tolist()
+            assert checked == [x]
+            checked.clear()
+        # a miss is checked alone: `evaluate` would refuse x^2 = 10^400
+        assert birch_intersect(dimer_net, [1], [Fraction(10) ** 200]).tolist() == [1.0]
+        assert checked == [[Fraction(10) ** 200]]
+
+
+def _two_scales(k):
+    """A <-> 2A with k(2A -> A) = k, and B <-> 2B with unit rates."""
+    g = build_digraph(
+        ["a", "aa", "b", "bb"],
+        [("a", "aa", Fraction(1)), ("aa", "a", Fraction(k)),
+         ("b", "bb", Fraction(1)), ("bb", "b", Fraction(1))],
+    )
+    return build_network(["A", "B"], [[1, 2, 0, 0], [0, 0, 1, 2]], g)
+
+
+def _float_copy(net):
+    y = [[float(v) for v in row] for row in net.complexes.tolist()]
+    return build_network(net.species, y, to_float_graph(net.graph))
+
+
+def _dyadic_planted(rng, e):
+    """A planted network of two or more components with x* in powers of 2 and
+    the rates of one component of two or more vertices times 2^e, so its
+    scaled monomials lie 2^(-e (n_c - 1)) off the others'; labels dyadic."""
+    while True:
+        net, x_old = random_planted_network(rng, n_species_max=3, n_vertices_max=6)
+        g = net.graph
+        big = [ci for ci in range(g.n_components) if len(g.component_vertices(ci)) > 1]
+        if g.n_components > 1 and big:
+            break
+    scaled = g.scc_partition[rng.choice(big)]
+    x_star = [Fraction(2) ** rng.randint(-2, 2) for _ in net.species]
+    psi_old = crn.evaluate(net, x_old).monomials
+    psi = crn.evaluate(net, x_star).monomials
+    edges = [  # the circulation k psi_old of `plant_cbe`, over the new x*
+        (a, b, k * psi_old[g.index[a]] / psi[g.index[a]] * (Fraction(2) ** e if a in scaled else 1))
+        for (a, b), k in g.labels.items()
+    ]
+    g = build_digraph(g.vertex_ids, edges)
+    return build_network(net.species, net.complexes.tolist(), g), x_star
+
+
+def _verdicts(net, x_star, x) -> tuple:
+    """The evaluation order at x, the certificate's verdict and witness (None
+    where require_cbe refuses x*), the stratum test for every chain order of
+    each component with the others in x's order, and is_cbe at x* and x."""
+    try:
+        cert = decrease_certificate(net, x, x_star)
+        certificate = (cert.verdict, cert.witness_edge)
+    except NotACbeError:
+        certificate = None
+    order = geometry.evaluation_order(net, x)
+    chains = [[v for grp in groups for v in grp] for groups in order]
+    strata = []
+    for ci, chain in enumerate(chains):
+        for perm in itertools.permutations(chain):
+            aux = make_aux_tree(net.graph, "chain", chains[:ci] + [list(perm)] + chains[ci + 1:])
+            strata.append(geometry.stratum_contains(net, aux, x))
+    return order, certificate, strata, is_cbe(net, x_star).balanced, is_cbe(net, x).balanced
+
+
+class TestComponentScaleParity:
+    """Exact and float copies of one network give the same verdicts when one
+    component's rates are scaled by 2^e, so its scaled monomials and flows
+    sit far from the other components': each component is judged on its own
+    scale, as in exact mode.  Labels and states are dyadic, so both copies
+    hold the same numbers."""
+
+    @pytest.mark.parametrize("e", [20, -20, 34, -34, 46, -46, 66, -66])
+    def test_planted_networks(self, e):
+        rng = random.Random(7100 + e)
+        for _ in range(6):
+            net, x_star = _dyadic_planted(rng, e)
+            fnet = _float_copy(net)
+            states = [x_star] + [
+                [Fraction(rng.randint(1, 16), 2 ** rng.randint(0, 3)) for _ in net.species]
+                for _ in range(4)
+            ]
+            for x in states:
+                exact_x = _verdicts(net, x_star, x)
+                float_x = [float(v) for v in x]
+                assert _verdicts(fnet, [float(v) for v in x_star], float_x) == exact_x
+
+    @pytest.mark.parametrize(
+        "k, x, x_star, refused",
+        [
+            # s(b) = 2 < s(bb) = 4 beside s(a) = s(aa) = 10^20: strict decrease on b -> bb
+            ("1e-10", [10**10, 2], [10**10, 1], False),
+            # flows 2 and 4 on B <-> 2B beside 10^12 on A <-> 2A: x* is not balanced
+            ("1e-12", [10**12, Fraction(3, 2)], [10**12, 2], True),
+        ],
+    )
+    def test_two_scales(self, k, x, x_star, refused):
+        net = _two_scales(k)
+        want = _verdicts(net, x_star, x)
+        assert (want[1] is None) == refused
+        float_x, float_xs = [float(v) for v in x], [float(v) for v in x_star]
+        assert _verdicts(_float_copy(net), float_xs, float_x) == want
+
+    def test_chain_against_the_other_component(self):
+        aux = make_aux_tree(_two_scales("1e-12").graph, "chain", [["a", "aa"], ["bb", "b"]])
+        for net in (_two_scales("1e-12"), _float_copy(_two_scales("1e-12"))):
+            assert not geometry.stratum_contains(net, aux, [10**12, 2])
 
 
 class TestCliEvaluations:
