@@ -63,7 +63,8 @@ def _json_default(value):
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-def emit(report: dict, out: str | None) -> None:
+def emit(report, out: str | None) -> None:
+    """A report, a dict or a library record, as sorted JSON to `out` or stdout."""
     text = json.dumps(report, indent=2, sort_keys=True, default=_json_default)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -139,8 +140,7 @@ def cmd_analyze(args) -> int:
         "components": [sorted(c) for c in g.scc_partition],
         "weakly_reversible": net.is_weakly_reversible(),
         "laplacian": laplacian_matrix(g),
-        # rank-nullity: dim S = n - dim S-perp
-        "stoichiometric_dim": net.n_species - net.sperp_basis.shape[1],
+        "stoichiometric_dim": net.stoichiometric_dim,
         "conservation_dim": int(net.sperp_basis.shape[1]),
     }
     if net.is_weakly_reversible():
@@ -256,9 +256,7 @@ def cmd_simulate(args) -> int:
         "rejected": traj.rejected,
     }
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(traj, fh, indent=2, sort_keys=True, default=_json_default)
-            fh.write("\n")
+        emit(traj, args.out)
         report["trajectory_file"] = args.out
     else:
         report["trajectory"] = traj

@@ -11,10 +11,11 @@ an evaluation is read: `x`, `ln_x`, x^Y (`monomials`), the edge flows
 k o x^{y(tail)} (`flows`) and, on first use, each complex's net inflow
 A_k x^Y (`balance`), x^Y / K (`scaled`) and f_k(x) (`rhs`).  The
 exact/float choice is made there: x^Y is exact for rational x and integer
-Y, the flows, A_k x^Y and x^Y / K when k is exact too.  The functions that
-evaluate x take a State in its place.  A State keeps, read-only, what is
-derived from x alone: the fields above and, through `State.kept`, the
-evaluation order, the cut flows and `is_cbe` at its default tolerance.
+Y (refused past MAX_MONOMIAL_BITS before any power), the flows, A_k x^Y
+and x^Y / K when k is exact too.  The functions that evaluate x take a
+State in its place.  A State keeps, read-only, what is derived from x
+alone: the fields above and, through `State.kept`, the evaluation order,
+the cut flows and `is_cbe` at its default tolerance.
 Each network has two slots keyed on a state's entries with their types
 (`_state_key`; a float x and an equal Fraction are evaluated differently):
 - `evaluate` keeps the last State it formed, so the calls that read one x
@@ -22,6 +23,8 @@ Each network has two slots keyed on a state's entries with their types
   refused state never enters it.
 - `equilibria.require_cbe` keeps the last x* that passed its balance test.
 
+ln(K_b / K_a) is formed in one place, `_log_ratios`, each exact ratio
+rounded once, for `log_ratios` and for a stratum's polyhedron alike.
 Exact networks keep Y, k, N and the S-perp basis as Fractions.  Their float
 evaluations read a `FloatView` instead: float64 copies converted once per
 network, lazily on first float use, checked (a value that float64 cannot
@@ -43,6 +46,7 @@ import numpy as np
 
 from . import exact
 from .errors import (
+    DimensionTooLargeError,
     DuplicateComplexError,
     FloatRangeError,
     NegativeComplexEntryError,
@@ -51,11 +55,14 @@ from .errors import (
     ShapeMismatchError,
 )
 from .graph import AuxTree, LabeledDigraph, default_chain_aux, edge_ends
-from .laplacian import TreeConstants, core_matrix, tree_constants
+from .laplacian import TreeConstants, _exact_tree_constants, core_matrix, tree_constants
 
 SVD_RANK_RTOL = 1e-12  # singular values below this share of the largest count as 0
 CONSISTENCY_RTOL = 2.0**-46  # float `cbe_exists`: 128 roundings per unit of its bound
 CBE_RTOL = 1e-10  # `is_cbe`: balance residual against the largest edge flow
+# `evaluate`: sum_j y_j log2 max(num, den) of an exact x_j per complex, the bits
+# of x^y; 750 times the largest sample, CI, test or benchmark input (1329)
+MAX_MONOMIAL_BITS = 1_000_000
 
 
 def _coerce_complex_entry(v) -> Fraction | float:
@@ -185,11 +192,16 @@ class ReactionNetwork:
                     self._consts = tree_constants(self.graph)
         return self._consts
 
+    @property
+    def stoichiometric_dim(self) -> int:
+        """dim S = n - dim S-perp, by rank-nullity."""
+        return self.n_species - self.sperp_basis.shape[1]
+
     @cached_property
     def deficiency(self) -> int:
         """delta = n - l - s: complexes, less components, less dim S."""
         g = self.graph
-        return g.n_vertices - g.n_components - (self.n_species - self.sperp_basis.shape[1])
+        return g.n_vertices - g.n_components - self.stoichiometric_dim
 
     @cached_property
     def chain_edges(self) -> tuple[np.ndarray, np.ndarray]:
@@ -206,22 +218,24 @@ class ReactionNetwork:
         return z, r - lhs @ z
 
     @cached_property
-    def _tree_ratios(self) -> list[Fraction]:
-        """K_b / K_a on T's edges a -> b, K at the labels' exact values; needs
-        weak reversibility."""
+    def _exact_constants(self) -> np.ndarray:
+        """K at the labels' exact values, Fractions; needs weak reversibility."""
         self.require_weakly_reversible()
-        (tails, heads), g = self.chain_edges, self.graph
-        if not g.exact:
-            g = LabeledDigraph(g.vertex_ids, [(*e, Fraction(k)) for e, k in g.labels.items()])
-        k = (self.tree_constants() if g is self.graph else tree_constants(g)).values
-        return [Fraction(k[b]) / k[a] for a, b in zip(tails, heads)]
+        return self.tree_constants().values if self.graph.exact else _exact_tree_constants(self.graph)
+
+    def _tree_ratios(self, tails, heads) -> list[Fraction]:
+        """K_b / K_a on the edges a -> b, K at the labels' exact values."""
+        k = self._exact_constants
+        return [k[b] / k[a] for a, b in zip(tails, heads)]
+
+    def _log_ratios(self, tails, heads) -> np.ndarray:
+        """ln `_tree_ratios`, each rounded once: K may leave float64, a ratio may not."""
+        return np.log(exact.positive_floats(self._tree_ratios(tails, heads), "the tree constant ratios"))
 
     @cached_property
     def log_ratios(self) -> np.ndarray:
-        """r = ln(K_b / K_a) on T's edges a -> b, each exact ratio of
-        `_tree_ratios` rounded once, so K itself may leave float64 (a ratio
-        may not: FloatRangeError); needs weak reversibility.  Read-only."""
-        return _read_only(np.log(exact.positive_floats(self._tree_ratios, "the tree constant ratios")))
+        """r = `_log_ratios` on T's edges; needs weak reversibility.  Read-only."""
+        return _read_only(self._log_ratios(*self.chain_edges))
 
     @cached_property
     def cbe_exists(self) -> bool:
@@ -242,7 +256,7 @@ class ReactionNetwork:
             return bool(np.linalg.norm(self.log_solution(r)[1]) <= min(bound, CBE_RTOL))
         tails, heads = self.chain_edges
         kernel = exact.nullspace(self.complexes[:, heads] - self.complexes[:, tails])
-        ratios = self._tree_ratios
+        ratios = self._tree_ratios(tails, heads)
         return all(math.prod(map(pow, ratios, exact.integer_row(c)[0])) == 1 for c in kernel.T)
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -359,7 +373,8 @@ def evaluate(net: ReactionNetwork, x) -> State:
 
     Exact monomials that float64 cannot hold are refused (FloatRangeError),
     as the certificate and the vector field are reported as floats, and so,
-    before any exact power, is a complex matrix that float64 cannot hold.
+    before any exact power, is a complex matrix that float64 cannot hold,
+    and an exact x^y(i) past MAX_MONOMIAL_BITS (DimensionTooLargeError).
     Float monomials and flows may overflow to inf; their readers decide."""
     if isinstance(x, State) and x.net is net:
         return x
@@ -373,6 +388,9 @@ def evaluate(net: ReactionNetwork, x) -> State:
     yf = net.floats.complexes
     with np.errstate(over="ignore", invalid="ignore"):
         if exact.is_exact(xv) and net.integer_y:
+            bits = (yf.T @ [math.log2(max(v.numerator, v.denominator)) for v in xv]).tolist()
+            if max(bits, default=0) > MAX_MONOMIAL_BITS:
+                raise DimensionTooLargeError(f"an exact monomial exceeds MAX_MONOMIAL_BITS={MAX_MONOMIAL_BITS}")
             mono = np.array([
                 math.prod((v ** int(e) for v, e in zip(xv, col) if e), start=exact.ONE)
                 for col in net.complexes.T

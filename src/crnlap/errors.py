@@ -83,7 +83,8 @@ class NoConvergenceError(CrnlapError):
 
 class DimensionTooLargeError(CrnlapError):
     """Work refused above a stated limit: simple cycles past MAX_CYCLES,
-    manifold samples past MAX_SAMPLES."""
+    manifold samples past MAX_SAMPLES, an exact monomial's bits past
+    MAX_MONOMIAL_BITS."""
 
 
 class PointNotInStratumError(CrnlapError):

@@ -3,12 +3,12 @@
 For a weakly reversible network, a chain auxiliary tree encodes an order on
 the scaled monomials x^{y(i)}/K_i within each component.  The positive
 states realizing that order form a stratum; in log coordinates the stratum
-is a polyhedron, and a cone C = {z : N.T z >= 0} (N = Y I_E for the tree's
-edges E, gathered as Y[:, heads] - Y[:, tails] by `graph.edge_ends`) when a
-complex-balanced equilibrium exists.  By Farkas' lemma the
-polar cone of C is {-N lambda : lambda >= 0}, so polar-interior membership
-is a sign check against the lineality space, a rank check and one exact
-linear program.
+is a polyhedron offset by ln(K_b / K_a) (`ReactionNetwork._log_ratios`),
+and a cone C = {z : N.T z >= 0} (N = Y I_E for the tree's edges E, gathered
+as Y[:, heads] - Y[:, tails] by `graph.edge_ends`) when a complex-balanced
+equilibrium exists.  By Farkas' lemma the polar cone of C is {-N lambda :
+lambda >= 0}, so polar-interior membership is a sign check against the
+lineality space, a rank check and one exact linear program.
 
 A state whose scaled monomials tie lies in every stratum that breaks the
 ties.  Their cones' union is one cone (`evaluation_cone`), whose polar is
@@ -98,7 +98,8 @@ class ConeDescription:
 
 
 def region_constraints(net: ReactionNetwork, aux: AuxTree, mode: str) -> ConeDescription:
-    """Cone (homogeneous) or polyhedron (offset by ln K) for an aux tree.
+    """Cone (homogeneous) or polyhedron (offset by ln(K_b / K_a) on the
+    aux edges a -> b, each exact ratio rounded once) for an aux tree.
 
     Cones are rate-constant free: x is in the stratum iff ln(x/x_star) is
     in the cone, for any complex-balanced equilibrium x_star.
@@ -109,10 +110,7 @@ def region_constraints(net: ReactionNetwork, aux: AuxTree, mode: str) -> ConeDes
     validate_aux_tree(net.graph, aux)
     desc = _edge_cone(net, aux.edges)
     if mode == "polyhedron":
-        ln_k = np.log(net.tree_constants().as_float())
-        tails, heads = edge_ends(net.graph, aux.edges)
-        desc.mode = mode
-        desc.offset = ln_k[heads] - ln_k[tails]
+        desc.mode, desc.offset = mode, net._log_ratios(*edge_ends(net.graph, aux.edges))
     return desc
 
 

@@ -28,23 +28,25 @@ I_aux.T it touches; in rational mode, on ints, where an exactly zero
 residual proves the core invertible, and Bareiss elimination, one block
 per component, runs only on a core with a nonzero residual.
 
-Exact tree constants come from fraction-free (Bareiss) elimination on
-a component's labels scaled to ints by D_c, the lcm of their denominators:
-by Sylvester's identity every entry it forms is a minor of the out-rate
+Exact tree constants come from fraction-free (Bareiss) elimination on a
+component's labels scaled to ints by D_c, the lcm of their denominators: by
+Sylvester's identity every entry it forms is a minor of the out-rate
 matrix, so each of its divisions is exact, and each constant is then one
-Fraction over D_c^(n_c - 1).  Float tree constants, and only they, come
-from Grassmann-Taksar-Heyman state reduction on the component's rate matrix
-(matrix-tree theorem), which only adds, multiplies and divides positive
-numbers, so with no cancellation to lose digits to it is accurate entry by
-entry on floats.  Each cycle coefficient is the cycle's label product
-times the principal minor of -A_k on the vertices off the cycle
-(all-minors matrix-tree theorem), formed as one walk closes the cycle.
-The minor is memoized by vertex mask, and for every graph it is the
-Bareiss determinant of the out-rate matrix on the labels scaled to ints
-as for the core, float labels at their exact values, so a float
-coefficient is the exact coefficient of its labels rounded once.  A
-graph's int labels are formed once and kept with it, as are a tree
-constant vector's, once per graph.
+Fraction over D_c^(n_c - 1).  That one elimination serves every graph, a
+float one at its labels' exact values (`_exact_tree_constants`).  Float tree
+constants come from Grassmann-Taksar-Heyman state reduction on the
+component's rate matrix (matrix-tree theorem), which only adds, multiplies
+and divides positive numbers, so with no cancellation to lose digits to it
+is accurate entry by entry on floats; a component where it leaves float64
+takes the exact constants, each rounded once.  Each cycle coefficient is
+the cycle's label product times the principal minor of -A_k on the vertices
+off the cycle (all-minors matrix-tree theorem), formed as one walk closes
+the cycle.  The minor is memoized by vertex mask, and for every graph it is
+the Bareiss determinant of the out-rate matrix on the labels scaled to ints
+as for the core, float labels at their exact values, so a float coefficient
+is the exact coefficient of its labels rounded once.  A graph's int labels
+are formed once and kept with it, as are a tree constant vector's, once per
+graph.
 """
 
 from __future__ import annotations
@@ -117,7 +119,7 @@ class TreeConstants:
         return out
 
 
-def _kirchhoff(w: list[list[float]]) -> list[float]:
+def _kirchhoff(w: list[list[float]]) -> list[float] | None:
     """Float tree constants of one block by Grassmann-Taksar-Heyman state
     reduction, then back substitution.
 
@@ -132,12 +134,9 @@ def _kirchhoff(w: list[list[float]]) -> list[float]:
     no step leaves the normal float64 range.  That is checked on every
     quotient w[i][k] / s_k and its product with the least rate it scales
     (which bounds the terms it adds), and on every partial product of the
-    pivots, back-substitution sum and K; where one fails, the block's tree
-    constants are taken from the exact values of its rates instead
-    (`_exactly`).
+    pivots, back-substitution sum and K; where one fails, None is returned.
     """
     n, tiny = len(w), sys.float_info.min
-    rates = [row[:] for row in w]
     pivots = [1.0] * n  # pivots[0] stays the unit
     for k in range(n - 1, 0, -1):
         row_k = w[k][:k]
@@ -147,7 +146,7 @@ def _kirchhoff(w: list[list[float]]) -> list[float]:
             if w[i][k]:
                 f = w[i][k] / s
                 if not (tiny <= f < inf and tiny <= f * low):
-                    return _exactly(rates)
+                    return None
                 for j in range(k):
                     w[i][j] += f * w[k][j]
     steps = list(accumulate(pivots, mul))
@@ -157,7 +156,7 @@ def _kirchhoff(w: list[list[float]]) -> list[float]:
         consts.append(steps[-1] / pivots[k])
     checked = steps[1:] + consts  # positive: their sum is inf or NaN if one is
     if not (tiny <= min(checked) and sum(checked) < inf):
-        return _exactly(rates)
+        return None
     return consts
 
 
@@ -198,57 +197,56 @@ def _fraction_free(w: list[list[int]]) -> list[int]:
     return consts
 
 
-def _exactly(w: list[list[float]]) -> list[float]:
-    """Float tree constants of a float block from the exact values of its
-    rates, each rounded once: inf where it overflows.  The rates are scaled
-    to ints by d, the lcm of their denominators, so each constant is an int
-    of `_fraction_free` over d^(n-1)."""
-    n = len(w)
-    flat, d = exact.integer_row([x for row in w for x in row])
-    rows = [flat[i * n : (i + 1) * n] for i in range(n)]
-    consts = (Fraction(k, d ** (n - 1)) for k in _fraction_free(rows))
-    return [float(k) if k < sys.float_info.max else inf for k in consts]
-
-
 def tree_constants(g: LabeledDigraph) -> TreeConstants:
     """Tree constants, one elimination per component, cubic in its size
     where the number of spanning trees is exponential.
 
-    Exact labels are scaled to ints by D_c, the lcm of the component's
-    denominators, and eliminated fraction-free (`_fraction_free`), so
-    each constant is an int, a sum of products of n_c - 1 scaled labels,
-    until it is divided once by D_c^(n_c - 1).  Float labels, and only
-    they, go through GTH state reduction (Grassmann, Taksar and Heyman
-    1985): Gaussian elimination on the component's Laplacian with each
-    pivot taken as the sum of the remaining off-diagonal rates instead of
-    the diagonal entry, so it never subtracts, and every tree constant
-    keeps a small relative error however widely the labels spread
-    (O'Cinneide 1993), where cofactor determinants lose digits to
-    cancellation; float constants are refused (FloatRangeError) only when
-    they leave the float64 range themselves.
+    Exact labels give `_exact_tree_constants`; float labels, and only they, go
+    through GTH state reduction (Grassmann, Taksar and Heyman 1985): Gaussian
+    elimination on the component's Laplacian with each pivot taken as the sum
+    of the remaining off-diagonal rates instead of the diagonal entry, so it
+    never subtracts, and every tree constant keeps a small relative error
+    however widely the labels spread (O'Cinneide 1993), where cofactor
+    determinants lose digits to cancellation.  A component whose reduction
+    leaves float64 takes its `_exact_tree_constants`, each rounded once; float
+    constants are refused (FloatRangeError) only when they leave the float64
+    range themselves.
     """
     _require_scc(g)
-    labels, dens = _integer_labels(g) if g.exact else (g.labels, None)
-    values = np.empty(g.n_vertices, dtype=object)
+    if g.exact:
+        values = _exact_tree_constants(g)
+    else:
+        values = exact.positive_floats(_blocks(g, g.labels, None), "float tree constants")
+    values.flags.writeable = False
+    return TreeConstants(values=values)
+
+
+def _exact_tree_constants(g: LabeledDigraph) -> np.ndarray:
+    """K at the labels' exact values, float labels included, as Fractions:
+    per component, `_fraction_free` on the labels scaled to ints by D_c,
+    the lcm of their denominators (`_integer_labels`), so each constant is
+    an int until it is divided once by D_c^(n_c - 1)."""
+    return _blocks(g, *_integer_labels(g))
+
+
+def _blocks(g: LabeledDigraph, labels: dict, dens: list[int] | None) -> np.ndarray:
+    """Each component's tree constants from its block of `labels`: ints over
+    dens[c] fraction-free, or floats by `_kirchhoff`, else `_exact_tree_constants`."""
+    values, exact_k = np.empty(g.n_vertices, dtype=object), None
     for ci in range(g.n_components):
         verts = g.component_vertices(ci)
         pos = {v: i for i, v in enumerate(verts)}
         w = [[0] * len(verts) for _ in verts]
         for (s, d) in g.component_edges(ci):
             w[pos[s]][pos[d]] = labels[(s, d)]
-        if g.exact:
-            scale = dens[ci] ** (len(verts) - 1)
-            consts = [Fraction(k, scale) for k in _fraction_free(w)]
-        else:
-            consts = _kirchhoff(w)
+        if dens is not None:
+            consts = [Fraction(k, dens[ci] ** (len(verts) - 1)) for k in _fraction_free(w)]
+        elif (consts := _kirchhoff(w)) is None:
+            exact_k = _exact_tree_constants(g) if exact_k is None else exact_k
+            consts = exact_k[[g.index[v] for v in verts]]
         for v, k in zip(verts, consts):
             values[g.index[v]] = k
-    if not g.exact:
-        values = values.astype(float)
-        if not np.all(np.isfinite(values) & (values > 0)):
-            raise FloatRangeError("float tree constants leave the float64 range")
-    values.flags.writeable = False
-    return TreeConstants(values=values)
+    return values
 
 
 # -- core matrix -----------------------------------------------------------

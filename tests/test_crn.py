@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import sys
 import threading
@@ -15,7 +16,9 @@ from crnlap import (
     evaluate,
     mass_action_rhs,
 )
+from crnlap import crn
 from crnlap.errors import (
+    DimensionTooLargeError,
     DuplicateComplexError,
     FloatRangeError,
     NegativeComplexEntryError,
@@ -96,6 +99,21 @@ class TestMonomialVector:
             evaluate(cycle3_net, [0.0, 1.0])
         with pytest.raises(NonPositiveStateError):
             evaluate(cycle3_net, [1.0])
+
+    def test_exact_monomial_bits_bounded_before_any_power(self):
+        # y = (1, 0) and (5e5, 4e5): at x = (2, 3/2) the second costs
+        # 5e5 log2 2 + 4e5 log2 3 bits (log2 of the larger of 3 and 2, not of
+        # 3/2), past MAX_MONOMIAL_BITS; x = (1/2, 1) costs 5e5 and x = 1 none
+        g = build_digraph(["a", "b"], [("a", "b", Fraction(1)), ("b", "a", Fraction(1))])
+        net = build_network(["A", "B"], [[1, 500_000], [0, 400_000]], g)
+        assert 500_000 + 400_000 * math.log2(3) > crn.MAX_MONOMIAL_BITS
+        assert 500_000 + 400_000 * math.log2(1.5) < crn.MAX_MONOMIAL_BITS
+        with pytest.raises(DimensionTooLargeError, match="MAX_MONOMIAL_BITS"):
+            evaluate(net, [2, Fraction(3, 2)])
+        assert net._state == (None, None)  # a refused state never enters the slot
+        assert evaluate(net, [1, 1]).monomials.tolist() == [1, 1]
+        half = Fraction(1, 2)
+        assert evaluate(net, [half, 1]).monomials.tolist() == [half, half**500_000]
 
 
 class TestMassActionRhs:

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from crnlap import (
     birch_intersect,
@@ -26,7 +28,7 @@ from generators import (
     random_positive_floats,
     to_float_graph,
 )
-from oracles import aux_incidence, cbe_feasible_multistart, column_space
+from oracles import aux_incidence, cbe_feasible_multistart, column_space, reference_cbe_exists
 from oracles import rank as oracles_rank
 
 
@@ -178,11 +180,12 @@ class TestSolveCbe:
                 assert np.max(np.abs(binomials), initial=0.0) <= 1e-10 * np.max(scaled)
 
 
-def one_rate_doubled(net, rng):
-    """A copy of net with the label of one random edge doubled."""
+def one_rate_doubled(net, rng, factor=2):
+    """A copy of net with the label of one random edge times `factor`,
+    doubled by default."""
     g = net.graph
     a, b = rng.choice(g.edges)
-    edges = [(s, d, 2 * g.labels[(s, d)] if (s, d) == (a, b) else g.labels[(s, d)])
+    edges = [(s, d, factor * g.labels[(s, d)] if (s, d) == (a, b) else g.labels[(s, d)])
              for s, d in g.edges]
     return build_network(net.species, net.complexes.tolist(), build_digraph(g.vertex_ids, edges))
 
@@ -273,6 +276,32 @@ class TestCbeExists:
         g = cycle3_net.graph
         net = build_network(cycle3_net.species, cycle3_net.complexes.tolist(), to_float_graph(g))
         assert (net.deficiency, net.cbe_exists) == (0, True)
+
+
+class TestOneRatePerturbed:
+    """One rate of a planted network of positive deficiency times p/q != 1:
+    the exact `cbe_exists` verdict is the reference's, decided apart from
+    it, and the float-label copy, whose K come from its labels' exact
+    values, reaches the same verdict."""
+
+    def test_exact_and_float_label_verdicts_match_reference(self):
+        verdicts = []
+
+        @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+        @given(st.integers(0, 2**32), st.integers(1, 12), st.integers(1, 12))
+        def check(seed, p, q):
+            assume(p != q)
+            rng = random.Random(seed)
+            net, _ = random_planted_network(rng, n_species_max=3, n_vertices_max=6)
+            while not net.deficiency:
+                net, _ = random_planted_network(rng, n_species_max=3, n_vertices_max=6)
+            moved = one_rate_doubled(net, rng, Fraction(p, q))
+            float_copy = build_network(moved.species, moved.complexes.tolist(), to_float_graph(moved.graph))
+            assert moved.cbe_exists == reference_cbe_exists(moved) == float_copy.cbe_exists
+            verdicts.append(moved.cbe_exists)
+
+        check()
+        assert False in verdicts
 
 
 class TestManifoldSample:

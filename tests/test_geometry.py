@@ -25,14 +25,17 @@ from crnlap import (
 from crnlap import exact, geometry
 from crnlap.errors import FloatRangeError, InvalidAuxTreeError, PointNotInStratumError
 from crnlap.geometry import evaluation_cone, evaluation_order
-from crnlap.graph import AuxTree, default_chain_aux, make_aux_tree
+from crnlap.graph import AuxTree, LabeledDigraph, default_chain_aux, make_aux_tree
 
+from conftest import PLANAR_Y
 from generators import (
+    random_general_aux,
     random_planted_network,
     random_positive_floats,
     random_positive_fractions,
     random_wr_network,
     rand_fraction,
+    to_float_graph,
 )
 from oracles import (
     aux_incidence,
@@ -40,6 +43,7 @@ from oracles import (
     bdi_member_by_orders,
     fraction_polar_report,
     fraction_simplex,
+    gth_tree_constants,
     polar_interior_by_rays,
     rank,
     rays_by_facet_subsets,
@@ -163,6 +167,47 @@ class TestRegionConstraints:
                 slack_c = normals.T @ np.log(x / xs)
                 in_cone = bool(np.all(slack_c >= -1e-10 * max(1.0, np.max(np.abs(slack_c), initial=0.0))))
                 assert inside == in_poly == in_cone
+
+
+class TestExactLogRatios:
+    """A polyhedron's offsets are ln(K_b / K_a) on the aux edges, each exact
+    ratio rounded once, K at the labels' exact values: the same route as
+    `log_ratios`, on exact and float labels alike, so K itself may leave
+    float64."""
+
+    def test_offsets_are_logs_of_exact_ratios(self):
+        rng = random.Random(46)
+        for _ in range(30):
+            net, _ = random_planted_network(rng)
+            g = to_float_graph(net.graph)
+            for n in (net, build_network(net.species, net.complexes.tolist(), g)):
+                consts = gth_tree_constants(n.graph)  # Fractions at the labels' exact values
+                chain = default_chain_aux(n.graph)
+                for aux in (chain, random_general_aux(rng, n.graph)):
+                    ratios = [consts[n.graph.index[b]] / consts[n.graph.index[a]] for a, b in aux.edges]
+                    want = np.log(np.array([float(r) for r in ratios], dtype=float))
+                    assert region_constraints(n, aux, "polyhedron").offset.tolist() == want.tolist()
+                assert np.array_equal(region_constraints(n, chain, "polyhedron").offset, n.log_ratios)
+
+    def test_float_tree_constants_beyond_float64(self):
+        # every rate 1e200: K = 1e400 leaves float64, the ratios K_b / K_a = 1 do not
+        g = build_digraph(["1", "2", "3"], [("1", "2", 1e200), ("2", "3", 1e200), ("3", "1", 1e200)])
+        net = build_network(["X1", "X2"], PLANAR_Y, g)
+        with pytest.raises(FloatRangeError):
+            net.tree_constants()
+        assert region_constraints(net, default_chain_aux(g), "polyhedron").offset.tolist() == [0.0, 0.0]
+
+    def test_float_network_builds_no_graph_copy(self, monkeypatch):
+        # K at float labels' exact values comes from their ints, with no
+        # Fraction-labelled copy of the graph (0 -> X -> 2X -> 0: deficiency one)
+        g = build_digraph(["0", "X", "2X"], [("0", "X", 1.0), ("X", "2X", 3.0), ("2X", "0", 1.5)])
+        net = build_network(["X"], [[0, 1, 2]], g)
+        built = []
+        init = LabeledDigraph.__init__
+        monkeypatch.setattr(LabeledDigraph, "__init__", lambda *a, **k: built.append(a) or init(*a, **k))
+        assert net.deficiency == 1 and not net.cbe_exists and net.log_ratios.size == 2
+        region_constraints(net, default_chain_aux(g), "polyhedron")
+        assert built == []
 
 
 def _is_trivial_cone(desc) -> bool:

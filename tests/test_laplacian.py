@@ -970,20 +970,25 @@ class TestFloatAccuracy:
             [("0", "1", 1.0), ("1", "2", 1e200), ("2", "0", 1e-200)],
             # w[1][0] gets 1e-200 (1e-200 / 1e200), so s_1 underflows to 0
             [("0", "1", 1.0), ("1", "2", 1e-200), ("2", "0", 1e200)],
+            # the last two in one graph: one exact elimination serves both blocks
+            [("0", "1", 1.0), ("1", "2", 1e200), ("2", "0", 1e-200),
+             ("a", "b", 1.0), ("b", "c", 1e-200), ("c", "a", 1e200)],
         ],
     )
     def test_intermediates_beyond_float_range(self, edges, monkeypatch):
         # each block trips a range check, so its constants are the exact
         # ones of its float rates, from fraction-free elimination on ints,
-        # each rounded once
-        fallbacks = []
-        exactly = laplacian._exactly
-        monkeypatch.setattr(laplacian, "_exactly", lambda w: fallbacks.append(w) or exactly(w))
+        # each rounded once; `want` is formed before the count starts
         vs = sorted({v for e in edges for v in e[:2]})
-        got = tree_constants(build_digraph(vs, edges)).values
         want = tree_constants(
             build_digraph(vs, [(s, d, Fraction(k)) for s, d, k in edges])
         ).values
+        fallbacks = []
+        exactly = laplacian._exact_tree_constants
+        monkeypatch.setattr(
+            laplacian, "_exact_tree_constants", lambda g: fallbacks.append(g) or exactly(g)
+        )
+        got = tree_constants(build_digraph(vs, edges)).values
         assert all(
             abs(Fraction(f) - e) <= Fraction(1e-15) * e for f, e in zip(got, want)
         )

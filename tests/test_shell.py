@@ -12,6 +12,7 @@ import pytest
 
 from crnlap import bdi_membership, bdi_report, mass_action_rhs
 from crnlap.cli import _json_default, run_command
+from crnlap.crn import MAX_MONOMIAL_BITS
 from crnlap.errors import SchemaError, SemanticError
 from crnlap.io import (
     NetworkDocument,
@@ -573,6 +574,24 @@ class TestCli:
         assert proc.returncode == 3 and proc.stdout == ""
         error = json.loads(proc.stderr)["error"]
         assert error["type"] == "DimensionTooLargeError" and "MAX_SAMPLES=10000" in error["message"]
+
+    @pytest.mark.parametrize("cmd", ["certify", "bdi-check"])
+    @pytest.mark.parametrize("exponent", ["1e300", MAX_MONOMIAL_BITS + 1], ids=["1e300", "past"])
+    def test_monomial_bits_past_the_limit_refused_at_once(self, cmd, exponent, tmp_path):
+        # x = 1/2 costs one bit per unit of A's exponent: 2^-(10^300) would
+        # grow without bound, so it is refused before any power; x* = 1 costs none
+        start = time.perf_counter()
+        proc = _cli_process(tmp_path, _complex_doc(1, exponent), cmd, "--x", "0.5", "--x-star", "1")
+        assert time.perf_counter() - start < 2
+        assert proc.returncode == 3 and proc.stdout == ""
+        error = json.loads(proc.stderr)["error"]
+        assert error["type"] == "DimensionTooLargeError"
+        assert f"MAX_MONOMIAL_BITS={MAX_MONOMIAL_BITS}" in error["message"]
+
+    @pytest.mark.parametrize("cmd", ["certify", "bdi-check"])
+    def test_monomial_bits_at_the_limit_run(self, cmd, tmp_path):
+        proc = _cli_process(tmp_path, _complex_doc(1, MAX_MONOMIAL_BITS), cmd, "--x", "0.5", "--x-star", "1")
+        assert proc.returncode == 0 and proc.stderr == ""
 
     @pytest.mark.parametrize(
         "doc, argv, message",
